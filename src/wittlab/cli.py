@@ -22,7 +22,7 @@ from .kernel import (
     kernel_section_sigma,
     psi_map,
 )
-from .laws import default_matrix, run_law, run_suite, symbolic_verify
+from .laws import default_matrix, run_suite
 from .rings import make_ring_config
 from .serialize import (
     canonical_dumps,
@@ -68,13 +68,19 @@ from .witt import (
 
 def _load_json(arg):
     """Accept inline JSON, '-' for stdin, or a file path."""
-    if arg == "-":
-        return json.load(sys.stdin)
-    stripped = arg.lstrip()
-    if stripped[:1] in "[{" or stripped[:1].isdigit() or stripped[:1] == '"':
-        return json.loads(arg)
-    with open(arg) as fh:
-        return json.load(fh)
+    try:
+        if arg == "-":
+            return json.load(sys.stdin)
+        stripped = arg.lstrip()
+        if (stripped[:1] in "[{" or stripped[:1].isdigit()
+                or stripped[:1] == '"'):
+            return json.loads(arg)
+        with open(arg) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise WittlabError(f"cannot read {arg!r}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise WittlabError(f"invalid JSON in {arg!r}: {exc}") from None
 
 
 def _emit(obj, out=None):

@@ -99,16 +99,26 @@ def _validate(law):
                              f"{d + 1}")
 
 
+_BUILTIN_LAWS = {}
+
+
 def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
     """A builtin name ("ga" / "gm"), a parsed coefficient table, or a path
-    to a JSON file {"degree": D, "coeffs": [{"i","j","c"}]}."""
-    one = cfg.one()
-    if source == "ga":
-        coeffs = {(1, 0): one, (0, 1): one}
-        return FormalGroupLaw(cfg, degree, coeffs, BUILTIN_ADDITIVE)
-    if source == "gm":
-        coeffs = {(1, 0): one, (0, 1): one, (1, 1): one}
-        return FormalGroupLaw(cfg, degree, coeffs, BUILTIN_MULTIPLICATIVE)
+    to a JSON file {"degree": D, "coeffs": [{"i","j","c"}]}.
+
+    A builtin law is built and validated once per (name, cfg, degree) and
+    that object is returned afterwards; a custom table is validated on
+    every call."""
+    if source in ("ga", "gm"):
+        key = (source, cfg, degree)
+        if key not in _BUILTIN_LAWS:
+            one = cfg.one()
+            coeffs = {(1, 0): one, (0, 1): one}
+            tag = BUILTIN_ADDITIVE
+            if source == "gm":
+                coeffs[(1, 1)], tag = one, BUILTIN_MULTIPLICATIVE
+            _BUILTIN_LAWS[key] = FormalGroupLaw(cfg, degree, coeffs, tag)
+        return _BUILTIN_LAWS[key]
     if isinstance(source, str):
         with open(source) as fh:
             source = json.load(fh)

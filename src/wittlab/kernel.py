@@ -21,7 +21,6 @@ from .errors import (
     LengthMismatch,
     NonIntegralPsi,
     PrecisionRequired,
-    WittlabError,
     ZeroShift,
     ZeroTail,
 )
@@ -33,16 +32,17 @@ from .shifted import (
     lateral_frobenius,
     scalar_shifted,
     shift_E,
+    shifted_add,
     shifted_mul,
     shifted_zero,
 )
 from .witt import (
     WittVector,
     frobenius_iter,
-    ghost,
     scalar_mul,
     witt_add,
     witt_mul,
+    witt_neg,
     witt_sub,
     witt_zero,
 )
@@ -142,7 +142,6 @@ def kernel_add(t, s):
                 pows[max(pows) + 1] = shifted_mul(pows[max(pows)], base)
             if k:
                 term = shifted_mul(term, pows[k])
-        from .shifted import shifted_add
         acc = shifted_add(acc, term)
     for h in acc.head:
         if not h.is_zero():  # pragma: no cover - identity section preserved
@@ -153,7 +152,6 @@ def kernel_add(t, s):
 def kernel_neg(t):
     law = t.law
     if law.is_additive:
-        from .witt import witt_neg
         v = witt_neg(WittVector(t.bcfg, t.coords))
         return KernelPoint(law, t.rcfg, t.bcfg, t.m, v.comps)
     if t.bcfg.torsion_free:
@@ -164,7 +162,6 @@ def kernel_neg(t):
     u = kernel_embed(t)
     acc = shifted_zero(t.rcfg, t.bcfg, t.m, t.n)
     pow_u = None
-    from .shifted import shifted_add
     for k, b in enumerate(inv, 1):
         pow_u = u if pow_u is None else shifted_mul(pow_u, u)
         term = shifted_mul(scalar_shifted(t.rcfg, t.bcfg, t.m, t.n, b),
@@ -277,10 +274,6 @@ def psi_map(law, m, t0, precision=None):
 # the difference character
 
 
-def _witt_scalar(c, v):
-    return scalar_mul(c, v)
-
-
 def _witt_series(coeffs_k, v, cutoff):
     """sum_k c_k v^k in the Witt ring, dropping terms of degree >= cutoff."""
     acc = witt_zero(v.cfg, v.n)
@@ -291,7 +284,7 @@ def _witt_series(coeffs_k, v, cutoff):
         pow_v = v if pow_v is None else witt_mul(pow_v, v)
         if c.is_zero():
             continue
-        acc = witt_add(acc, _witt_scalar(c, pow_v))
+        acc = witt_add(acc, scalar_mul(c, pow_v))
     return acc
 
 
@@ -323,7 +316,7 @@ def _group_difference(law, x, y, m):
                 pows[max(pows) + 1] = witt_mul(pows[max(pows)], base)
             if k:
                 term = pows[k] if term is None else witt_mul(term, pows[k])
-        term = _witt_scalar(c, term)
+        term = scalar_mul(c, term)
         acc = witt_add(acc, term)
     return acc
 

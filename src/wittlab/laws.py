@@ -243,10 +243,7 @@ def _sym_l6(params):
     return None
 
 
-def _law_l7(cfg, rng, params):
-    m = _pick(rng, 1, 2, params.get("m_max"))
-    n = _pick(rng, 1, 3, params.get("n_max"))
-    v = _rand_shifted(cfg, m, n, rng)
+def _l7_check(v):
     lhs = include_I(shift_E(v))
     rhs = frobenius(include_I(v))
     if lhs != rhs:
@@ -254,53 +251,50 @@ def _law_l7(cfg, rng, params):
     return None
 
 
+def _law_l7(cfg, rng, params):
+    m = _pick(rng, 1, 2, params.get("m_max"))
+    n = _pick(rng, 1, 3, params.get("n_max"))
+    return _l7_check(_rand_shifted(cfg, m, n, rng))
+
+
 def _sym_l7(params):
-    v = _sym_shifted(params["p"], params["m"], params["n"])
-    lhs = include_I(shift_E(v))
-    rhs = frobenius(include_I(v))
+    return _l7_check(_sym_shifted(params["p"], params["m"], params["n"]))
+
+
+def _l8_check(v, shift=shift_E):
+    lhs = shifted_ghost(shift(v)).entries
+    rhs = shifted_ghost(v).entries[1:]
     if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
+        return _mismatch({"v": v}, list(lhs), list(rhs))
     return None
 
 
 def _law_l8(cfg, rng, params):
     m = _pick(rng, 1, 2, params.get("m_max"))
     n = _pick(rng, 1, 3, params.get("n_max"))
-    v = _rand_shifted(cfg, m, n, rng)
-    lhs = shifted_ghost(shift_E(v)).entries
-    rhs = shifted_ghost(v).entries[1:]
-    if lhs != rhs:
-        return _mismatch({"v": v}, list(lhs), list(rhs))
-    return None
+    return _l8_check(_rand_shifted(cfg, m, n, rng))
 
 
 def _sym_l8(params):
-    v = _sym_shifted(params["p"], params["m"], params["n"])
-    lhs = shifted_ghost(shift_E(v)).entries
-    rhs = shifted_ghost(v).entries[1:]
+    return _l8_check(_sym_shifted(params["p"], params["m"], params["n"]))
+
+
+def _l9_check(v):
+    lhs = shift_E(lateral_frobenius(v))
+    rhs = lateral_frobenius(shift_E(v))
     if lhs != rhs:
-        return _mismatch({"v": v}, list(lhs), list(rhs))
+        return _mismatch({"v": v}, lhs, rhs)
     return None
 
 
 def _law_l9(cfg, rng, params):
     m = _pick(rng, 1, 2, params.get("m_max"))
     n = _pick(rng, 1, 3, params.get("n_max"))
-    v = _rand_shifted(cfg, m, n, rng)
-    lhs = shift_E(lateral_frobenius(v))
-    rhs = lateral_frobenius(shift_E(v))
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    return None
+    return _l9_check(_rand_shifted(cfg, m, n, rng))
 
 
 def _sym_l9(params):
-    v = _sym_shifted(params["p"], params["m"], params["n"])
-    lhs = shift_E(lateral_frobenius(v))
-    rhs = lateral_frobenius(shift_E(v))
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    return None
+    return _l9_check(_sym_shifted(params["p"], params["m"], params["n"]))
 
 
 def _law_l10(cfg, rng, params):
@@ -527,11 +521,7 @@ def _law_sabotage_lateral(cfg, rng, params):
 
 def _law_sabotage_shift(cfg, rng, params):
     v = _rand_poly_shifted(cfg, params.get("m", 1), params.get("n", 2), rng)
-    lhs = shifted_ghost(_sabotage_shift(v)).entries
-    rhs = shifted_ghost(v).entries[1:]
-    if lhs != rhs:
-        return _mismatch({"v": v}, list(lhs), list(rhs))
-    return None
+    return _l8_check(v, shift=_sabotage_shift)
 
 
 # ----------------------------------------------------------------------

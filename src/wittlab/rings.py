@@ -13,6 +13,7 @@ import math
 
 from .errors import (
     BadFrobeniusLift,
+    BaseMismatch,
     DuplicateName,
     InternalError,
     NonDivisible,
@@ -121,9 +122,6 @@ class RingConfig:
 
     def cneg(self, a):
         return tuple(-x for x in a)
-
-    def cmulint(self, a, k):
-        return tuple(x * k for x in a)
 
     def cmul(self, a, b):
         d = self.d
@@ -337,7 +335,7 @@ class RingConfig:
         if src is self:
             return elem
         if not self.compatible(src):
-            raise BaseMismatchError(src, self)
+            raise BaseMismatch(f"cannot coerce between {src!r} and {self!r}")
         positions = []
         for v in src.vars:
             if v not in self.vars:
@@ -369,11 +367,6 @@ class RingConfig:
         if self.vars:
             bits.append(f"vars={list(self.vars)}")
         return f"RingConfig({', '.join(bits)})"
-
-
-def BaseMismatchError(src, dst):
-    from .errors import BaseMismatch
-    return BaseMismatch(f"cannot coerce between {src!r} and {dst!r}")
 
 
 _CONFIG_CACHE = {}
@@ -426,7 +419,8 @@ class RingElement:
         if isinstance(other, RingElement):
             if other.cfg is self.cfg or other.cfg == self.cfg:
                 return other
-            raise BaseMismatchError(other.cfg, self.cfg)
+            raise BaseMismatch(
+                f"cannot coerce between {other.cfg!r} and {self.cfg!r}")
         if isinstance(other, int):
             return self.cfg.from_int(other)
         return NotImplemented
@@ -681,29 +675,21 @@ def make_ring_config(spec):
 
     Keys: ``p`` (required), ``modulus`` (coefficient list, lowest first,
     or None), ``phi_pi`` ("pi" or a coefficient list), ``trunc`` (int,
-    0 = exact), ``vars`` (list of names).
+    0 = exact), ``vars`` (list of names).  A malformed spec raises
+    WittlabError.
     """
-    p = spec["p"]
-    modulus = spec.get("modulus")
+    if not isinstance(spec, dict) or "p" not in spec:
+        raise WittlabError(f"ring spec {spec!r} needs an object with 'p'")
     phi_pi = spec.get("phi_pi", "pi")
-    if phi_pi == "pi":
-        phi_pi = None
-    trunc = spec.get("trunc", 0)
+    try:
+        trunc = int(spec.get("trunc", 0))
+        modulus = tuple(int(c) for c in spec.get("modulus") or ()) or None
+        phi_pi = (tuple(int(c) for c in phi_pi)
+                  if phi_pi and phi_pi != "pi" else None)
+    except (TypeError, ValueError) as exc:
+        raise WittlabError(f"malformed ring spec {spec!r}: {exc}") from None
     variables = tuple(spec.get("vars", ()))
-    return _config(p, tuple(modulus) if modulus else None,
-                   tuple(phi_pi) if phi_pi else None, trunc, variables)
-
-
-def exact_div_pi(a):
-    return a.div_pi()
-
-
-def pi_valuation(a):
-    return a.pi_val()
-
-
-def phi_apply(a):
-    return a.phi()
+    return _config(spec["p"], modulus, phi_pi, trunc, variables)
 
 
 def c_pi(x, y):
@@ -713,13 +699,3 @@ def c_pi(x, y):
         return (x ** q + y ** q - (x + y) ** q).div_pi()
     except NonDivisible as exc:  # pragma: no cover - binomial divisibility
         raise InternalError(f"carry term not divisible by pi: {exc}")
-
-
-def adjoin_variables(cfg, names):
-    return cfg.adjoin(names)
-
-
-def reduce_mod(a, n):
-    if n <= 0:
-        raise WittlabError("truncation exponent must be positive")
-    return a.cfg.truncated(n).convert(a)

@@ -56,15 +56,9 @@ def _decode_coeff(cfg, enc):
 def encode_element(elem):
     """Constants encode as an integer (or coefficient array); polynomials
     as a sorted list of {coeff, monomial} terms."""
-    cfg = elem.cfg
     if elem.is_constant():
-        return _encode_coeff(cfg, elem.const_coeff())
-    terms = []
-    for mono, coeff in elem._sorted_terms():
-        monomial = {v: e for v, e in zip(cfg.vars, mono) if e}
-        terms.append({"coeff": _encode_coeff(cfg, coeff),
-                      "monomial": monomial})
-    return {"terms": terms}
+        return _encode_coeff(elem.cfg, elem.const_coeff())
+    return {"terms": encode_poly_term_list(elem)}
 
 
 def decode_element(cfg, enc):

@@ -10,7 +10,6 @@ from .errors import (
     BaseMismatch,
     InternalError,
     LengthMismatch,
-    NonDivisible,
     NonIntegral,
     TorsionBase,
     WittlabError,
@@ -20,7 +19,10 @@ from .errors import (
 from .witt import (
     GhostVector,
     WittVector,
-    exp_delta,
+    _arith,
+    _ghost_rows,
+    _phi_chain,
+    _solve_rows,
     frobenius_polynomials,
 )
 
@@ -90,104 +92,78 @@ def _check_pair(u, v):
         raise BaseMismatch("shifted vectors live over different rings")
 
 
+def _lift_head(hl, bl, rcfg, head):
+    """Unwrapped head values of R as values of B's engine arithmetic."""
+    if hl is bl:
+        return list(head)
+    return [bl.unwrap(bl.cover.convert(hl.wrap(rcfg, x))) for x in head]
+
+
+def _rows(v):
+    """Engine arithmetics of R and B, and the shifted ghost rows of v:
+    entries 0..m in R, entries m+1..m+n in B."""
+    hl, bl = _arith(v.rcfg), _arith(v.bcfg)
+    head = [hl.unwrap(r) for r in v.head]
+    full = (_lift_head(hl, bl, v.rcfg, head)
+            + [bl.unwrap(b) for b in v.tail])
+    return hl, bl, _ghost_rows(hl, head) + _ghost_rows(bl, full, v.m + 1)
+
+
+def _solve(hl, bl, rcfg, bcfg, entries, head_count):
+    head = _solve_rows(hl, entries[:head_count], [],
+                       "head ghost entry {} does not solve")
+    comps = _solve_rows(bl, entries[head_count:],
+                        _lift_head(hl, bl, rcfg, head),
+                        "tail ghost entry {} does not solve")
+    return ShiftedWittVector(rcfg, bcfg, head_count - 1,
+                             [hl.wrap(rcfg, x) for x in head],
+                             [bl.wrap(bcfg, x) for x in comps[head_count:]])
+
+
 def shifted_ghost(v):
     """Entries 0..m are computed in R, entries m+1..m+n in B."""
-    rcfg, bcfg = v.rcfg, v.bcfg
-    q = rcfg.q
-    entries = []
-    pi_r = rcfg.pi_elem()
-    for i in range(v.m + 1):
-        acc = rcfg.zero()
-        for j in range(i + 1):
-            acc = acc + pi_r ** j * v.head[j] ** (q ** (i - j))
-        entries.append(acc)
-    pi_b = bcfg.pi_elem()
-    for i in range(v.m + 1, v.m + v.n + 1):
-        acc = bcfg.zero()
-        for j in range(i + 1):
-            xj = v.f(v.head[j]) if j <= v.m else v.tail[j - v.m - 1]
-            acc = acc + pi_b ** j * xj ** (q ** (i - j))
-        entries.append(acc)
-    return GhostVector(entries, head_count=v.m + 1)
+    hl, bl, rows = _rows(v)
+    k = v.m + 1
+    return GhostVector([hl.wrap(v.rcfg, w) for w in rows[:k]]
+                       + [bl.wrap(v.bcfg, w) for w in rows[k:]],
+                       head_count=k)
 
 
 def shifted_ghost_solve(g, rcfg, bcfg):
     if g.head_count is None:
         raise WittlabError("ghost vector is not in shifted form")
-    m = g.head_count - 1
-    n = len(g.entries) - g.head_count
     if not bcfg.torsion_free:
         raise TorsionBase("shifted ghost solve needs exact torsion-free B")
-    q = rcfg.q
-    head = []
-    pi_r = rcfg.pi_elem()
-    for i in range(m + 1):
-        acc = g.entries[i]
-        for j in range(i):
-            acc = acc - pi_r ** j * head[j] ** (q ** (i - j))
-        for _ in range(i):
-            try:
-                acc = acc.div_pi()
-            except NonDivisible:
-                raise NonIntegral(f"head ghost entry {i} does not solve")
-        head.append(acc)
-    tail = []
-    pi_b = bcfg.pi_elem()
-    f_head = [bcfg.convert(r) for r in head]
-    for i in range(m + 1, m + n + 1):
-        acc = g.entries[i]
-        for j in range(i):
-            xj = f_head[j] if j <= m else tail[j - m - 1]
-            acc = acc - pi_b ** j * xj ** (q ** (i - j))
-        for _ in range(i):
-            try:
-                acc = acc.div_pi()
-            except NonDivisible:
-                raise NonIntegral(f"tail ghost entry {i} does not solve")
-        tail.append(acc)
-    return ShiftedWittVector(rcfg, bcfg, m, head, tail)
-
-
-def _lift(v):
-    cover = v.bcfg.exact_cover()
-    return ShiftedWittVector(v.rcfg, cover, v.m, v.head,
-                             (cover.convert(b) for b in v.tail))
-
-
-def _reduce_to(bcfg, v):
-    return ShiftedWittVector(v.rcfg, bcfg, v.m, v.head,
-                             (bcfg.convert(b) for b in v.tail))
+    hl, bl = _arith(rcfg), _arith(bcfg)
+    k = g.head_count
+    entries = ([hl.unwrap(rcfg.convert(e)) for e in g.entries[:k]]
+               + [bl.unwrap(bcfg.convert(e)) for e in g.entries[k:]])
+    return _solve(hl, bl, rcfg, bcfg, entries, k)
 
 
 def _entrywise(op, u, v):
-    gu, gv = shifted_ghost(u), shifted_ghost(v)
-    return GhostVector((op(a, b) for a, b in zip(gu.entries, gv.entries)),
-                       head_count=gu.head_count)
+    _check_pair(u, v)
+    hl, bl, ru = _rows(u)
+    rv = _rows(v)[2]
+    k = u.m + 1
+    entries = (list(map(getattr(hl, op), ru[:k], rv[:k]))
+               + list(map(getattr(bl, op), ru[k:], rv[k:])))
+    return _solve(hl, bl, u.rcfg, u.bcfg, entries, k)
 
 
 def shifted_add(u, v):
-    _check_pair(u, v)
-    if not u.bcfg.torsion_free:
-        return _reduce_to(u.bcfg, shifted_add(_lift(u), _lift(v)))
-    return shifted_ghost_solve(_entrywise(lambda a, b: a + b, u, v),
-                               u.rcfg, u.bcfg)
+    return _entrywise("add", u, v)
 
 
 def shifted_mul(u, v):
-    _check_pair(u, v)
-    if not u.bcfg.torsion_free:
-        return _reduce_to(u.bcfg, shifted_mul(_lift(u), _lift(v)))
-    return shifted_ghost_solve(_entrywise(lambda a, b: a * b, u, v),
-                               u.rcfg, u.bcfg)
+    return _entrywise("mul", u, v)
 
 
 def shifted_neg(u):
-    if not u.bcfg.torsion_free:
-        return _reduce_to(u.bcfg, shifted_neg(_lift(u)))
-    g = shifted_ghost(u)
-    return shifted_ghost_solve(
-        GhostVector((-a for a in g.entries), head_count=g.head_count),
-        u.rcfg, u.bcfg)
+    hl, bl, rows = _rows(u)
+    k = u.m + 1
+    entries = list(map(hl.neg, rows[:k])) + list(map(bl.neg, rows[k:]))
+    return _solve(hl, bl, u.rcfg, u.bcfg, entries, k)
 
 
 def include_I(v):
@@ -208,14 +184,10 @@ def lateral_frobenius(v):
     power of its input coordinate mod pi."""
     if v.n < 1:
         raise ZeroTail("lateral Frobenius needs a nonempty tail")
-    if not v.bcfg.torsion_free:
-        return _reduce_to(v.bcfg, lateral_frobenius(_lift(v)))
-    g = shifted_ghost(v)
-    entries = ([e.phi() for e in g.entries[:v.m + 1]]
-               + list(g.entries[v.m + 2:]))
+    hl, bl, rows = _rows(v)
+    entries = list(map(hl.phi, rows[:v.m + 1])) + rows[v.m + 2:]
     try:
-        return shifted_ghost_solve(
-            GhostVector(entries, head_count=v.m + 1), v.rcfg, v.bcfg)
+        return _solve(hl, bl, v.rcfg, v.bcfg, entries, v.m + 1)
     except NonIntegral as exc:  # pragma: no cover - Theorem guarantees this
         raise InternalError(f"lateral Frobenius failed to solve: {exc}")
 
@@ -225,19 +197,16 @@ def shift_E(v, path="auto"):
     Frobenius polynomials; its shifted ghost drops the leading entry.
 
     ``path`` selects the implementation: "ghost" (solve the shifted ghost
-    shift, lifting truncated bases), "coords" (evaluate the cached
+    shift), "coords" (evaluate the cached
     Frobenius polynomials), or "auto" (ghost).
     """
     if v.m < 1:
         raise ZeroShift("shift needs m >= 1")
     if path == "coords":
         return _shift_E_coords(v)
-    if not v.bcfg.torsion_free:
-        return _reduce_to(v.bcfg, shift_E(_lift(v)))
-    g = shifted_ghost(v)
+    hl, bl, rows = _rows(v)
     try:
-        return shifted_ghost_solve(
-            GhostVector(g.entries[1:], head_count=v.m), v.rcfg, v.bcfg)
+        return _solve(hl, bl, v.rcfg, v.bcfg, rows[1:], v.m)
     except NonIntegral as exc:  # pragma: no cover - integral coordinates
         raise InternalError(f"shift_E ghost path failed to solve: {exc}")
 
@@ -259,7 +228,12 @@ def _shift_E_coords(v):
 def scalar_shifted(rcfg, bcfg, m, n, r):
     """Image of r in W_[m]n(B) under the structure map (ghost entry i is
     phi^i(r))."""
-    vec = exp_delta(r, m + n)
-    head = vec.comps[:m + 1]
-    tail = [bcfg.convert(c) for c in vec.comps[m + 1:]]
-    return ShiftedWittVector(rcfg, bcfg, m, head, tail)
+    if not r.cfg.torsion_free:
+        raise TorsionBase("the structure map needs an exact scalar ring")
+    hl, bl = _arith(rcfg), _arith(bcfg)
+    chain = _phi_chain(hl, hl.unwrap(rcfg.convert(r)), m + n + 1)
+    entries = chain[:m + 1] + _lift_head(hl, bl, rcfg, chain[m + 1:])
+    try:
+        return _solve(hl, bl, rcfg, bcfg, entries, m + 1)
+    except NonIntegral as exc:  # pragma: no cover - phi is a valid lift
+        raise InternalError(f"structure map failed to solve: {exc}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import tempfile
 from pathlib import Path
@@ -22,21 +23,17 @@ from .errors import (
     WittlabError,
     ZeroLength,
 )
+from .rings import RingElement
 
 TERM_BUDGET = 5_000_000
 
 
 class WittVector:
-    """Components (x_0 .. x_n) over one base ring.
+    """Components (x_0 .. x_n) over one base ring."""
 
-    ``twist`` counts how many Frobenius applications produced this vector;
-    it only tracks the B^phi bookkeeping of the structure map and has no
-    effect on arithmetic.
-    """
+    __slots__ = ("cfg", "comps")
 
-    __slots__ = ("cfg", "comps", "twist")
-
-    def __init__(self, cfg, comps, twist=0):
+    def __init__(self, cfg, comps):
         comps = tuple(comps)
         if not comps:
             raise ZeroLength("a Witt vector needs at least one component")
@@ -45,7 +42,6 @@ class WittVector:
                 raise BaseMismatch("component ring differs from vector ring")
         self.cfg = cfg
         self.comps = comps
-        self.twist = twist
 
     @property
     def n(self):
@@ -87,19 +83,118 @@ class GhostVector:
         return "<" + ", ".join(repr(c) for c in self.entries) + ">"
 
 
-def _ghost_entry(cfg, comps, i):
-    pi = cfg.pi_elem()
-    q = cfg.q
-    acc = cfg.zero()
-    for j in range(i + 1):
-        acc = acc + pi ** j * comps[j] ** (q ** (i - j))
+# ----------------------------------------------------------------------
+# the ghost engine
+#
+# Every operator is one ghost map, an entrywise rule on ghost coordinates
+# and one triangular solve.  The engine works on unwrapped values of the
+# exact cover of a config: Python ints (d = 1) or coefficient tuples
+# (d > 1) when the config has no adjoined variables, RingElements of the
+# exact cover when it has.  A truncated element's canonical coefficients
+# are its lift to the exact cover and wrapping reduces, so a truncated
+# result is the canonical reduction of the exact result.
+
+
+class _Arith:
+    """Ring operations on the unwrapped values of one exact config."""
+
+    def __init__(self, cover):
+        self.cover, self.q = cover, cover.q
+        self.add, self.sub = operator.add, operator.sub
+        self.mul, self.neg, self.pow = operator.mul, operator.neg, pow
+        if cover.nvars:
+            self.zero, self.one = cover.zero(), cover.one()
+            self.pi = cover.pi_elem()
+            self.phi, self.div_pi = RingElement.phi, RingElement.div_pi
+            self.unwrap = lambda e: cover.convert(e)
+            self.wrap = lambda cfg, x: cfg.convert(x)
+        elif cover.d == 1:
+            self.zero, self.one, self.pi = 0, 1, cover.p
+            self.phi, self.div_pi = (lambda a: a), None
+            self.unwrap = lambda e: e.terms.get((), (0,))[0]
+            self.wrap = lambda cfg, x: cfg._make({(): (x,)})
+        else:
+            self.zero, self.one = cover.czero(), cover.cone()
+            self.pi = cover._pi_coeff()
+            self.add, self.sub = cover.cadd, cover.csub
+            self.mul, self.neg, self.pow = cover.cmul, cover.cneg, self._cpow
+            self.phi, self.div_pi = cover.cphi, cover.cdivpi
+            self.unwrap = lambda e: e.terms.get((), self.zero)
+            self.wrap = lambda cfg, x: cfg._make({(): x})
+
+    def div_pi_power(self, a, k):
+        """a / pi^k; NonDivisible when it is not exact."""
+        if self.div_pi:
+            for _ in range(k):
+                a = self.div_pi(a)
+            return a
+        a, rem = divmod(a, self.pi ** k)    # ints: one division by p^k
+        if rem:
+            raise NonDivisible(f"integer not divisible by {self.pi}^{k}")
+        return a
+
+    def _cpow(self, a, e):
+        """Square-and-multiply on coefficient tuples."""
+        if e <= 1:
+            return a if e else self.one
+        half = self._cpow(self.mul(a, a), e >> 1)
+        return self.mul(half, a) if e & 1 else half
+
+
+_ARITH = {}
+
+
+def _arith(cfg):
+    """The engine arithmetic of cfg: that of its exact cover."""
+    if cfg not in _ARITH:
+        cover = cfg.exact_cover()
+        _ARITH[cfg] = _ARITH[cover] = _ARITH.get(cover) or _Arith(cover)
+    return _ARITH[cfg]
+
+
+def _fold(ar, op, acc, xs, i, stop):
+    """acc op pi^j x_j^(q^(i-j)), in order for j = 0 .. stop-1."""
+    mul, pw, pi, q = ar.mul, ar.pow, ar.pi, ar.q
+    for j in range(stop):
+        acc = op(acc, mul(pw(pi, j), pw(xs[j], q ** (i - j))))
     return acc
 
 
+def _ghost_rows(ar, xs, start=0):
+    """Ghost entries start..len(xs)-1 of the unwrapped coordinates xs:
+    w_i = sum_j pi^j x_j^(q^(i-j))."""
+    return [_fold(ar, ar.add, ar.zero, xs, i, i + 1)
+            for i in range(start, len(xs))]
+
+
+def _solve_rows(ar, entries, comps, failure):
+    """Extend the solved coordinates ``comps`` by one per ghost entry,
+    x_i = (w_i - sum_{j<i} pi^j x_j^(q^(i-j))) / pi^i; ``failure`` names
+    entry i in the NonIntegral raised when the division is not exact.
+    This is the library's one triangular solver."""
+    for w in entries:
+        i = len(comps)
+        try:
+            comps.append(ar.div_pi_power(_fold(ar, ar.sub, w, comps, i, i),
+                                         i))
+        except NonDivisible:
+            raise NonIntegral(failure.format(i)) from None
+    return comps
+
+
+def _rows(ar, v):
+    return _ghost_rows(ar, [ar.unwrap(c) for c in v.comps])
+
+
+def _solve(ar, cfg, entries):
+    comps = _solve_rows(ar, entries, [],
+                        "ghost entry {} is not in the image of the ghost map")
+    return WittVector(cfg, [ar.wrap(cfg, x) for x in comps])
+
+
 def ghost(v):
-    cfg = v.cfg
-    return GhostVector(_ghost_entry(cfg, v.comps, i)
-                       for i in range(len(v.comps)))
+    ar = _arith(v.cfg)
+    return GhostVector(ar.wrap(v.cfg, w) for w in _rows(ar, v))
 
 
 def ghost_solve(g, cfg=None):
@@ -108,21 +203,8 @@ def ghost_solve(g, cfg=None):
         cfg = g.entries[0].cfg
     if not cfg.torsion_free:
         raise TorsionBase("ghost_solve needs a pi-torsion-free exact base")
-    pi = cfg.pi_elem()
-    q = cfg.q
-    comps = []
-    for i, gi in enumerate(g.entries):
-        acc = gi
-        for j in range(i):
-            acc = acc - pi ** j * comps[j] ** (q ** (i - j))
-        for _ in range(i):
-            try:
-                acc = acc.div_pi()
-            except NonDivisible:
-                raise NonIntegral(
-                    f"ghost entry {i} is not in the image of the ghost map")
-        comps.append(acc)
-    return WittVector(cfg, comps)
+    ar = _arith(cfg)
+    return _solve(ar, cfg, [ar.unwrap(cfg.convert(e)) for e in g.entries])
 
 
 def _check_pair(u, v):
@@ -132,39 +214,21 @@ def _check_pair(u, v):
         raise BaseMismatch("Witt vectors live over different rings")
 
 
-def _lift(v):
-    cover = v.cfg.exact_cover()
-    return WittVector(cover, (cover.convert(c) for c in v.comps), v.twist)
-
-
-def _reduce_to(cfg, v):
-    return WittVector(cfg, (cfg.convert(c) for c in v.comps), v.twist)
-
-
-def _entrywise(op, u, v):
-    gu, gv = ghost(u), ghost(v)
-    return GhostVector(op(a, b) for a, b in zip(gu.entries, gv.entries))
-
-
 def witt_add(u, v):
     _check_pair(u, v)
-    if not u.cfg.torsion_free:
-        return _reduce_to(u.cfg, witt_add(_lift(u), _lift(v)))
-    return ghost_solve(_entrywise(lambda a, b: a + b, u, v), u.cfg)
+    ar = _arith(u.cfg)
+    return _solve(ar, u.cfg, list(map(ar.add, _rows(ar, u), _rows(ar, v))))
 
 
 def witt_mul(u, v):
     _check_pair(u, v)
-    if not u.cfg.torsion_free:
-        return _reduce_to(u.cfg, witt_mul(_lift(u), _lift(v)))
-    return ghost_solve(_entrywise(lambda a, b: a * b, u, v), u.cfg)
+    ar = _arith(u.cfg)
+    return _solve(ar, u.cfg, list(map(ar.mul, _rows(ar, u), _rows(ar, v))))
 
 
 def witt_neg(u):
-    if not u.cfg.torsion_free:
-        return _reduce_to(u.cfg, witt_neg(_lift(u)))
-    g = ghost(u)
-    return ghost_solve(GhostVector(-a for a in g.entries), u.cfg)
+    ar = _arith(u.cfg)
+    return _solve(ar, u.cfg, list(map(ar.neg, _rows(ar, u))))
 
 
 def witt_sub(u, v):
@@ -178,20 +242,17 @@ def witt_zero(cfg, n):
 def truncate(v):
     if v.n < 1:
         raise ZeroLength("cannot truncate a length-1 Witt vector")
-    return WittVector(v.cfg, v.comps[:-1], v.twist)
+    return WittVector(v.cfg, v.comps[:-1])
 
 
 def frobenius(v):
     if v.n < 1:
         raise ZeroLength("Frobenius needs length >= 2")
-    if not v.cfg.torsion_free:
-        return _reduce_to(v.cfg, frobenius(_lift(v)))
-    g = ghost(v)
+    ar = _arith(v.cfg)
     try:
-        out = ghost_solve(GhostVector(g.entries[1:]), v.cfg)
+        return _solve(ar, v.cfg, _rows(ar, v)[1:])
     except NonIntegral as exc:  # pragma: no cover - integral by construction
         raise InternalError(f"Frobenius ghost shift failed to solve: {exc}")
-    return WittVector(v.cfg, out.comps, v.twist + 1)
 
 
 def frobenius_iter(v, k):
@@ -203,7 +264,7 @@ def frobenius_iter(v, k):
 def verschiebung(v, times=1):
     cfg = v.cfg
     comps = (cfg.zero(),) * times + v.comps
-    return WittVector(cfg, comps, v.twist)
+    return WittVector(cfg, comps)
 
 
 def teichmuller(b, n):
@@ -213,23 +274,28 @@ def teichmuller(b, n):
 
 def mult_pi(v):
     """The unique map whose ghost is entrywise multiplication by pi."""
-    if not v.cfg.torsion_free:
-        return _reduce_to(v.cfg, mult_pi(_lift(v)))
-    pi = v.cfg.pi_elem()
-    g = ghost(v)
+    ar = _arith(v.cfg)
+    entries = [ar.mul(ar.pi, w) for w in _rows(ar, v)]
     try:
-        return ghost_solve(GhostVector(pi * a for a in g.entries), v.cfg)
+        return _solve(ar, v.cfg, entries)
     except NonIntegral as exc:  # pragma: no cover
         raise InternalError(f"(pi) map failed to solve: {exc}")
 
 
-def scalar_witt(cfg, r, n):
-    """Image of a base scalar under the structure map R -> W_n(B)."""
-    return exp_delta(r, n)
+def _phi_chain(ar, x, count):
+    """x, phi(x), ..., phi^(count-1)(x): the ghost of exp_delta(x)."""
+    chain = [x]
+    while len(chain) < count:
+        chain.append(ar.phi(chain[-1]))
+    return chain
 
 
 def scalar_mul(r, v):
-    return witt_mul(exp_delta_in(v.cfg, r, v.n), v)
+    """The structure-map image of r times v: the ghost of v scaled
+    entrywise by phi^i(r)."""
+    ar = _arith(v.cfg)
+    chain = _phi_chain(ar, ar.unwrap(ar.cover.convert(r)), v.n + 1)
+    return _solve(ar, v.cfg, list(map(ar.mul, chain, _rows(ar, v))))
 
 
 def exp_delta(r, n):
@@ -237,22 +303,11 @@ def exp_delta(r, n):
     cfg = r.cfg
     if not cfg.torsion_free:
         raise TorsionBase("exp_delta needs an exact base")
-    entries = []
-    cur = r
-    for _ in range(n + 1):
-        entries.append(cur)
-        cur = cur.phi()
+    ar = _arith(cfg)
     try:
-        return ghost_solve(GhostVector(entries), cfg)
+        return _solve(ar, cfg, _phi_chain(ar, ar.unwrap(r), n + 1))
     except NonIntegral as exc:  # pragma: no cover - phi is a valid lift
         raise InternalError(f"exp_delta failed to solve: {exc}")
-
-
-def exp_delta_in(cfg, r, n):
-    """exp_delta of a scalar, landing in a possibly-truncated config."""
-    exact = cfg.exact_cover()
-    lifted = exp_delta(exact.convert(r), n)
-    return _reduce_to(cfg, lifted) if cfg is not exact else lifted
 
 
 def delta(r):

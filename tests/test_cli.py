@@ -96,6 +96,22 @@ def test_eval_unknown_op(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("ring,infile", [
+    ('{"p":2}', "-5"),
+    ('{"p":2}', None),
+    ("{}", "[1]"),
+    ('{"p":2,"trunc":"x"}', "[1]"),
+], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc"])
+def test_eval_malformed_input_is_usage_error(tmp_path, ring, infile):
+    infile = infile or str(tmp_path / "missing.json")
+    r = run_cli(["eval", "--ring", ring, "--op", "neg", "--in", infile],
+                tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 # ----------------------------------------------------------------------
 # verify
 

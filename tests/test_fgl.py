@@ -42,6 +42,26 @@ def test_builtin_multiplicative():
     assert gm.evaluate(x, y) == x + y + x * y
 
 
+def test_builtin_built_once():
+    assert load_fgl("gm", Z5) is load_fgl("gm", Z5)
+    assert load_fgl("ga", Z5) is load_fgl("ga", Z5)
+    assert load_fgl("gm", Z5) is not load_fgl("gm", Z5, degree=8)
+    assert load_fgl("gm", Z5) is not load_fgl("gm", Z2)
+
+
+def test_custom_table_validated_every_call():
+    table = {"degree": 3, "coeffs": [
+        {"i": 1, "j": 0, "c": 1}, {"i": 0, "j": 1, "c": 1},
+        {"i": 2, "j": 0, "c": 1}, {"i": 0, "j": 2, "c": 1}]}
+    for _ in range(2):
+        with pytest.raises(NotAssociative):
+            load_fgl(table, Z2)
+    bad_unit = {"degree": 2, "coeffs": [{"i": 1, "j": 0, "c": 1}]}
+    for _ in range(2):
+        with pytest.raises(NotUnital):
+            load_fgl(bad_unit, Z2)
+
+
 # ----------------------------------------------------------------------
 # logarithm streams
 

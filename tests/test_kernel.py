@@ -91,6 +91,14 @@ def test_multiplicative_group_small():
     assert kernel_add(t, kernel_neg(t)) == z
 
 
+def test_points_from_separate_loads_add():
+    B = Z5.truncated(4)
+    t = kp(load_fgl("gm", Z5), Z5, 0, [3], bcfg=B)
+    s = kp(load_fgl("gm", Z5), Z5, 0, [7], bcfg=B)
+    # t + s + pi t s mod 5^4, as in the p = 2 case above
+    assert ints(kernel_add(t, s)) == [(3 + 7 + 5 * 3 * 7) % 5 ** 4]
+
+
 def test_nonadditive_needs_truncation():
     t = kp(GM2, Z2, 0, [3])
     with pytest.raises(PrecisionRequired):
