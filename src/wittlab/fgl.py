@@ -28,15 +28,18 @@ CUSTOM = "custom"
 
 
 class FormalGroupLaw:
-    """Coefficients c_{ij} (constants of one base config) with i+j <= D."""
+    """Coefficients c_{ij} (constants of one base config) with i+j <= D.
+    The inverse and logarithm series are kept once computed, and extended
+    when a longer prefix is asked for."""
 
-    __slots__ = ("cfg", "degree", "coeffs", "tag")
+    __slots__ = ("cfg", "degree", "coeffs", "tag", "_inverse", "_log_units")
 
     def __init__(self, cfg, degree, coeffs, tag=CUSTOM):
         self.cfg = cfg
         self.degree = degree
         self.coeffs = dict(coeffs)
         self.tag = tag
+        self._inverse, self._log_units = None, [cfg.one()]
         _validate(self)
 
     @property
@@ -146,15 +149,13 @@ def formal_log(law, kmax=None):
     if kmax is None:
         kmax = law.degree
     _check_degree(law, kmax)
-    # g_i = c_{i,1}: the coefficient of X^i in dF/dY(X,0); g_0 = 1
-    g = [law.coeff(i, 1) for i in range(kmax)]
-    g[0] = cfg.one()
-    # invert the unit series: h = 1/g
-    h = [cfg.one()]
-    for k in range(1, kmax):
+    # g_j = c_{j,1}: the coefficient of X^j in dF/dY(X,0); g_0 = 1.
+    # h = 1/g is the unit series a_k = h_(k-1) / k.
+    h = law._log_units
+    for k in range(len(h), kmax):
         acc = cfg.zero()
         for j in range(1, k + 1):
-            acc = acc + g[j] * h[k - j]
+            acc = acc + law.coeff(j, 1) * h[k - j]
         h.append(-acc)
     return [Frac(h[k - 1], k) for k in range(1, kmax + 1)]
 
@@ -168,10 +169,11 @@ def formal_inverse(law, kmax=None):
     _check_degree(law, kmax)
     sym = cfg.adjoin(["_S"])
     s = sym.var("_S")
-    inv = -s
-    for k in range(2, kmax + 1):
+    known, inv = law._inverse or (1, -s)
+    for k in range(known + 1, kmax + 1):
         resid = law.evaluate(s, inv, max_degree=k)
         inv = inv - _coeff_of(resid, k, sym) * s ** k
+    law._inverse = max(known, kmax), inv
     return [_coeff_of(inv, k, cfg) for k in range(1, kmax + 1)]
 
 

@@ -12,8 +12,6 @@ dropped once (m+1)k - (length-1) >= N.
 
 from __future__ import annotations
 
-import math
-
 from .errors import (
     BadLength,
     BaseMismatch,
@@ -28,23 +26,23 @@ from .fgl import formal_inverse, formal_log
 from .rings import Frac
 from .shifted import (
     ShiftedWittVector,
+    _lift_head,
+    _rows as _shifted_rows,
+    _solve as _shifted_solve,
     include_I,
     lateral_frobenius,
-    scalar_shifted,
     shift_E,
-    shifted_add,
-    shifted_mul,
-    shifted_zero,
 )
 from .witt import (
     WittVector,
+    _arith,
+    _phi_chain,
+    _rows as _witt_rows,
+    _solve as _witt_solve,
     frobenius_iter,
-    scalar_mul,
     witt_add,
-    witt_mul,
     witt_neg,
     witt_sub,
-    witt_zero,
 )
 
 
@@ -112,6 +110,46 @@ def _tail_cutoff(m, length, trunc):
     return k
 
 
+def _series_rows(hl, bl, rcfg, k, coeffs, a, b):
+    """Ghost rows of sum c_ij A^i B^j from the ghost rows a of A and b of
+    B: row r is sum phi^r(c_ij) a_r^i b_r^j, in R's arithmetic hl below
+    row k and in B's arithmetic bl from row k on.  A scalar c enters as its
+    ghost chain phi^r(c), the rule of scalar_shifted and scalar_mul."""
+    chains = [_phi_chain(hl, hl.unwrap(rcfg.convert(c)), len(a))
+              for _, c in coeffs]
+    chains = [ch[:k] + _lift_head(hl, bl, rcfg, ch[k:]) for ch in chains]
+    rows = []
+    for r in range(len(a)):
+        ar = hl if r < k else bl
+        acc = ar.zero
+        for ((i, j), _), chain in zip(coeffs, chains):
+            acc = ar.add(acc, ar.mul(chain[r], ar.mul(ar.pow(a[r], i),
+                                                      ar.pow(b[r], j))))
+        rows.append(acc)
+    return rows
+
+
+def _law_terms(law, cutoff):
+    """F's terms, less those above the cut-off when F is only a jet."""
+    return [(ij, c) for ij, c in sorted(law.coeffs.items())
+            if law.exact or sum(ij) <= cutoff]
+
+
+def _kernel_series(t, coeffs, s=None):
+    """The tail of sum c_ij u^i v^j in W_[m]n(B), u and v the embeddings of
+    t and s (v = u when s is None), evaluated on shifted ghost rows and
+    solved once."""
+    hl, bl, a = _shifted_rows(kernel_embed(t))
+    b = a if s is None else _shifted_rows(kernel_embed(s))[2]
+    k = t.m + 1
+    rows = _series_rows(hl, bl, t.rcfg, k, coeffs, a, b)
+    out = _shifted_solve(hl, bl, t.rcfg, t.bcfg, rows, k)
+    for h in out.head:
+        if not h.is_zero():  # pragma: no cover - identity section preserved
+            raise InternalError("kernel series left the zero-head locus")
+    return KernelPoint(t.law, t.rcfg, t.bcfg, t.m, out.tail)
+
+
 def kernel_add(t, s):
     _check_pair(t, s)
     law = t.law
@@ -128,25 +166,7 @@ def kernel_add(t, s):
         raise PrecisionRequired(
             f"law jet of degree {law.degree} cannot resolve precision "
             f"pi^{t.bcfg.trunc}")
-    u = kernel_embed(t)
-    v = kernel_embed(s)
-    upow = {0: None, 1: u}
-    vpow = {0: None, 1: v}
-    acc = shifted_zero(t.rcfg, t.bcfg, t.m, t.n)
-    for (i, j), c in sorted(law.coeffs.items()):
-        if i + j >= cutoff + 1 and not law.exact:
-            continue
-        term = scalar_shifted(t.rcfg, t.bcfg, t.m, t.n, c)
-        for base, pows, k in ((u, upow, i), (v, vpow, j)):
-            while max(pows) < k:
-                pows[max(pows) + 1] = shifted_mul(pows[max(pows)], base)
-            if k:
-                term = shifted_mul(term, pows[k])
-        acc = shifted_add(acc, term)
-    for h in acc.head:
-        if not h.is_zero():  # pragma: no cover - identity section preserved
-            raise InternalError("kernel sum left the zero-head locus")
-    return KernelPoint(law, t.rcfg, t.bcfg, t.m, acc.tail)
+    return _kernel_series(t, _law_terms(law, cutoff), s)
 
 
 def kernel_neg(t):
@@ -159,15 +179,7 @@ def kernel_neg(t):
             "kernel negation for a non-additive law needs a truncated base")
     cutoff = _tail_cutoff(t.m, t.m + t.n + 1, t.bcfg.trunc)
     inv = formal_inverse(law, max(cutoff, 1))
-    u = kernel_embed(t)
-    acc = shifted_zero(t.rcfg, t.bcfg, t.m, t.n)
-    pow_u = None
-    for k, b in enumerate(inv, 1):
-        pow_u = u if pow_u is None else shifted_mul(pow_u, u)
-        term = shifted_mul(scalar_shifted(t.rcfg, t.bcfg, t.m, t.n, b),
-                           pow_u)
-        acc = shifted_add(acc, term)
-    return KernelPoint(law, t.rcfg, t.bcfg, t.m, acc.tail)
+    return _kernel_series(t, [((k, 0), b) for k, b in enumerate(inv, 1)])
 
 
 def kernel_lateral_f(t):
@@ -211,12 +223,32 @@ def kernel_section_sigma(t, n):
 # the logarithm-based Psi
 
 
+def _exceeds_exp(n, e):
+    """Whether the integer n exceeds exp(e), for an integer e >= 0, decided
+    exactly: once J + 2 >= 2e, J! exp(e) lies in (s, s + t] with
+    s = sum_{j<=J} e^j J!/j! and t = ceil(2 e^(J+1) / (J+1))."""
+    j, fact, s = 0, 1, 1
+    while True:
+        if j + 2 >= 2 * e:
+            if n * fact > s - (-2 * e ** (j + 1) // (j + 1)):
+                return True
+            if n * fact <= s:
+                return False
+        j += 1
+        fact *= j
+        s = j * s + e ** j
+
+
 def _psi_series_bound(m, e, p, precision):
-    """Smallest K with (m+1)(k-1) - e*v_p(k) >= precision for all k >= K."""
+    """Smallest K with (m+1)(k-1) - e*log_p(k) >= precision for all k >= K,
+    in integers: the inequality at k is p^((m+1)(k-1) - precision) >= k^e,
+    and it stays true beyond k once k >= e / ((m+1) ln p), that is once
+    p^((m+1)k) > exp(e)."""
     k = 2
     while True:
-        lb = (m + 1) * (k - 1) - e * math.log(k, p)
-        if lb >= precision and k >= e / ((m + 1) * math.log(p)):
+        a = (m + 1) * (k - 1) - precision
+        if (a >= 0 and p ** a >= k ** e
+                and _exceeds_exp(p ** ((m + 1) * k), e)):
             return k
         k += 1
 
@@ -274,22 +306,9 @@ def psi_map(law, m, t0, precision=None):
 # the difference character
 
 
-def _witt_series(coeffs_k, v, cutoff):
-    """sum_k c_k v^k in the Witt ring, dropping terms of degree >= cutoff."""
-    acc = witt_zero(v.cfg, v.n)
-    pow_v = None
-    for k, c in enumerate(coeffs_k, 1):
-        if k >= cutoff:
-            break
-        pow_v = v if pow_v is None else witt_mul(pow_v, v)
-        if c.is_zero():
-            continue
-        acc = witt_add(acc, scalar_mul(c, pow_v))
-    return acc
-
-
 def _group_difference(law, x, y, m):
-    """x minus y under the law, evaluated in the Witt ring of x and y."""
+    """x minus y under the law: F(x, i(y)) on the ghost rows of x and y,
+    solved once."""
     if law.is_additive:
         return witt_sub(x, y)
     cfg = x.cfg
@@ -303,22 +322,13 @@ def _group_difference(law, x, y, m):
             f"law jet of degree {law.degree} cannot resolve precision "
             f"pi^{cfg.trunc}")
     inv = formal_inverse(law, max(cutoff, 1))
-    neg_y = _witt_series(inv, y, cutoff + 1)
-    acc = witt_zero(cfg, x.n)
-    xpow = {0: None, 1: x}
-    ypow = {0: None, 1: neg_y}
-    for (i, j), c in sorted(law.coeffs.items()):
-        if i + j > cutoff and not law.exact:
-            continue
-        term = None
-        for pows, base, k in ((xpow, x, i), (ypow, neg_y, j)):
-            while max(pows) < k:
-                pows[max(pows) + 1] = witt_mul(pows[max(pows)], base)
-            if k:
-                term = pows[k] if term is None else witt_mul(term, pows[k])
-        term = scalar_mul(c, term)
-        acc = witt_add(acc, term)
-    return acc
+    ar = _arith(cfg)
+    ys = _witt_rows(ar, y)
+    neg_y = _series_rows(ar, ar, ar.cover, 0,
+                         [((k, 0), b) for k, b in enumerate(inv, 1)], ys, ys)
+    return _witt_solve(ar, cfg, _series_rows(ar, ar, ar.cover, 0,
+                                             _law_terms(law, cutoff),
+                                             _witt_rows(ar, x), neg_y))
 
 
 def difference_character(t):

@@ -606,6 +606,7 @@ _register(LawSpec("L4", "F(x)_i = x_i^q mod pi", _law_l4, 200))
 _register(LawSpec("L5", "delta axioms (1)-(3)", _law_l5, 200))
 _register(LawSpec(
     "L6", "F^(m+2) I = F^(m+1) I F_[m]", _law_l6, 100, symbolic=_sym_l6,
+    hypothesis=_hyp_phi_pi,
     symbolic_cases=(_case(2, 0, 2), _case(2, 1, 2), _case(3, 0, 2),
                     _case(2, 1, 3))))
 _register(LawSpec("L7", "I E_[m] = F I", _law_l7, 100, symbolic=_sym_l7,
@@ -613,9 +614,10 @@ _register(LawSpec("L7", "I E_[m] = F I", _law_l7, 100, symbolic=_sym_l7,
 _register(LawSpec("L8", "ghost of E_[m] is the right shift", _law_l8, 100,
                   symbolic=_sym_l8, symbolic_cases=(_case(2, 1, 2),)))
 _register(LawSpec("L9", "E_[m] F_[m] = F_[m-1] E_[m]", _law_l9, 100,
-                  symbolic=_sym_l9, symbolic_cases=(_case(2, 1, 2),)))
+                  symbolic=_sym_l9, symbolic_cases=(_case(2, 1, 2),),
+                  hypothesis=_hyp_phi_pi))
 _register(LawSpec("L10", "lateral Frobenius congruence mod pi",
-                  _law_l10, 200))
+                  _law_l10, 200, hypothesis=_hyp_phi_pi))
 _register(LawSpec("L11", "kernel lateral Frobenius = F on additive tails",
                   _law_l11, 100))
 _register(LawSpec(

@@ -67,14 +67,24 @@ def decode_element(cfg, enc):
     if isinstance(enc, list):
         return cfg.from_coeff(enc)
     if isinstance(enc, dict) and "terms" in enc:
-        result = cfg.zero()
+        slots = {name: i for i, name in enumerate(cfg.vars)}
+        terms = {}
         for term in enc["terms"]:
             coeff = _decode_coeff(cfg, term["coeff"])
-            part = cfg.from_coeff(coeff)
+            mono = [0] * cfg.nvars
             for name, exp in term.get("monomial", {}).items():
-                part = part * cfg.var(name) ** int(exp)
-            result = result + part
-        return result
+                if name not in slots:
+                    raise WittlabError(f"unknown variable {name!r}")
+                try:
+                    mono[slots[name]] = int(exp)
+                except (TypeError, ValueError):
+                    raise WittlabError(
+                        f"exponent {exp!r} is not an integer") from None
+            if min(mono, default=0) < 0:
+                raise WittlabError("exponent must be a nonnegative integer")
+            mono = tuple(mono)
+            terms[mono] = cfg.cadd(terms.get(mono, cfg.czero()), coeff)
+        return cfg._make(terms)
     raise WittlabError(f"cannot decode element from {enc!r}")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .errors import (
     BaseMismatch,
+    ConfigUnsupported,
     InternalError,
     LengthMismatch,
     NonIntegral,
@@ -184,6 +185,9 @@ def lateral_frobenius(v):
     power of its input coordinate mod pi."""
     if v.n < 1:
         raise ZeroTail("lateral Frobenius needs a nonempty tail")
+    if v.rcfg.phi_pi is not None and any(not r.is_zero() for r in v.head):
+        raise ConfigUnsupported(
+            "lateral Frobenius with a nonzero head needs phi(pi) = pi")
     hl, bl, rows = _rows(v)
     entries = list(map(hl.phi, rows[:v.m + 1])) + rows[v.m + 2:]
     try:

@@ -246,19 +246,20 @@ def truncate(v):
 
 
 def frobenius(v):
-    if v.n < 1:
-        raise ZeroLength("Frobenius needs length >= 2")
-    ar = _arith(v.cfg)
-    try:
-        return _solve(ar, v.cfg, _rows(ar, v)[1:])
-    except NonIntegral as exc:  # pragma: no cover - integral by construction
-        raise InternalError(f"Frobenius ghost shift failed to solve: {exc}")
+    return frobenius_iter(v, 1)
 
 
 def frobenius_iter(v, k):
-    for _ in range(k):
-        v = frobenius(v)
-    return v
+    """F^k: the ghost of v shifted left by k entries, solved once."""
+    if k <= 0:
+        return v
+    if k > v.n:
+        raise ZeroLength(f"Frobenius needs length >= {k + 1}")
+    ar = _arith(v.cfg)
+    try:
+        return _solve(ar, v.cfg, _rows(ar, v)[k:])
+    except NonIntegral as exc:  # pragma: no cover - integral by construction
+        raise InternalError(f"Frobenius ghost shift failed to solve: {exc}")
 
 
 def verschiebung(v, times=1):

@@ -9,28 +9,49 @@ library must agree.
   computed on constants.
 * The two implementations of E_[m] (ghost solve, Frobenius polynomials)
   agree on truncated bases.
+* Composites solved once on ghost rows (F^k, the kernel group series,
+  the difference character) equal their per-step definitions: k
+  Frobenius round trips, and one shifted / Witt ring operation per
+  series term.
 """
 
 import random
 
 import pytest
 
+from wittlab.errors import PrecisionRequired, WittlabError, ZeroLength
+from wittlab.fgl import formal_inverse, load_fgl
+from wittlab.kernel import (
+    KernelPoint,
+    _tail_cutoff,
+    difference_character,
+    kernel_add,
+    kernel_embed,
+    kernel_lateral_f,
+    kernel_neg,
+    kernel_witt_point,
+)
 from wittlab.rings import make_ring_config
 from wittlab.shifted import (
     ShiftedWittVector,
     lateral_frobenius,
+    scalar_shifted,
     shift_E,
     shifted_add,
     shifted_mul,
+    shifted_zero,
 )
 from wittlab.witt import (
     WittVector,
     frobenius,
+    frobenius_iter,
     mult_pi,
+    scalar_mul,
     universal_polynomials,
     witt_add,
     witt_mul,
     witt_neg,
+    witt_zero,
 )
 
 Z2 = make_ring_config({"p": 2})
@@ -178,3 +199,226 @@ def test_shift_paths_agree_on_truncated_base(base, N):
         m = rng.randint(1, 2)
         v = _reduce_shifted(B, _shifted(base, m, rng.randint(0, 3 - m), rng))
         assert shift_E(v, path="coords") == shift_E(v, path="ghost")
+
+
+# ----------------------------------------------------------------------
+# composites solved once against their per-step definitions
+
+
+def _frobenius_loop(v, k):
+    for _ in range(k):
+        v = frobenius(v)
+    return v
+
+
+SYM2 = Z2.adjoin(["x0", "x1", "x2", "x3"])
+FROBENIUS_BASES = [Z2, Z3, RAM5, Z5.truncated(6), RAM5.truncated(8)]
+FROBENIUS_IDS = ["Z2", "Z3", "RAM5", "Z5/5^6", "RAM5/pi^8"]
+
+
+def _vector(cfg, n, rng):
+    v = _witt(cfg.exact_cover(), n, rng)
+    return _reduce_witt(cfg, v) if cfg.trunc else v
+
+
+@pytest.mark.parametrize("cfg", FROBENIUS_BASES, ids=FROBENIUS_IDS)
+def test_frobenius_iter_is_repeated_frobenius(cfg):
+    rng = random.Random(f"frobenius-iter:{cfg.key}")
+    for n in range(5):
+        v = _vector(cfg, n, rng)
+        for k in range(n + 1):
+            assert frobenius_iter(v, k) == _frobenius_loop(v, k)
+        assert frobenius_iter(v, -1) == v
+        with pytest.raises(ZeroLength):
+            frobenius_iter(v, n + 1)
+
+
+def test_frobenius_iter_symbolic():
+    for n in range(4):
+        v = WittVector(SYM2, [SYM2.var(f"x{i}") for i in range(n + 1)])
+        for k in range(n + 1):
+            assert frobenius_iter(v, k) == _frobenius_loop(v, k)
+        with pytest.raises(ZeroLength):
+            frobenius_iter(v, n + 1)
+
+
+# The kernel group series as one shifted / Witt ring operation per term:
+# the definitions the ghost-side evaluator must reproduce, cut-offs and
+# precision thresholds included.
+
+
+def _ref_kernel_add(t, s):
+    law = t.law
+    cutoff = _tail_cutoff(t.m, t.m + t.n + 1, t.bcfg.trunc)
+    if not law.exact and law.degree < cutoff - 1:
+        raise PrecisionRequired(
+            f"law jet of degree {law.degree} cannot resolve precision "
+            f"pi^{t.bcfg.trunc}")
+    u, v = kernel_embed(t), kernel_embed(s)
+    upow, vpow = {0: None, 1: u}, {0: None, 1: v}
+    acc = shifted_zero(t.rcfg, t.bcfg, t.m, t.n)
+    for (i, j), c in sorted(law.coeffs.items()):
+        if i + j >= cutoff + 1 and not law.exact:
+            continue
+        term = scalar_shifted(t.rcfg, t.bcfg, t.m, t.n, c)
+        for base, pows, k in ((u, upow, i), (v, vpow, j)):
+            while max(pows) < k:
+                pows[max(pows) + 1] = shifted_mul(pows[max(pows)], base)
+            if k:
+                term = shifted_mul(term, pows[k])
+        acc = shifted_add(acc, term)
+    assert all(h.is_zero() for h in acc.head)
+    return KernelPoint(law, t.rcfg, t.bcfg, t.m, acc.tail)
+
+
+def _ref_kernel_neg(t):
+    law = t.law
+    cutoff = _tail_cutoff(t.m, t.m + t.n + 1, t.bcfg.trunc)
+    inv = formal_inverse(law, max(cutoff, 1))
+    u = kernel_embed(t)
+    acc = shifted_zero(t.rcfg, t.bcfg, t.m, t.n)
+    pow_u = None
+    for b in inv:
+        pow_u = u if pow_u is None else shifted_mul(pow_u, u)
+        acc = shifted_add(acc, shifted_mul(
+            scalar_shifted(t.rcfg, t.bcfg, t.m, t.n, b), pow_u))
+    return KernelPoint(law, t.rcfg, t.bcfg, t.m, acc.tail)
+
+
+def _ref_witt_series(coeffs_k, v, cutoff):
+    acc = witt_zero(v.cfg, v.n)
+    pow_v = None
+    for k, c in enumerate(coeffs_k, 1):
+        if k >= cutoff:
+            break
+        pow_v = v if pow_v is None else witt_mul(pow_v, v)
+        if c.is_zero():
+            continue
+        acc = witt_add(acc, scalar_mul(c, pow_v))
+    return acc
+
+
+def _ref_group_difference(law, x, y, m):
+    cfg = x.cfg
+    cutoff = _tail_cutoff(m, x.n + 1, cfg.trunc)
+    if not law.exact and law.degree < cutoff:
+        raise PrecisionRequired(
+            f"law jet of degree {law.degree} cannot resolve precision "
+            f"pi^{cfg.trunc}")
+    inv = formal_inverse(law, max(cutoff, 1))
+    neg_y = _ref_witt_series(inv, y, cutoff + 1)
+    acc = witt_zero(cfg, x.n)
+    xpow, ypow = {0: None, 1: x}, {0: None, 1: neg_y}
+    for (i, j), c in sorted(law.coeffs.items()):
+        if i + j > cutoff and not law.exact:
+            continue
+        term = None
+        for pows, base, k in ((xpow, x, i), (ypow, neg_y, j)):
+            while max(pows) < k:
+                pows[max(pows) + 1] = witt_mul(pows[max(pows)], base)
+            if k:
+                term = pows[k] if term is None else witt_mul(term, pows[k])
+        acc = witt_add(acc, scalar_mul(c, term))
+    return acc
+
+
+def _ref_difference_character(t):
+    x = _frobenius_loop(kernel_witt_point(t), t.m + 1)
+    y = _frobenius_loop(kernel_witt_point(kernel_lateral_f(t)), t.m)
+    return _ref_group_difference(t.law, x, y, t.m)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WittlabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _jet(base, degree, coeffs):
+    return load_fgl({"degree": degree,
+                     "coeffs": [{"i": i, "j": j, "c": c}
+                                for (i, j), c in coeffs.items()]}, base)
+
+
+def _gm_jet(base, degree, c=1):
+    """X + Y + c XY as a custom jet of the given degree."""
+    return _jet(base, degree, {(1, 0): 1, (0, 1): 1, (1, 1): c})
+
+
+def _tanh_jet(base, degree):
+    """(X + Y) / (1 + XY): terms up to the degree, so the degree cut-offs
+    drop some of them."""
+    coeffs = {}
+    for k in range((degree + 1) // 2):
+        coeffs[(k + 1, k)] = coeffs[(k, k + 1)] = (-1) ** k
+    return _jet(base, degree, coeffs)
+
+
+# x^2 - 5 with phi(pi) = -pi, so that pi XY has a non-constant ghost chain
+PHI_NEG = make_ring_config({"p": 5, "modulus": [-5, 0, 1],
+                            "phi_pi": [0, -1]})
+KERNEL_LAWS = {
+    "gm": lambda base: load_fgl("gm", base),
+    "gm-jet3": lambda base: _gm_jet(base, 3),
+    "gm-jet5": lambda base: _gm_jet(base, 5),
+    "gm-jet8": lambda base: _gm_jet(base, 8),
+    "tanh-jet8": lambda base: _tanh_jet(base, 8),
+    "pi-gm-jet8": lambda base: _gm_jet(base, 8, [0, 1]),
+}
+BASE_NAMES = {Z5: "Z5", RAM5: "RAM5", PHI_NEG: "PHI_NEG"}
+# (base, law, whether every shape resolves).  The per-term shifted
+# reference cannot run on PHI_NEG with pi XY: the structure-map image of
+# pi alone does not solve there, so that case checks the Witt-side group
+# difference only.
+KERNEL_CASES = [(Z5, "gm", True), (RAM5, "gm", True),
+                (Z5, "gm-jet3", False), (RAM5, "gm-jet3", False),
+                (Z5, "gm-jet5", False), (RAM5, "gm-jet5", False),
+                (Z5, "gm-jet8", True), (RAM5, "gm-jet8", True),
+                (Z5, "tanh-jet8", True), (RAM5, "tanh-jet8", True),
+                (RAM5, "pi-gm-jet8", True)]
+# the kernel-trunc benchmark shapes (m, n, N), then two more
+KERNEL_SHAPES = [(0, 2, 6), (1, 2, 6), (1, 3, 8), (2, 2, 8), (0, 3, 5),
+                 (2, 4, 6)]
+KERNEL_OPS = {
+    "kernel_add": (kernel_add, _ref_kernel_add, 2),
+    "kernel_neg": (kernel_neg, _ref_kernel_neg, 1),
+    "difference_character": (difference_character,
+                             _ref_difference_character, 1),
+}
+
+
+KERNEL_RUNS = ([(op, *case) for op in sorted(KERNEL_OPS)
+                for case in KERNEL_CASES]
+               + [("difference_character", PHI_NEG, "pi-gm-jet8", True)])
+
+
+@pytest.mark.parametrize(
+    "op,base,law_name,resolves", KERNEL_RUNS,
+    ids=[f"{op}-{BASE_NAMES[b]}-{n}" for op, b, n, _ in KERNEL_RUNS])
+def test_kernel_series_match_witt_side_reference(op, base, law_name,
+                                                 resolves):
+    fn, ref, arity = KERNEL_OPS[op]
+    law = KERNEL_LAWS[law_name](base)
+    rng = random.Random(f"kernel-series:{op}:{law_name}:{base.key}")
+    outcomes = set()
+    for m, n, N in KERNEL_SHAPES * 2:
+        B = base.truncated(N)
+        points = [KernelPoint(law, base, B, m,
+                              [B.convert(_elem(base, rng)) for _ in range(n)])
+                  for _ in range(arity)]
+        got, want = _outcome(fn, *points), _outcome(ref, *points)
+        assert got == want
+        outcomes.add(type(got).__name__)
+    assert ("tuple" not in outcomes) == resolves
+
+
+def test_formal_inverse_returns_a_fresh_list():
+    law = _gm_jet(Z5, 8)
+    first = formal_inverse(law, 6)
+    want = list(first)
+    first.append(None)
+    first[0] = None
+    assert formal_inverse(law, 6) == want
+    assert formal_inverse(law, 8)[:6] == want
+    assert formal_inverse(law, 4) == want[:4]

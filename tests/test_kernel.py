@@ -1,6 +1,7 @@
 """Kernel points of the jet projections: group structure, the descent
 operators, the logarithm-derived Psi, and the difference character."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from wittlab.errors import (
 from wittlab.fgl import FormalGroupLaw, load_fgl
 from wittlab.kernel import (
     KernelPoint,
+    _psi_series_bound,
     difference_character,
     kernel_add,
     kernel_embed,
@@ -231,3 +233,22 @@ def test_difference_character_multiplicative():
     assert out.n == 1
     other = kp(GM5, Z5, 0, [2, -1], bcfg=B)
     assert difference_character(other) == out
+
+
+def _float_psi_bound(m, e, p, precision):
+    """The bound as first written, in floating point."""
+    k = 2
+    while True:
+        lb = (m + 1) * (k - 1) - e * math.log(k, p)
+        if lb >= precision and k >= e / ((m + 1) * math.log(p)):
+            return k
+        k += 1
+
+
+def test_psi_series_bound_matches_float_formula():
+    for m in range(5):
+        for e in range(1, 7):
+            for p in (2, 3, 5, 7, 11, 13):
+                for precision in range(41):
+                    assert (_psi_series_bound(m, e, p, precision)
+                            == _float_psi_bound(m, e, p, precision))

@@ -14,6 +14,7 @@ from wittlab.laws import (
     symbolic_verify,
 )
 from wittlab.rings import make_ring_config
+from wittlab.shifted import ShiftedWittVector, lateral_frobenius
 
 Z2 = make_ring_config({"p": 2})
 RAM5 = make_ring_config({"p": 5, "modulus": [-5, 0, 1]})
@@ -126,3 +127,26 @@ def test_default_matrix_shape():
     mat = default_matrix()
     assert [c.p for c in mat] == [2, 3, 5]
     assert mat[2].e == 2
+
+
+# x^2 - 5 with phi(pi) = -pi: a Frobenius lift that moves pi
+PHI_NEG = make_ring_config({"p": 5, "modulus": [-5, 0, 1],
+                            "phi_pi": [0, -1]})
+
+
+def test_phi_moving_pi_skips_lateral_laws():
+    for law_id in ("L6", "L9", "L10"):
+        r = run_law(law_id, PHI_NEG, trials=5, seed=3)
+        assert r.status == "skipped" and r.reason == "phi(pi) != pi"
+    for law_id in ("L11", "L14", "L16", "table-ii", "table-iii"):
+        assert run_law(law_id, PHI_NEG, trials=5, seed=3).status == "pass"
+
+
+def test_lateral_frobenius_needs_phi_fixing_pi():
+    one, zero = PHI_NEG.one(), PHI_NEG.zero()
+    with pytest.raises(ConfigUnsupported):
+        lateral_frobenius(ShiftedWittVector(PHI_NEG, PHI_NEG, 1,
+                                            [zero, one], [one, one]))
+    out = lateral_frobenius(ShiftedWittVector(PHI_NEG, PHI_NEG, 1,
+                                              [zero, zero], [one, one]))
+    assert all(h.is_zero() for h in out.head) and out.n == 1

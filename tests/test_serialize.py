@@ -1,12 +1,14 @@
 """JSON round-trips and canonical dump stability."""
 
 import json
+import random
 
 import pytest
 
 from wittlab.errors import WittlabError
 from wittlab.rings import make_ring_config
 from wittlab.serialize import (
+    _decode_coeff,
     canonical_dumps,
     decode_config,
     decode_element,
@@ -86,3 +88,50 @@ def test_shifted_roundtrip():
 def test_decode_bad_coeff_width():
     with pytest.raises(WittlabError):
         decode_element(RAM5, [1, 2, 3])
+
+
+def _decode_term_by_term(cfg, enc):
+    """The decoder as it was: one ring product and sum per term."""
+    result = cfg.zero()
+    for term in enc["terms"]:
+        part = cfg.from_coeff(_decode_coeff(cfg, term["coeff"]))
+        for name, exp in term.get("monomial", {}).items():
+            part = part * cfg.var(name) ** int(exp)
+        result = result + part
+    return result
+
+
+POLY_CONFIGS = [
+    Z2.adjoin(["x", "y"]),
+    RAM5.adjoin(["x", "y", "z"]),
+    make_ring_config({"p": 5, "trunc": 3, "vars": ["x", "y"]}),
+    make_ring_config({"p": 5, "modulus": [-5, 0, 1], "trunc": 5,
+                      "vars": ["x"]}),
+]
+
+
+@pytest.mark.parametrize("cfg", POLY_CONFIGS, ids=repr)
+def test_decode_matches_term_by_term(cfg):
+    rng = random.Random(f"decode:{cfg.key}")
+    for _ in range(40):
+        terms = []
+        for _ in range(rng.randrange(0, 12)):
+            coeff = [rng.randint(-10 ** 4, 10 ** 4) for _ in range(cfg.d)]
+            if rng.random() < 0.2:
+                coeff = [0] * cfg.d                      # zero coefficient
+            mono = {v: rng.randrange(0, 3) for v in cfg.vars
+                    if rng.random() < 0.6}
+            terms.append({"coeff": coeff[0] if cfg.d == 1 and rng.random()
+                          < 0.5 else coeff, "monomial": mono})
+            if rng.random() < 0.3:                       # repeated monomial
+                terms.append(dict(terms[-1]))
+        enc = {"terms": terms}
+        assert decode_element(cfg, enc) == _decode_term_by_term(cfg, enc)
+
+
+@pytest.mark.parametrize("monomial", [{"w": 1}, {"x": -1}, {"x": "two"},
+                                      {"x": None}, {"x": [1]}])
+def test_decode_bad_monomial(monomial):
+    with pytest.raises(WittlabError):
+        decode_element(Z2.adjoin(["x"]),
+                       {"terms": [{"coeff": 1, "monomial": monomial}]})
