@@ -36,6 +36,7 @@ from .shifted import (
 from .witt import (
     WittVector,
     _arith,
+    _check_fixed,
     _phi_chain,
     _rows as _witt_rows,
     _solve as _witt_solve,
@@ -103,11 +104,8 @@ def _check_pair(t, s):
 
 
 def _tail_cutoff(m, length, trunc):
-    """Smallest k such that total-degree-k series terms vanish mod pi^N."""
-    k = 1
-    while (m + 1) * k - (length - 1) < trunc:
-        k += 1
-    return k
+    """Smallest k >= 1 whose total-degree-k series terms vanish mod pi^N."""
+    return max(1, -(-(trunc + length - 1) // (m + 1)))
 
 
 def _series_rows(hl, bl, rcfg, k, coeffs, a, b):
@@ -139,6 +137,8 @@ def _kernel_series(t, coeffs, s=None):
     """The tail of sum c_ij u^i v^j in W_[m]n(B), u and v the embeddings of
     t and s (v = u when s is None), evaluated on shifted ghost rows and
     solved once."""
+    for _, c in coeffs:
+        _check_fixed(c, "the kernel group law")
     hl, bl, a = _shifted_rows(kernel_embed(t))
     b = a if s is None else _shifted_rows(kernel_embed(s))[2]
     k = t.m + 1
@@ -257,13 +257,24 @@ def psi_map(law, m, t0, precision=None):
     """Psi(t_0) = sum_k phi^(m+1)(a_k) pi^((m+1)(k-1)) t_0^k, the degree-1
     part of the logarithm ladder; coefficients are audited for
     integrality and the whole series is rejected when the base ring
-    cannot guarantee it (e > p - 2)."""
+    cannot guarantee it (e > p - 2).  The law keeps the coefficients."""
     bcfg = t0.cfg
     if precision is None:
         if not bcfg.trunc:
             raise PrecisionRequired(
                 "psi over an exact base needs an explicit precision")
         precision = bcfg.trunc
+    key = (m, bcfg, precision)
+    if key not in law._psi:
+        law._psi[key] = _psi_coeffs(law, m, bcfg, precision)
+    acc = bcfg.zero()
+    for c in reversed(law._psi[key]):   # t_0 (c_1 + t_0 (c_2 + ...))
+        acc = (acc + c) * t0
+    return acc
+
+
+def _psi_coeffs(law, m, bcfg, precision):
+    """The coefficients c_1 .. c_K of Psi, as elements of bcfg."""
     exact = bcfg.exact_cover()
     kmax = _psi_series_bound(m, exact.e, exact.p, precision)
     if not law.exact and law.degree < kmax - 1:
@@ -272,12 +283,11 @@ def psi_map(law, m, t0, precision=None):
             f"at precision pi^{precision}")
     logs = formal_log(law, max(kmax - 1, 1))
     pi = exact.pi_elem()
-    acc = bcfg.zero()
-    tpow = bcfg.one()
+    coeffs = []
     for k in range(1, kmax):
-        tpow = tpow * t0
         a = logs[k - 1]
         if a.num.is_zero():
+            coeffs.append(bcfg.zero())
             continue
         if k >= 2 and not bcfg.psi_integral:
             raise NonIntegralPsi(
@@ -288,18 +298,14 @@ def psi_map(law, m, t0, precision=None):
         if coeff.pi_val() < 0:
             raise NonIntegralPsi(
                 f"psi coefficient at degree {k} has negative valuation")
-        if coeff.den == 1:
-            celem = bcfg.convert(coeff.num)
-        elif bcfg.trunc:
-            # den is prime to p here, hence a unit mod pi^N
-            dinv = pow(coeff.den, -1, exact.p ** bcfg.trunc)
-            celem = bcfg.convert(coeff.num) * bcfg.from_int(dinv)
-        else:
+        if coeff.den != 1 and not bcfg.trunc:
             raise PrecisionRequired(
                 "psi has unit-denominator coefficients; evaluate over a "
                 "pi-power truncated base")
-        acc = acc + celem * tpow
-    return acc
+        # den is prime to p here, hence a unit mod pi^N
+        dinv = pow(coeff.den, -1, exact.p ** bcfg.trunc) if bcfg.trunc else 1
+        coeffs.append(bcfg.convert(coeff.num) * bcfg.from_int(dinv))
+    return coeffs
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +328,7 @@ def _group_difference(law, x, y, m):
             f"law jet of degree {law.degree} cannot resolve precision "
             f"pi^{cfg.trunc}")
     inv = formal_inverse(law, max(cutoff, 1))
-    ar = _arith(cfg)
+    ar = _arith(cfg, x.n)
     ys = _witt_rows(ar, y)
     neg_y = _series_rows(ar, ar, ar.cover, 0,
                          [((k, 0), b) for k, b in enumerate(inv, 1)], ys, ys)

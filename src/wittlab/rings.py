@@ -123,24 +123,26 @@ class RingConfig:
     def cneg(self, a):
         return tuple(-x for x in a)
 
-    def cmul(self, a, b):
+    def cmul(self, a, b, mod=0):
+        """a * b, entrywise mod ``mod`` if given; for d = 2, f = x^2 + m1 x
+        + m0, the closed form (a0b0 - m0a1b1, a0b1 + a1b0 - m1a1b1)."""
         d = self.d
         if d == 1:
-            return (a[0] * b[0],)
+            return (a[0] * b[0] % mod,) if mod else (a[0] * b[0],)
+        if d == 2:
+            (a0, a1), (b0, b1), t = a, b, a[1] * b[1]
+            c0 = a0 * b0 - self.modulus[0] * t
+            c1 = a0 * b1 + a1 * b0 - self.modulus[1] * t
+            return (c0 % mod, c1 % mod) if mod else (c0, c1)
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        mod = self.modulus
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
         for k in range(2 * d - 2, d - 1, -1):
-            t = conv[k]
-            if t:
-                conv[k] = 0
-                for j in range(d):
-                    conv[k - d + j] -= t * mod[j]
-        return tuple(conv[:d])
+            t, conv[k] = conv[k], 0
+            for j in range(d):
+                conv[k - d + j] -= t * self.modulus[j]
+        return tuple(c % mod for c in conv[:d]) if mod else tuple(conv[:d])
 
     def cphi(self, a):
         if self.phi_pi is None:

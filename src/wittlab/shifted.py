@@ -21,6 +21,7 @@ from .witt import (
     GhostVector,
     WittVector,
     _arith,
+    _check_fixed,
     _ghost_rows,
     _phi_chain,
     _solve_rows,
@@ -95,15 +96,15 @@ def _check_pair(u, v):
 
 def _lift_head(hl, bl, rcfg, head):
     """Unwrapped head values of R as values of B's engine arithmetic."""
-    if hl is bl:
-        return list(head)
-    return [bl.unwrap(bl.cover.convert(hl.wrap(rcfg, x))) for x in head]
+    if hl.cover is not bl.cover:
+        head = [bl.unwrap(bl.cover.convert(hl.wrap(rcfg, x))) for x in head]
+    return list(map(bl.reduce, head))
 
 
 def _rows(v):
     """Engine arithmetics of R and B, and the shifted ghost rows of v:
     entries 0..m in R, entries m+1..m+n in B."""
-    hl, bl = _arith(v.rcfg), _arith(v.bcfg)
+    hl, bl = _arith(v.rcfg), _arith(v.bcfg, v.m + v.n)
     head = [hl.unwrap(r) for r in v.head]
     full = (_lift_head(hl, bl, v.rcfg, head)
             + [bl.unwrap(b) for b in v.tail])
@@ -234,7 +235,8 @@ def scalar_shifted(rcfg, bcfg, m, n, r):
     phi^i(r))."""
     if not r.cfg.torsion_free:
         raise TorsionBase("the structure map needs an exact scalar ring")
-    hl, bl = _arith(rcfg), _arith(bcfg)
+    _check_fixed(r, "the structure map")
+    hl, bl = _arith(rcfg), _arith(bcfg, m + n)
     chain = _phi_chain(hl, hl.unwrap(rcfg.convert(r)), m + n + 1)
     entries = chain[:m + 1] + _lift_head(hl, bl, rcfg, chain[m + 1:])
     try:

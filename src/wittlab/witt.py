@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import (
     BaseMismatch,
     BudgetExceeded,
+    ConfigUnsupported,
     InternalError,
     LengthMismatch,
     NonDivisible,
@@ -90,18 +91,23 @@ class GhostVector:
 # and one triangular solve.  The engine works on unwrapped values of the
 # exact cover of a config: Python ints (d = 1) or coefficient tuples
 # (d > 1) when the config has no adjoined variables, RingElements of the
-# exact cover when it has.  A truncated element's canonical coefficients
-# are its lift to the exact cover and wrapping reduces, so a truncated
-# result is the canonical reduction of the exact result.
+# exact cover when it has.  Over B/pi^N without variables, a solve that
+# divides by up to pi^L computes mod pi^(N+L): coordinate i is right mod
+# pi^(N+L-i), and wrapping reduces it to the residue mod pi^N of the exact
+# result.
 
 
 class _Arith:
-    """Ring operations on the unwrapped values of one exact config."""
+    """Ring operations on the unwrapped values of one exact config, with
+    ``prec`` modulo p^ceil(prec/e), an ideal inside pi^prec: exact division
+    by pi^i (i < prec) then has the same verdict on every representative."""
 
-    def __init__(self, cover):
+    def __init__(self, cover, prec=0):
         self.cover, self.q = cover, cover.q
         self.add, self.sub = operator.add, operator.sub
         self.mul, self.neg, self.pow = operator.mul, operator.neg, pow
+        self.reduce = lambda a: a
+        mod = cover.p ** -(-prec // cover.e) if prec else 0
         if cover.nvars:
             self.zero, self.one = cover.zero(), cover.one()
             self.pi = cover.pi_elem()
@@ -113,6 +119,11 @@ class _Arith:
             self.phi, self.div_pi = (lambda a: a), None
             self.unwrap = lambda e: e.terms.get((), (0,))[0]
             self.wrap = lambda cfg, x: cfg._make({(): (x,)})
+            if mod:
+                self.mul = lambda a, b: a * b % mod
+                self.pow = lambda a, e: pow(a, e, mod)
+                self.reduce = lambda a: a % mod
+                self.unwrap = lambda e: e.terms.get((), (0,))[0] % mod
         else:
             self.zero, self.one = cover.czero(), cover.cone()
             self.pi = cover._pi_coeff()
@@ -121,6 +132,10 @@ class _Arith:
             self.phi, self.div_pi = cover.cphi, cover.cdivpi
             self.unwrap = lambda e: e.terms.get((), self.zero)
             self.wrap = lambda cfg, x: cfg._make({(): x})
+            if mod:
+                self.mul = lambda a, b: cover.cmul(a, b, mod)
+                self.reduce = lambda a: tuple(c % mod for c in a)
+                self.unwrap = lambda e: self.reduce(e.terms.get((), self.zero))
 
     def div_pi_power(self, a, k):
         """a / pi^k; NonDivisible when it is not exact."""
@@ -144,12 +159,14 @@ class _Arith:
 _ARITH = {}
 
 
-def _arith(cfg):
-    """The engine arithmetic of cfg: that of its exact cover."""
-    if cfg not in _ARITH:
-        cover = cfg.exact_cover()
-        _ARITH[cfg] = _ARITH[cover] = _ARITH.get(cover) or _Arith(cover)
-    return _ARITH[cfg]
+def _arith(cfg, top=0):
+    """The arithmetic of cfg's exact cover for a solve dividing by up to
+    pi^top: modulo pi^(N+top) when cfg is R/pi^N without variables."""
+    prec = cfg.trunc + top if cfg.trunc and not cfg.nvars else 0
+    key = (cfg.base_key, cfg.vars, prec)
+    if key not in _ARITH:
+        _ARITH[key] = _Arith(cfg.exact_cover(), prec)
+    return _ARITH[key]
 
 
 def _fold(ar, op, acc, xs, i, stop):
@@ -216,18 +233,18 @@ def _check_pair(u, v):
 
 def witt_add(u, v):
     _check_pair(u, v)
-    ar = _arith(u.cfg)
+    ar = _arith(u.cfg, u.n)
     return _solve(ar, u.cfg, list(map(ar.add, _rows(ar, u), _rows(ar, v))))
 
 
 def witt_mul(u, v):
     _check_pair(u, v)
-    ar = _arith(u.cfg)
+    ar = _arith(u.cfg, u.n)
     return _solve(ar, u.cfg, list(map(ar.mul, _rows(ar, u), _rows(ar, v))))
 
 
 def witt_neg(u):
-    ar = _arith(u.cfg)
+    ar = _arith(u.cfg, u.n)
     return _solve(ar, u.cfg, list(map(ar.neg, _rows(ar, u))))
 
 
@@ -255,7 +272,7 @@ def frobenius_iter(v, k):
         return v
     if k > v.n:
         raise ZeroLength(f"Frobenius needs length >= {k + 1}")
-    ar = _arith(v.cfg)
+    ar = _arith(v.cfg, v.n)
     try:
         return _solve(ar, v.cfg, _rows(ar, v)[k:])
     except NonIntegral as exc:  # pragma: no cover - integral by construction
@@ -275,7 +292,7 @@ def teichmuller(b, n):
 
 def mult_pi(v):
     """The unique map whose ghost is entrywise multiplication by pi."""
-    ar = _arith(v.cfg)
+    ar = _arith(v.cfg, v.n)
     entries = [ar.mul(ar.pi, w) for w in _rows(ar, v)]
     try:
         return _solve(ar, v.cfg, entries)
@@ -291,12 +308,23 @@ def _phi_chain(ar, x, count):
     return chain
 
 
+def _check_fixed(r, what):
+    """The structure map needs phi(pi) = pi for a scalar r that phi moves."""
+    if r.cfg.phi_pi is not None and r.phi() != r:
+        raise ConfigUnsupported(
+            f"{what} needs phi(pi) = pi when phi moves the scalar {r!r}")
+
+
 def scalar_mul(r, v):
     """The structure-map image of r times v: the ghost of v scaled
-    entrywise by phi^i(r)."""
-    ar = _arith(v.cfg)
+    entrywise by phi^i(r) (if phi moves r, solved only where it can be)."""
+    ar = _arith(v.cfg, v.n)
     chain = _phi_chain(ar, ar.unwrap(ar.cover.convert(r)), v.n + 1)
-    return _solve(ar, v.cfg, list(map(ar.mul, chain, _rows(ar, v))))
+    try:
+        return _solve(ar, v.cfg, list(map(ar.mul, chain, _rows(ar, v))))
+    except NonIntegral:
+        _check_fixed(r, "scalar multiplication")
+        raise
 
 
 def exp_delta(r, n):
@@ -304,6 +332,7 @@ def exp_delta(r, n):
     cfg = r.cfg
     if not cfg.torsion_free:
         raise TorsionBase("exp_delta needs an exact base")
+    _check_fixed(r, "exp_delta")
     ar = _arith(cfg)
     try:
         return _solve(ar, cfg, _phi_chain(ar, ar.unwrap(r), n + 1))

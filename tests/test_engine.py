@@ -13,13 +13,22 @@ library must agree.
   the difference character) equal their per-step definitions: k
   Frobenius round trips, and one shifted / Witt ring operation per
   series term.
+* A truncation B/pi^N computes mod pi^(N+L): every operator gives the
+  result, or the error, of the same engine on the exact cover's
+  arithmetic, at lengths past N and on orders of degree 2 and 3.
 """
 
 import random
 
 import pytest
 
-from wittlab.errors import PrecisionRequired, WittlabError, ZeroLength
+from wittlab import kernel, shifted, witt
+from wittlab.errors import (
+    ConfigUnsupported,
+    PrecisionRequired,
+    WittlabError,
+    ZeroLength,
+)
 from wittlab.fgl import formal_inverse, load_fgl
 from wittlab.kernel import (
     KernelPoint,
@@ -38,13 +47,18 @@ from wittlab.shifted import (
     scalar_shifted,
     shift_E,
     shifted_add,
+    shifted_ghost,
     shifted_mul,
+    shifted_neg,
     shifted_zero,
 )
 from wittlab.witt import (
     WittVector,
+    _Arith,
+    exp_delta,
     frobenius,
     frobenius_iter,
+    ghost,
     mult_pi,
     scalar_mul,
     universal_polynomials,
@@ -422,3 +436,119 @@ def test_formal_inverse_returns_a_fresh_list():
     assert formal_inverse(law, 6) == want
     assert formal_inverse(law, 8)[:6] == want
     assert formal_inverse(law, 4) == want[:4]
+
+
+# ----------------------------------------------------------------------
+# the precision model: a truncation B/pi^N computes mod pi^(N+L)
+#
+# The reference is the same engine on the arithmetic of the exact cover,
+# whatever the precision: it computes the exact result of the canonical
+# lifts and wrapping reduces it.
+
+
+def _exact_arith(cfg, top=0):
+    return _Arith(cfg.exact_cover())
+
+
+def _with_reference(monkeypatch, fn, *args):
+    """fn's outcome, and its outcome on the exact-cover reference."""
+    got = _outcome(fn, *args)
+    with monkeypatch.context() as patch:
+        for module in (witt, shifted, kernel):
+            patch.setattr(module, "_arith", _exact_arith)
+        want = _outcome(fn, *args)
+    return got, want
+
+
+CUB5 = make_ring_config({"p": 5, "modulus": [-5, 0, 0, 1]})
+RAM2 = make_ring_config({"p": 2, "modulus": [-2, 0, 1]})
+EIS2 = make_ring_config({"p": 2, "modulus": [2, 2, 1]})
+# (exact base, N, largest length n): lengths reach past N
+PRECISION_BASES = [(Z2, 2, 6), (RAM5, 3, 5), (CUB5, 4, 4), (RAM2, 3, 5),
+                   (EIS2, 3, 5)]
+PRECISION_IDS = ["Z/2^2", "x^2-5/pi^3", "x^3-5/pi^4", "x^2-2/pi^3",
+                 "x^2+2x+2/pi^3"]
+
+
+def _precision_cases(base, B, n, rng):
+    """(name, op, args) for every operator at total length n + 1."""
+    def coords(cfg, k, bound=10 ** 6):
+        return [cfg.convert(_elem(base, rng, bound)) for _ in range(k)]
+
+    u, v = (WittVector(B, coords(B, n + 1)) for _ in range(2))
+    r = _elem(base, rng)
+    cases = [("witt_add", witt_add, (u, v)), ("witt_mul", witt_mul, (u, v)),
+             ("witt_neg", witt_neg, (u,)), ("mult_pi", mult_pi, (u,)),
+             ("scalar_mul", scalar_mul, (r, u))]
+    cases += [(f"F^{k}", frobenius_iter, (u, k)) for k in range(1, n + 1)]
+    m = rng.randint(1, n - 1) if n >= 2 else 0     # shift_E needs m >= 1
+    su, sv = (ShiftedWittVector(base, B, m, coords(base, m + 1, 100),
+                                coords(B, n - m)) for _ in range(2))
+    cases += [("shifted_add", shifted_add, (su, sv)),
+              ("shifted_mul", shifted_mul, (su, sv)),
+              ("shifted_neg", shifted_neg, (su,)),
+              ("lateral_frobenius", lateral_frobenius, (su,)),
+              ("shift_E", shift_E, (su,)),
+              ("scalar_shifted", scalar_shifted, (base, B, m, n - m, r))]
+    m = rng.randint(0, max(n - 2, 0))   # the difference needs n - m >= 2
+    for name in ("gm", "gm-jet8"):
+        law = KERNEL_LAWS[name](base)
+        t, s = (KernelPoint(law, base, B, m, coords(B, max(n - m, 1)))
+                for _ in range(2))
+        cases += [(f"kernel_add-{name}", kernel_add, (t, s)),
+                  (f"kernel_neg-{name}", kernel_neg, (t,)),
+                  (f"difference_character-{name}", difference_character,
+                   (t,))]
+    return cases
+
+
+@pytest.mark.parametrize("base,N,top", PRECISION_BASES, ids=PRECISION_IDS)
+def test_precision_model_matches_exact_cover(monkeypatch, base, N, top):
+    B = base.truncated(N)
+    rng = random.Random(f"precision:{base.key}:{N}")
+    seen = set()
+    for n in list(range(top + 1)) * 2:
+        for name, op, args in _precision_cases(base, B, n, rng):
+            got, want = _with_reference(monkeypatch, op, *args)
+            assert got == want, (name, n)
+            seen.add((name, isinstance(got, tuple)))
+    # every operator also produced a value somewhere
+    assert all((name, False) in seen for name, _ in seen)
+
+
+# ----------------------------------------------------------------------
+# phi(pi) != pi: the structure map of a scalar that phi moves
+
+
+def test_structure_map_of_a_scalar_phi_moves_is_unsupported():
+    pi, three = PHI_NEG.pi_elem(), PHI_NEG.from_int(3)
+    v = WittVector(PHI_NEG, [PHI_NEG.from_int(c) for c in (1, 2, 3)])
+    calls = [lambda: exp_delta(pi, 3),
+             lambda: scalar_shifted(PHI_NEG, PHI_NEG, 1, 2, pi),
+             lambda: scalar_mul(pi, v)]
+    for call in calls:
+        with pytest.raises(ConfigUnsupported, match=r"phi\(pi\) = pi"):
+            call()
+    # a scalar phi fixes keeps its structure map: a constant ghost chain
+    assert ghost(exp_delta(three, 3)).entries == (three,) * 4
+    image = scalar_shifted(PHI_NEG, PHI_NEG, 1, 2, three)
+    assert shifted_ghost(image).entries == (three,) * 4
+    assert ghost(scalar_mul(three, v)).entries == tuple(
+        three * w for w in ghost(v).entries)
+
+
+@pytest.mark.parametrize("m,n,N", KERNEL_SHAPES + [(0, 4, 3)])
+def test_kernel_series_with_a_coefficient_phi_moves_is_unsupported(m, n, N):
+    B = PHI_NEG.truncated(N)
+    rng = random.Random(f"phi-moves:{m}:{n}:{N}")
+    pi_gm, gm = _gm_jet(PHI_NEG, 8, [0, 1]), load_fgl("gm", PHI_NEG)
+    t, s = ([B.convert(_elem(PHI_NEG, rng)) for _ in range(n)]
+            for _ in range(2))
+    tp, sp = (KernelPoint(pi_gm, PHI_NEG, B, m, c) for c in (t, s))
+    for call in (lambda: kernel_add(tp, sp), lambda: kernel_neg(tp)):
+        with pytest.raises(ConfigUnsupported, match="kernel group law"):
+            call()
+    # gm's coefficients are fixed by phi: its series still runs
+    tg, sg = (KernelPoint(gm, PHI_NEG, B, m, c) for c in (t, s))
+    assert kernel_add(tg, sg) == _ref_kernel_add(tg, sg)
+    assert kernel_neg(tg) == _ref_kernel_neg(tg)

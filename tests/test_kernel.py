@@ -2,6 +2,7 @@
 operators, the logarithm-derived Psi, and the difference character."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from wittlab.errors import (
     ZeroShift,
     ZeroTail,
 )
-from wittlab.fgl import FormalGroupLaw, load_fgl
+from wittlab.fgl import FormalGroupLaw, formal_log, load_fgl
 from wittlab.kernel import (
     KernelPoint,
     _psi_series_bound,
@@ -29,7 +30,7 @@ from wittlab.kernel import (
     kernel_zero,
     psi_map,
 )
-from wittlab.rings import make_ring_config
+from wittlab.rings import Frac, make_ring_config
 from wittlab.shifted import shifted_ghost
 from wittlab.witt import WittVector, ghost, verschiebung, witt_add
 
@@ -197,6 +198,94 @@ def test_psi_exact_base_needs_precision():
     # and even with a precision, unit denominators block an exact base
     with pytest.raises(PrecisionRequired):
         psi_map(GM5, 0, Z5.from_int(1), precision=6)
+
+
+def _psi_uncached(law, m, t0, precision=None):
+    """Psi term by term, every coefficient rebuilt on every call: the
+    formula psi_map keeps per (law, m, base, precision)."""
+    bcfg = t0.cfg
+    if precision is None:
+        if not bcfg.trunc:
+            raise PrecisionRequired(
+                "psi over an exact base needs an explicit precision")
+        precision = bcfg.trunc
+    exact = bcfg.exact_cover()
+    kmax = _psi_series_bound(m, exact.e, exact.p, precision)
+    if not law.exact and law.degree < kmax - 1:
+        raise PrecisionRequired(
+            f"law jet of degree {law.degree} cannot resolve the psi series "
+            f"at precision pi^{precision}")
+    logs = formal_log(law, max(kmax - 1, 1))
+    pi = exact.pi_elem()
+    acc, tpow = bcfg.zero(), bcfg.one()
+    for k in range(1, kmax):
+        tpow = tpow * t0
+        a = logs[k - 1]
+        if a.num.is_zero():
+            continue
+        if k >= 2 and not bcfg.psi_integral:
+            raise NonIntegralPsi(
+                f"coefficient a_{k} needs pi-integrality, but e > p - 2 "
+                "for this base")
+        coeff = Frac(exact.convert(a.num).phi_power(m + 1)
+                     * pi ** ((m + 1) * (k - 1)), a.den)
+        if coeff.pi_val() < 0:
+            raise NonIntegralPsi(
+                f"psi coefficient at degree {k} has negative valuation")
+        if coeff.den == 1:
+            celem = bcfg.convert(coeff.num)
+        elif bcfg.trunc:
+            dinv = pow(coeff.den, -1, exact.p ** bcfg.trunc)
+            celem = bcfg.convert(coeff.num) * bcfg.from_int(dinv)
+        else:
+            raise PrecisionRequired(
+                "psi has unit-denominator coefficients; evaluate over a "
+                "pi-power truncated base")
+        acc = acc + celem * tpow
+    return acc
+
+
+RAM5 = make_ring_config({"p": 5, "modulus": [-5, 0, 1]})
+
+
+def _jet(base, degree, c):
+    """X + Y + c XY as a custom table of the given degree."""
+    return load_fgl({"degree": degree, "coeffs": [
+        {"i": 1, "j": 0, "c": 1}, {"i": 0, "j": 1, "c": 1},
+        {"i": 1, "j": 1, "c": c}]}, base)
+
+
+@pytest.mark.parametrize("base", [Z5, RAM5], ids=["Z5", "RAM5"])
+def test_psi_memo_matches_uncached_formula(base):
+    rng = random.Random(f"psi-memo:{base.key}")
+    laws = [load_fgl("gm", base), load_fgl("ga", base), _jet(base, 40, 5)]
+    for law in laws:
+        for N in (1, 3, 6, 8):
+            B = base.truncated(N)
+            for m in range(4):
+                for precision in (None, N + 2):
+                    for _ in range(3):   # the first call builds, later reuse
+                        t0 = B.from_coeff([rng.randrange(-10 ** 6, 10 ** 6)
+                                           for _ in range(base.d)])
+                        assert (psi_map(law, m, t0, precision)
+                                == _psi_uncached(law, m, t0, precision))
+
+
+def test_psi_errors_raise_on_every_call():
+    jet3, t0 = _jet(Z5, 3, 1), Z5.truncated(2).from_int(7)
+    # the degree-3 jet resolves precision 2, and its series is kept
+    assert psi_map(jet3, 0, t0) == _psi_uncached(jet3, 0, t0)
+    cases = [(GM2, 0, Z2.truncated(6).from_int(1), None, NonIntegralPsi),
+             (GM5, 0, Z5.from_int(1), 6, PrecisionRequired),
+             (jet3, 0, Z5.truncated(9).from_int(1), None, PrecisionRequired),
+             (jet3, 0, t0, 9, PrecisionRequired)]
+    for law, m, t0, precision, error in cases:
+        for _ in range(3):
+            with pytest.raises(error) as got:
+                psi_map(law, m, t0, precision)
+            with pytest.raises(error) as want:
+                _psi_uncached(law, m, t0, precision)
+            assert str(got.value) == str(want.value)
 
 
 # ----------------------------------------------------------------------

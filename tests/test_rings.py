@@ -1,5 +1,7 @@
 """Base ring layer: configs, canonical elements, exact pi-division."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,41 @@ def test_order_arithmetic():
     assert a * a == RAM5.from_coeff([49, 12])    # 4 + 12 pi + 9 pi^2
     assert pi * pi == RAM5.from_int(5)
     assert (a - a).is_zero()
+
+
+def _convolution(cfg, a, b):
+    """The generic product in Z[x]/(f): convolve, then fold each x^k with
+    k >= d back with the monic modulus f."""
+    d, f = cfg.d, cfg.modulus
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        t, conv[k] = conv[k], 0
+        for j in range(d):
+            conv[k - d + j] -= t * f[j]
+    return tuple(conv[:d])
+
+
+@pytest.mark.parametrize("modulus,p", [
+    ([-5, 0, 1], 5),       # m1 = 0
+    ([2, 2, 1], 2),        # m1 != 0
+    ([-3, 3, 1], 3),       # m1 != 0, both signs
+    ([-5, 0, 0, 1], 5),    # d = 3: the generic path
+], ids=["x^2-5", "x^2+2x+2", "x^2+3x-3", "x^3-5"])
+def test_cmul_closed_form_matches_convolution(modulus, p):
+    cfg = make_ring_config({"p": p, "modulus": modulus})
+    rng = random.Random(f"cmul:{modulus}")
+    for _ in range(200):
+        bound = 10 ** rng.randint(1, 30)
+        a, b = ([rng.randint(-bound, bound) for _ in range(cfg.d)]
+                for _ in range(2))
+        want = _convolution(cfg, a, b)
+        assert cfg.cmul(tuple(a), tuple(b)) == want
+        mod = p ** rng.randint(1, 12)
+        assert cfg.cmul(tuple(a), tuple(b), mod) == tuple(c % mod
+                                                         for c in want)
 
 
 def test_exact_div_pi():
