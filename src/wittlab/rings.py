@@ -10,6 +10,7 @@ representation comparison.
 from __future__ import annotations
 
 import math
+from operator import add, lshift, mul as mul_
 
 from .errors import (
     BadFrobeniusLift,
@@ -144,6 +145,13 @@ class RingConfig:
                 conv[k - d + j] -= t * self.modulus[j]
         return tuple(c % mod for c in conv[:d]) if mod else tuple(conv[:d])
 
+    def cpow(self, a, e, mod=0):
+        """a^e by square-and-multiply through ``cmul(., ., mod)``."""
+        if e <= 1:
+            return a if e else self.cone()
+        half = self.cpow(self.cmul(a, a, mod), e >> 1, mod)
+        return self.cmul(half, a, mod) if e & 1 else half
+
     def cphi(self, a):
         if self.phi_pi is None:
             return a
@@ -205,16 +213,9 @@ class RingConfig:
     def _compute_hnf(self):
         """Triangular basis of the lattice pi^N * R inside Z^d."""
         d = self.d
-        exact = RingConfig(self.p, self.modulus) if self.modulus else None
-        cmul = exact.cmul if exact else self.cmul
+        exact = RingConfig(self.p, self.modulus) if self.modulus else self
         pi = self._pi_coeff()
-        row = self.cone()
-        for _ in range(self.trunc):
-            row = cmul(row, pi)
-        mat = []
-        for _ in range(d):
-            mat.append(list(row))
-            row = cmul(row, pi)
+        mat = [list(exact.cpow(pi, self.trunc + i)) for i in range(d)]
         for col in range(d):
             while True:
                 nz = [i for i in range(col, d) if mat[i][col] != 0]
@@ -264,10 +265,7 @@ class RingConfig:
         else:
             img = probe._pi_coeff()
         # Frobenius-lift congruence on the generator: phi(pi) = pi^q mod pi.
-        power = probe.cone()
-        for _ in range(self.q):
-            power = probe.cmul(power, probe._pi_coeff())
-        diff = probe.csub(img, power)
+        diff = probe.csub(img, probe.cpow(probe._pi_coeff(), self.q))
         if probe.cval(diff) < 1:
             raise BadFrobeniusLift("phi(pi) is not congruent to pi^q mod pi")
 
@@ -457,34 +455,21 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        cfg = self.cfg
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
-                prod = cfg.cmul(ca, cb)
-                prev = out.get(mono)
-                out[mono] = cfg.cadd(prev, prod) if prev is not None else prod
-        return cfg._make(out)
+        return _product(self.cfg, self.terms, other.terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exp):
         if not isinstance(exp, int) or exp < 0:
             raise WittlabError("exponent must be a nonnegative integer")
-        result = self.cfg.one()
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base_needed = exp >> 1
-            if base_needed:
-                base = base * base
-            exp = base_needed
-        return result
+        cfg = self.cfg
+        if exp <= 1:
+            return self if exp else cfg.one()
+        if len(self.terms) <= 1:    # a monomial power in closed form
+            return cfg._make({tuple(e * exp for e in m): cfg.cpow(c, exp)
+                              for m, c in self.terms.items()})
+        half = (self * self) ** (exp >> 1)
+        return half * self if exp & 1 else half
 
     # -- ring-specific operations --------------------------------------
 
@@ -586,6 +571,46 @@ class RingElement:
                 for v, e in zip(self.cfg.vars, mono) if e)
             bits.append(cs + ("*" + vs if vs else ""))
         return " + ".join(bits)
+
+
+def _product(cfg, a, b):
+    """The product of two term dicts.  A one-term factor shifts the other's
+    monomials; otherwise exponent tuples are packed into ints with fields of
+    (max exp of a + max exp of b).bit_length() bits, which no sum carries
+    across (Monagan & Pearce, CASC 2007).  Squares take the half-loop."""
+    if len(a) > len(b):
+        a, b = b, a
+    d1, n, terms = cfg.d == 1, cfg.nvars, {}
+    mul, plus, zero = ((mul_, add, 0) if d1
+                       else (cfg.cmul, cfg.cadd, cfg.czero()))
+    if len(a) == 1:
+        (ma, ca), = a.items()
+        monos = [tuple(map(add, ma, mb)) for mb in b] if any(ma) else b
+        terms = dict(zip(monos, [(ca[0] * cb[0],) for cb in b.values()]
+                         if d1 else [mul(ca, cb) for cb in b.values()]))
+    elif a:
+        width = (max(map(max, a)) + max(map(max, b))).bit_length()
+        shifts, mask = range(0, width * n, width), (1 << width) - 1
+        if width <= 8:      # whole bytes: bytes() packs, to_bytes() unpacks
+            pack, unpack = (lambda m: int.from_bytes(bytes(m), "little"),
+                            lambda k: tuple(k.to_bytes(n, "little")))
+        else:
+            pack, unpack = (lambda m: sum(map(lshift, m, shifts)),
+                            lambda k: tuple(k >> s & mask for s in shifts))
+        pa, pb = ([(pack(m), c[0] if d1 else c) for m, c in t.items()]
+                  for t in (a, b))
+        out = {}
+        get = out.get
+        for i, (ka, ca) in enumerate(pa):
+            if a is b:
+                out[ka + ka] = plus(get(ka + ka, zero), mul(ca, ca))
+                ca = plus(ca, ca)
+            for kb, cb in pb[i + 1:] if a is b else pb:
+                k = ka + kb
+                out[k] = plus(get(k, zero), mul(ca, cb))
+        terms = {unpack(k): (c,) if d1 else c
+                 for k, c in out.items() if c != zero}
+    return RingElement(cfg, terms) if cfg._hnf is None else cfg._make(terms)
 
 
 class Frac:

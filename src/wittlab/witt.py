@@ -24,7 +24,8 @@ from .errors import (
     WittlabError,
     ZeroLength,
 )
-from .rings import RingElement
+from .rings import RingElement, make_ring_config
+from .serialize import decode_element, encode_element
 
 TERM_BUDGET = 5_000_000
 
@@ -128,12 +129,13 @@ class _Arith:
             self.zero, self.one = cover.czero(), cover.cone()
             self.pi = cover._pi_coeff()
             self.add, self.sub = cover.cadd, cover.csub
-            self.mul, self.neg, self.pow = cover.cmul, cover.cneg, self._cpow
+            self.mul, self.neg, self.pow = cover.cmul, cover.cneg, cover.cpow
             self.phi, self.div_pi = cover.cphi, cover.cdivpi
             self.unwrap = lambda e: e.terms.get((), self.zero)
             self.wrap = lambda cfg, x: cfg._make({(): x})
             if mod:
                 self.mul = lambda a, b: cover.cmul(a, b, mod)
+                self.pow = lambda a, e: cover.cpow(a, e, mod)
                 self.reduce = lambda a: tuple(c % mod for c in a)
                 self.unwrap = lambda e: self.reduce(e.terms.get((), self.zero))
 
@@ -147,13 +149,6 @@ class _Arith:
         if rem:
             raise NonDivisible(f"integer not divisible by {self.pi}^{k}")
         return a
-
-    def _cpow(self, a, e):
-        """Square-and-multiply on coefficient tuples."""
-        if e <= 1:
-            return a if e else self.one
-        half = self._cpow(self.mul(a, a), e >> 1)
-        return self.mul(half, a) if e & 1 else half
 
 
 _ARITH = {}
@@ -375,6 +370,22 @@ def _budget_check(polys, budget):
             f"symbolic expansion hit {total} terms (budget {budget})")
 
 
+def _write_cache(out, payload, polys):
+    """The bytes of json.dump(payload + {"polys": encoded polys}, out,
+    sort_keys=True), written term by term through the C encoder."""
+    dumps, write = json.JSONEncoder(sort_keys=True).encode, out.write
+    write(dumps(dict(payload, polys=[]))[:-2])  # "polys" is the last key
+    for i, enc in enumerate(map(encode_element, polys)):
+        if not isinstance(enc, dict):       # a constant
+            write((", " if i else "") + dumps(enc))
+            continue
+        write((", " if i else "") + '{"terms": [')
+        for j, term in enumerate(enc["terms"]):
+            write((", " if j else "") + dumps(term))
+        write("]}")
+    write("]}")
+
+
 def universal_polynomials(op, n, p=None, cfg=None, budget=TERM_BUDGET):
     """Exact structure polynomials in x_0..x_n (and y_0..y_n for binary
     ops), computed once by symbolic ghost-solve and cached on disk."""
@@ -385,7 +396,6 @@ def universal_polynomials(op, n, p=None, cfg=None, budget=TERM_BUDGET):
     if cfg is None:
         if p is None:
             raise WittlabError("need p or cfg")
-        from .rings import make_ring_config
         cfg = make_ring_config({"p": p})
     base = cfg.base_exact()
     payload, digest = _cache_key(op, n, base)
@@ -399,18 +409,16 @@ def universal_polynomials(op, n, p=None, cfg=None, budget=TERM_BUDGET):
 
     path = _cache_dir() / f"{op}-n{n}-p{base.p}-{digest[:16]}.json"
     if path.exists():
-        from .serialize import decode_element
         data = json.loads(path.read_text())
         polys = [decode_element(sym, enc) for enc in data["polys"]]
         _MEMO[memo_key] = polys
         return polys
 
     xv = WittVector(sym, [sym.var(v) for v in xs])
+    yv = WittVector(sym, [sym.var(v) for v in ys]) if ys else None
     if op == "sum":
-        yv = WittVector(sym, [sym.var(v) for v in ys])
         polys = list(witt_add(xv, yv).comps)
     elif op == "prod":
-        yv = WittVector(sym, [sym.var(v) for v in ys])
         polys = list(witt_mul(xv, yv).comps)
     elif op == "frobenius":
         if n < 1:
@@ -420,14 +428,11 @@ def universal_polynomials(op, n, p=None, cfg=None, budget=TERM_BUDGET):
         polys = list(mult_pi(xv).comps)
     _budget_check(polys, budget)
 
-    from .serialize import encode_element
-    data = dict(payload)
-    data["polys"] = [encode_element(pe) for pe in polys]
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = tempfile.NamedTemporaryFile("w", dir=path.parent, delete=False,
                                       suffix=".tmp")
     try:
-        json.dump(data, tmp, sort_keys=True)
+        _write_cache(tmp, payload, polys)
         tmp.close()
         os.replace(tmp.name, path)
     finally:

@@ -196,6 +196,127 @@ def test_substitution():
                         Z2) == Z2.from_int(13)
 
 
+# ----------------------------------------------------------------------
+# the product kernel against the plain tuple loop
+
+
+def _reference_mul(a, b):
+    """The product as a double loop over exponent tuples: the reference
+    for the packed kernel behind RingElement.__mul__ and __pow__."""
+    cfg = a.cfg
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            prod = cfg.cmul(ca, cb)
+            prev = out.get(mono)
+            out[mono] = cfg.cadd(prev, prod) if prev is not None else prod
+    return cfg._make(out)
+
+
+def _random_poly(cfg, rng, terms, max_exp, bound=10 ** 6):
+    raw = {}
+    for _ in range(terms):
+        mono = tuple(rng.randint(0, max_exp) if rng.random() < 0.5 else 0
+                     for _ in range(cfg.nvars))
+        raw[mono] = tuple(rng.randint(-bound, bound) for _ in range(cfg.d))
+    return cfg._make(raw)
+
+
+def _copy(elem):
+    return type(elem)(elem.cfg, dict(elem.terms))
+
+
+KERNEL_CONFIGS = {
+    "Z2": {"p": 2},
+    "Z3": {"p": 3},
+    "x^2-5": {"p": 5, "modulus": [-5, 0, 1]},
+    "x^3-5": {"p": 5, "modulus": [-5, 0, 0, 1]},
+    "Z/5^3": {"p": 5, "trunc": 3},
+    "x^2-5/pi^4": {"p": 5, "modulus": [-5, 0, 1], "trunc": 4},
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CONFIGS))
+def test_product_kernel_matches_tuple_loop(name):
+    rng = random.Random(f"kernel:{name}")
+    base = make_ring_config(KERNEL_CONFIGS[name])
+    for nvars in (1, 3, 13):
+        cfg = base.adjoin([f"v{i}" for i in range(nvars)])
+        for _ in range(25):
+            a, b = (_random_poly(cfg, rng, rng.choice((0, 1, 2, 5, 20)),
+                                 rng.choice((1, 3, 40, 300)))
+                    for _ in range(2))
+            for x, y in ((a, b), (b, a), (a, a), (a, _copy(a))):
+                assert x * y == _reference_mul(x, y)
+            assert a * 3 == 3 * a == _reference_mul(a, cfg.from_int(3))
+            assert a * cfg.zero() == cfg.zero() == cfg.zero() * a
+            assert a ** 2 == _reference_mul(a, a)
+            assert a ** 3 == _reference_mul(_reference_mul(a, a), a)
+            assert all(any(c) for c in (a * b).terms.values())
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CONFIGS))
+def test_product_kernel_one_term_and_constant_factors(name):
+    rng = random.Random(f"kernel-mono:{name}")
+    cfg = make_ring_config(KERNEL_CONFIGS[name]).adjoin(
+        [f"v{i}" for i in range(12)])
+    for _ in range(30):
+        a = _random_poly(cfg, rng, 15, 9)
+        mono = _random_poly(cfg, rng, 1, 9)
+        const = cfg.from_coeff([rng.randint(-99, 99) for _ in range(cfg.d)])
+        pi = cfg.pi_elem()
+        for f in (mono, const, pi, cfg.one(), cfg.var("v11")):
+            assert a * f == f * a == _reference_mul(a, f)
+        assert mono * mono == _reference_mul(mono, mono)
+
+
+def test_product_kernel_field_width_edges():
+    cfg = Z2.adjoin([f"v{i}" for i in range(13)])
+    x, y, z = cfg.var("v0"), cfg.var("v6"), cfg.var("v12")
+    one = cfg.one()
+    assert x ** 255 * x == x ** 256
+    pairs = [(x ** 255 + y, x + one), (x ** 127 + z, x ** 128 + y),
+             (x ** 128 + z, x ** 128 + y), (z ** 255 + x, z ** 255 + y)]
+    for k in range(1, 70, 3):
+        pairs.append((x ** (2 ** k - 1) + y * z, x ** (2 ** k + 1) + z))
+        pairs.append((z ** (2 ** k - 1) + x, z + y ** (2 ** k)))
+    for a, b in pairs:
+        assert a * b == _reference_mul(a, b)
+        assert a * a == _reference_mul(a, a)
+    squares = (x ** 128 + z) * (x ** 128 + z)
+    assert squares.terms[(256,) + (0,) * 12] == (1,)
+    assert squares.terms[(128,) + (0,) * 11 + (1,)] == (2,)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CONFIGS))
+def test_monomial_power_closed_form(name):
+    rng = random.Random(f"kernel-pow:{name}")
+    cfg = make_ring_config(KERNEL_CONFIGS[name]).adjoin(["s", "t"])
+    monos = [cfg.zero(), cfg.one(), cfg.pi_elem(), cfg.var("t"),
+             _random_poly(cfg, rng, 1, 4, bound=7)]
+    for m in monos:
+        power = cfg.one()
+        for e in range(41):
+            assert m ** e == power
+            power = _reference_mul(power, m)
+
+
+@pytest.mark.parametrize("name", ["x^2-5", "x^3-5"])
+def test_cpow_matches_repeated_cmul(name):
+    cfg = make_ring_config(KERNEL_CONFIGS[name])
+    rng = random.Random(f"cpow:{name}")
+    for _ in range(20):
+        a = tuple(rng.randint(-50, 50) for _ in range(cfg.d))
+        mod = 5 ** rng.randint(1, 9)
+        want = cfg.cone()
+        for e in range(30):
+            assert cfg.cpow(a, e) == want
+            assert tuple(c % mod for c in cfg.cpow(a, e, mod)) == \
+                tuple(c % mod for c in want)
+            want = cfg.cmul(want, a)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
        st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))

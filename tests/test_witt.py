@@ -314,6 +314,56 @@ def test_universal_cache_roundtrip(tmp_path, monkeypatch):
     assert first[1] == 2 * sym.var("x1") - sym.var("x0") ** 2
 
 
+def _reference_cache_text(op, n, cfg, polys):
+    """The cache file as a single json.dump of the whole document."""
+    import io
+    import json
+    from wittlab.serialize import encode_element
+    data = {"op": op, "n": n, "p": cfg.p,
+            "modulus": list(cfg.modulus) if cfg.modulus else None,
+            "phi_pi": list(cfg.phi_pi) if cfg.phi_pi else None,
+            "polys": [encode_element(pe) for pe in polys]}
+    buf = io.StringIO()
+    json.dump(data, buf, sort_keys=True)
+    return buf.getvalue()
+
+
+RAM5_SPEC = {"p": 5, "modulus": [-5, 0, 1]}
+
+
+@pytest.mark.parametrize("op,n,spec", [
+    ("sum", 3, {"p": 2}),
+    ("prod", 2, {"p": 3}),
+    ("frobenius", 3, {"p": 2}),
+    ("frobenius", 2, RAM5_SPEC),
+], ids=["sum-n3-p2", "prod-n2-p3", "frobenius-n3-p2", "frobenius-x^2-5"])
+def test_universal_cache_bytes(tmp_path, monkeypatch, op, n, spec):
+    """The streamed cache write gives the bytes of one json.dump."""
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    import wittlab.witt as wmod
+    from wittlab.witt import frobenius_polynomials
+    wmod._MEMO.clear()
+    cfg = make_ring_config(spec)
+    polys = (frobenius_polynomials(n, cfg) if spec is RAM5_SPEC
+             else universal_polynomials(op, n, cfg=cfg))
+    (path,) = tmp_path.glob("*.json")
+    assert path.read_text() == _reference_cache_text(op, n, cfg, polys)
+
+
+def test_cache_write_constants():
+    import io
+    import wittlab.witt as wmod
+    cfg = make_ring_config(RAM5_SPEC)
+    sym = cfg.adjoin(["x0", "x1"])
+    polys = [sym.zero(), sym.from_coeff([3, -1]), sym.var("x1") ** 2 * 7
+             + sym.pi_elem() * sym.var("x0"), sym.from_int(4)]
+    payload = {"op": "sum", "n": 1, "p": 5, "modulus": [-5, 0, 1],
+               "phi_pi": None}
+    buf = io.StringIO()
+    wmod._write_cache(buf, payload, polys)
+    assert buf.getvalue() == _reference_cache_text("sum", 1, cfg, polys)
+
+
 def test_universal_unknown_op():
     with pytest.raises(WittlabError):
         universal_polynomials("quotient", 1, p=2)
