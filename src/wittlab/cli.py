@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from .errors import ConfigUnsupported, InternalError, UnknownLaw, WittlabError
 from .fgl import load_fgl
-from .kernel import (
-    KernelPoint,
-    difference_character,
-    kernel_add,
-    kernel_phi,
-    kernel_project_u,
-    kernel_section_sigma,
-    psi_map,
-)
-from .laws import default_matrix, run_suite
+from .kernel import KernelPoint, difference_character
+from .laws import default_matrix, l13_check, l16_check, psi_check, run_suite
 from .rings import make_ring_config
 from .serialize import (
     canonical_dumps,
@@ -247,6 +240,8 @@ def cmd_verify(args):
 
 
 def _kernel_checks(args):
+    if args.trials < 1:
+        raise WittlabError(f"trials must be at least 1, got {args.trials}")
     cfg = make_ring_config({"p": args.p})
     law = load_fgl(args.group, cfg)
     checks = (["psi", "phi", "diff"] if args.check == "all"
@@ -256,59 +251,30 @@ def _kernel_checks(args):
             f"e <= p-2 violated for p={args.p}: the psi series is not "
             "integral")
     B = cfg.truncated(args.prec) if not law.is_additive else cfg
+    m, n = max(args.m, 1), max(args.n, 2)
+
+    def draw(rng, count):
+        return [B.from_int(rng.randint(-1000, 1000)) for _ in range(count)]
+
     results = []
-    import random
     for check in checks:
         status = "pass"
         detail = None
         for trial in range(args.trials):
             rng = random.Random(f"{args.seed}:{check}:{trial}")
             if check == "psi":
-                m = max(args.m, 1)
-                t0 = B.from_int(rng.randint(-1000, 1000))
-                s0 = B.from_int(rng.randint(-1000, 1000))
-                t = KernelPoint(law, cfg, B, m, [t0])
-                s = KernelPoint(law, cfg, B, m, [s0])
-                lhs = psi_map(law, m - 1, kernel_phi(t).coords[0],
-                              precision=args.prec)
-                rhs = B.convert(cfg.pi_elem()) * psi_map(
-                    law, m, t0, precision=args.prec)
-                ok = lhs == rhs
-                if ok:
-                    lhs = psi_map(law, m, kernel_add(t, s).coords[0],
-                                  precision=args.prec)
-                    rhs = (psi_map(law, m, t0, precision=args.prec)
-                           + psi_map(law, m, s0, precision=args.prec))
-                    ok = lhs == rhs
+                ce = psi_check(law, *draw(rng, 2), m, args.prec)
             elif check == "phi":
-                m = max(args.m, 1)
-                t = KernelPoint(law, cfg, B, m,
-                                [B.from_int(rng.randint(-1000, 1000))
-                                 for _ in range(args.n)])
-                from .kernel import kernel_witt_point
-                lhs = frobenius(kernel_witt_point(t))
-                rhs = kernel_witt_point(kernel_phi(t))
-                ok = lhs == rhs
-                if ok and args.n == 1:
-                    ok = (kernel_phi(t).coords[0]
-                          == B.convert(cfg.pi_elem()) * t.coords[0])
+                ce = l13_check(KernelPoint(law, cfg, B, m, draw(rng, args.n)))
             else:
-                n = max(args.n, 2)
-                t = KernelPoint(law, cfg, B, args.m,
-                                [B.from_int(rng.randint(-1000, 1000))
-                                 for _ in range(n)])
-                lhs = difference_character(t)
-                rhs = difference_character(
-                    kernel_section_sigma(kernel_project_u(t, 1), n))
-                ok = lhs == rhs
-            if not ok:
+                ce = l16_check(KernelPoint(law, cfg, B, args.m, draw(rng, n)))
+            if ce is not None:
                 status = "fail"
                 detail = {"trial": trial}
                 break
         entry = {"check": check, "status": status, "trials": args.trials,
                  "detail": detail}
         if check == "diff" and status == "pass":
-            n = max(args.n, 2)
             sample = KernelPoint(
                 law, cfg, B,
                 args.m, [B.one()] + [B.zero()] * (n - 1))

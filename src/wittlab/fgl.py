@@ -64,9 +64,9 @@ class FormalGroupLaw:
         ypow = {0: tcfg.one()}
         for (i, j), c in sorted(self.coeffs.items()):
             if i not in xpow:
-                xpow[i] = xpow[max(xpow)] * x ** (i - max(xpow))
+                xpow[i] = x ** i
             if j not in ypow:
-                ypow[j] = ypow[max(ypow)] * y ** (j - max(ypow))
+                ypow[j] = y ** j
             term = tcfg.convert(c) * xpow[i] * ypow[j]
             if max_degree is not None:
                 term = term.truncate_degree(max_degree)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ConfigUnsupported,
@@ -161,20 +161,21 @@ def _hyp_phi_pi(cfg, params):
     return None
 
 
-def _law_l3(cfg, rng, params):
-    n = rng.randrange(1, 4)
-    v = _rand_witt(cfg, n, rng)
-    lhs = frobenius(verschiebung(v))
-    rhs = mult_pi(v)
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    m = rng.randrange(0, 4)
-    t = _rand_witt(cfg, rng.randrange(0, 3), rng)
+def _l3_check(t, m):
+    """F V^(m+1) = V^m (pi) at t; m = 0 is F V = (pi)."""
     lhs = frobenius(verschiebung(t, m + 1))
     rhs = verschiebung(mult_pi(t), m)
     if lhs != rhs:
         return _mismatch({"t": t, "m": m}, lhs, rhs)
     return None
+
+
+def _law_l3(cfg, rng, params):
+    ce = _l3_check(_rand_witt(cfg, rng.randrange(1, 4), rng), 0)
+    if ce:
+        return ce
+    m = rng.randrange(0, 4)
+    return _l3_check(_rand_witt(cfg, rng.randrange(0, 3), rng), m)
 
 
 def _div_pi(x):
@@ -210,22 +211,6 @@ def _law_l5(cfg, rng, params):
     return None
 
 
-def _l6_sides(v, lateral=lateral_frobenius):
-    lhs = frobenius_iter(include_I(v), v.m + 2)
-    rhs = frobenius_iter(include_I(lateral(v)), v.m + 1)
-    return lhs, rhs
-
-
-def _law_l6(cfg, rng, params):
-    m = _pick(rng, 0, 2, params.get("m_max"))
-    n = _pick(rng, 2, 3, params.get("n_max"))
-    v = _rand_shifted(cfg, m, n, rng)
-    lhs, rhs = _l6_sides(v)
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    return None
-
-
 def _sym_shifted(p, m, n):
     base = make_ring_config({"p": p})
     names = [f"x{i}" for i in range(m + n + 1)]
@@ -235,9 +220,23 @@ def _sym_shifted(p, m, n):
                              [sym.var(names[m + 1 + i]) for i in range(n)])
 
 
-def _sym_l6(params):
-    v = _sym_shifted(params["p"], params["m"], params["n"])
-    lhs, rhs = _l6_sides(v)
+def _shifted_law(check, m_range, n_range):
+    """The numeric trial (m, n drawn from the ranges, capped by m_max and
+    n_max) and the symbolic case of a check on one shifted vector."""
+    def numeric(cfg, rng, params):
+        m = _pick(rng, *m_range, params.get("m_max"))
+        n = _pick(rng, *n_range, params.get("n_max"))
+        return check(_rand_shifted(cfg, m, n, rng))
+
+    def symbolic(case):
+        return check(_sym_shifted(case["p"], case["m"], case["n"]))
+
+    return {"numeric": numeric, "symbolic": symbolic}
+
+
+def _l6_check(v, lateral=lateral_frobenius):
+    lhs = frobenius_iter(include_I(v), v.m + 2)
+    rhs = frobenius_iter(include_I(lateral(v)), v.m + 1)
     if lhs != rhs:
         return _mismatch({"v": v}, lhs, rhs)
     return None
@@ -251,16 +250,6 @@ def _l7_check(v):
     return None
 
 
-def _law_l7(cfg, rng, params):
-    m = _pick(rng, 1, 2, params.get("m_max"))
-    n = _pick(rng, 1, 3, params.get("n_max"))
-    return _l7_check(_rand_shifted(cfg, m, n, rng))
-
-
-def _sym_l7(params):
-    return _l7_check(_sym_shifted(params["p"], params["m"], params["n"]))
-
-
 def _l8_check(v, shift=shift_E):
     lhs = shifted_ghost(shift(v)).entries
     rhs = shifted_ghost(v).entries[1:]
@@ -269,32 +258,12 @@ def _l8_check(v, shift=shift_E):
     return None
 
 
-def _law_l8(cfg, rng, params):
-    m = _pick(rng, 1, 2, params.get("m_max"))
-    n = _pick(rng, 1, 3, params.get("n_max"))
-    return _l8_check(_rand_shifted(cfg, m, n, rng))
-
-
-def _sym_l8(params):
-    return _l8_check(_sym_shifted(params["p"], params["m"], params["n"]))
-
-
 def _l9_check(v):
     lhs = shift_E(lateral_frobenius(v))
     rhs = lateral_frobenius(shift_E(v))
     if lhs != rhs:
         return _mismatch({"v": v}, lhs, rhs)
     return None
-
-
-def _law_l9(cfg, rng, params):
-    m = _pick(rng, 1, 2, params.get("m_max"))
-    n = _pick(rng, 1, 3, params.get("n_max"))
-    return _l9_check(_rand_shifted(cfg, m, n, rng))
-
-
-def _sym_l9(params):
-    return _l9_check(_sym_shifted(params["p"], params["m"], params["n"]))
 
 
 def _law_l10(cfg, rng, params):
@@ -357,28 +326,42 @@ def _sym_l12(params):
     return _l12_check(t)
 
 
+def l13_check(t):
+    """F iota_m = iota_(m-1) Phi_[m] at the kernel point t; for n = 1,
+    also Phi_[m] = (pi) on the coordinate."""
+    phi = kernel_phi(t)
+    lhs = frobenius(kernel_witt_point(t))
+    rhs = kernel_witt_point(phi)
+    if lhs != rhs:
+        return _mismatch({"t": t}, lhs, rhs)
+    if t.n == 1:
+        rhs = t.bcfg.convert(t.rcfg.pi_elem()) * t.coords[0]
+        if phi.coords[0] != rhs:
+            return _mismatch({"t": t}, phi.coords[0], rhs)
+    return None
+
+
 def _law_l13(cfg, rng, params):
     m = _pick(rng, 1, 2, params.get("m_max"))
     n = _pick(rng, 1, 3, params.get("n_max"))
-    t = _ga_point(cfg, m, n, rng)
-    lhs = frobenius(kernel_witt_point(t))
-    rhs = kernel_witt_point(kernel_phi(t))
-    if lhs != rhs:
-        return _mismatch({"t": t}, lhs, rhs)
+    return l13_check(_ga_point(cfg, m, n, rng))
+
+
+def _l14_check(t, js):
+    """phi^(m+j) iota_m = phi^(m+j-1) iota_m f_m at t, for each j in js."""
+    s = kernel_lateral_f(t)
+    for j in js:
+        lhs = frobenius_iter(kernel_witt_point(t), t.m + j)
+        rhs = frobenius_iter(kernel_witt_point(s), t.m + j - 1)
+        if lhs != rhs:
+            return _mismatch({"t": t, "j": t.bcfg.from_int(j)}, lhs, rhs)
     return None
 
 
 def _law_l14(cfg, rng, params):
     m = _pick(rng, 0, 2, params.get("m_max"))
     n = _pick(rng, 2, 3, params.get("n_max"))
-    t = _ga_point(cfg, m, n, rng)
-    s = kernel_lateral_f(t)
-    for j in range(2, n + 1):
-        lhs = frobenius_iter(kernel_witt_point(t), m + j)
-        rhs = frobenius_iter(kernel_witt_point(s), m + j - 1)
-        if lhs != rhs:
-            return _mismatch({"t": t, "j": cfg.from_int(j)}, lhs, rhs)
-    return None
+    return _l14_check(_ga_point(cfg, m, n, rng), range(2, n + 1))
 
 
 def _hyp_psi(cfg, params):
@@ -387,34 +370,43 @@ def _hyp_psi(cfg, params):
     return None
 
 
+def psi_check(law, t0, s0, m, prec):
+    """The Psi ladder Psi_(m-1)(Phi_[m](t)_0) = pi Psi_m(t_0) and the
+    additivity Psi_m(t + s) = Psi_m(t_0) + Psi_m(s_0), for the kernel
+    points t, s of N^[m]1 over law.cfg with coordinates t0, s0."""
+    rcfg, bcfg = law.cfg, t0.cfg
+    t = KernelPoint(law, rcfg, bcfg, m, [t0])
+    lhs = psi_map(law, m - 1, kernel_phi(t).coords[0], precision=prec)
+    rhs = bcfg.convert(rcfg.pi_elem()) * psi_map(law, m, t0, precision=prec)
+    if lhs != rhs:
+        return _mismatch({"t0": t0}, lhs, rhs)
+    s = KernelPoint(law, rcfg, bcfg, m, [s0])
+    lhs = psi_map(law, m, kernel_add(t, s).coords[0], precision=prec)
+    rhs = (psi_map(law, m, t0, precision=prec)
+           + psi_map(law, m, s0, precision=prec))
+    if lhs != rhs:
+        return _mismatch({"t0": t0, "s0": s0}, lhs, rhs)
+    return None
+
+
 def _law_l15(cfg, rng, params):
     prec = params.get("prec", 6)
     base = cfg.base_exact()
     B = cfg.truncated(prec)
-    gm = load_fgl("gm", base)
-    ga = load_fgl("ga", base)
-    t0 = _rand_elem(B, rng)
-    t = KernelPoint(gm, base, B, 1, [t0])
-    lhs = psi_map(gm, 0, kernel_phi(t).coords[0])
-    rhs = B.convert(base.pi_elem()) * psi_map(gm, 1, t0)
-    if lhs != rhs:
-        return _mismatch({"t0": t0}, lhs, rhs)
-    s0 = _rand_elem(B, rng)
-    s = KernelPoint(gm, base, B, 1, [s0])
-    lhs = psi_map(gm, 1, kernel_add(t, s).coords[0])
-    rhs = psi_map(gm, 1, t0) + psi_map(gm, 1, s0)
-    if lhs != rhs:
-        return _mismatch({"t0": t0, "s0": s0}, lhs, rhs)
+    t0, s0 = _rand_elem(B, rng), _rand_elem(B, rng)
+    ce = psi_check(load_fgl("gm", base), t0, s0, 1, prec)
+    if ce:
+        return ce
     # additive degeneration: Psi = id and Phi = pi
+    ga = load_fgl("ga", base)
     a = KernelPoint(ga, base, base, 1, [_rand_elem(base, rng)])
     if psi_map(ga, 1, a.coords[0], precision=prec) != a.coords[0]:
         return _ce(part="psi_ga", inputs={"a": _enc(a)})
-    if kernel_phi(a).coords[0] != base.pi_elem() * a.coords[0]:
-        return _ce(part="phi_ga", inputs={"a": _enc(a)})
-    return None
+    return l13_check(a)
 
 
-def _l16_check(t):
+def l16_check(t):
+    """The difference character at t depends on t_0 alone."""
     lhs = difference_character(t)
     rhs = difference_character(
         kernel_section_sigma(kernel_project_u(t, 1), t.n))
@@ -427,7 +419,7 @@ def _law_l16(cfg, rng, params):
     prec = params.get("prec", 6)
     m = _pick(rng, 0, 2, params.get("m_max"))
     n = _pick(rng, 2, 4, params.get("n_max"))
-    ce = _l16_check(_ga_point(cfg, m, n, rng))
+    ce = l16_check(_ga_point(cfg, m, n, rng))
     if ce:
         return ce
     base = cfg.base_exact()
@@ -436,23 +428,16 @@ def _law_l16(cfg, rng, params):
     m = _pick(rng, 0, 1, params.get("m_max"))
     n = _pick(rng, 2, 3, params.get("n_max"))
     t = KernelPoint(gm, base, B, m, [_rand_elem(B, rng) for _ in range(n)])
-    return _l16_check(t)
+    return l16_check(t)
 
 
 def _law_table_i(cfg, rng, params):
     m = _pick(rng, 1, 3, params.get("m_max"))
-    t = _rand_witt(cfg, _pick(rng, 0, 2, params.get("n_max")), rng)
-    lhs = frobenius(verschiebung(t, m + 1))
-    rhs = verschiebung(mult_pi(t), m)
-    if lhs != rhs:
-        return _mismatch({"t": t, "m": m}, lhs, rhs)
-    m = _pick(rng, 1, 2, params.get("m_max"))
-    pt = _ga_point(cfg, m, _pick(rng, 1, 3, params.get("n_max")), rng)
-    lhs = frobenius(kernel_witt_point(pt))
-    rhs = kernel_witt_point(kernel_phi(pt))
-    if lhs != rhs:
-        return _mismatch({"t": pt}, lhs, rhs)
-    return None
+    ce = _l3_check(
+        _rand_witt(cfg, _pick(rng, 0, 2, params.get("n_max")), rng), m)
+    if ce:
+        return ce
+    return _law_l13(cfg, rng, params)
 
 
 def _law_table_ii(cfg, rng, params):
@@ -463,12 +448,7 @@ def _law_table_ii(cfg, rng, params):
     rhs = frobenius_iter(verschiebung(frobenius(t), m + 1), m + n - 1)
     if lhs != rhs:
         return _mismatch({"t": t, "m": m}, lhs, rhs)
-    pt = _ga_point(cfg, m, n, rng)
-    lhs = frobenius_iter(kernel_witt_point(pt), m + n)
-    rhs = frobenius_iter(kernel_witt_point(kernel_lateral_f(pt)), m + n - 1)
-    if lhs != rhs:
-        return _mismatch({"t": pt}, lhs, rhs)
-    return None
+    return _l14_check(_ga_point(cfg, m, n, rng), (n,))
 
 
 def _law_table_iii(cfg, rng, params):
@@ -513,10 +493,7 @@ def _rand_poly_shifted(cfg, m, n, rng):
 
 def _law_sabotage_lateral(cfg, rng, params):
     v = _rand_poly_shifted(cfg, params.get("m", 1), params.get("n", 2), rng)
-    lhs, rhs = _l6_sides(v, lateral=_sabotage_lateral)
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    return None
+    return _l6_check(v, lateral=_sabotage_lateral)
 
 
 def _law_sabotage_shift(cfg, rng, params):
@@ -601,21 +578,22 @@ def _register(spec):
 _register(LawSpec("L1", "ghost is a ring homomorphism", _law_l1, 200))
 _register(LawSpec("L2", "ghost_solve inverts ghost", _law_l2, 200))
 _register(LawSpec("L3", "F(V(x)) = (pi)(x) and F(V^(m+1)) = V^m (pi)",
-                  _law_l3, 100, hypothesis=_hyp_phi_pi))
+                  _law_l3, 100))
 _register(LawSpec("L4", "F(x)_i = x_i^q mod pi", _law_l4, 200))
 _register(LawSpec("L5", "delta axioms (1)-(3)", _law_l5, 200))
 _register(LawSpec(
-    "L6", "F^(m+2) I = F^(m+1) I F_[m]", _law_l6, 100, symbolic=_sym_l6,
-    hypothesis=_hyp_phi_pi,
+    "L6", "F^(m+2) I = F^(m+1) I F_[m]", hypothesis=_hyp_phi_pi,
     symbolic_cases=(_case(2, 0, 2), _case(2, 1, 2), _case(3, 0, 2),
-                    _case(2, 1, 3))))
-_register(LawSpec("L7", "I E_[m] = F I", _law_l7, 100, symbolic=_sym_l7,
-                  symbolic_cases=(_case(2, 1, 2),)))
-_register(LawSpec("L8", "ghost of E_[m] is the right shift", _law_l8, 100,
-                  symbolic=_sym_l8, symbolic_cases=(_case(2, 1, 2),)))
-_register(LawSpec("L9", "E_[m] F_[m] = F_[m-1] E_[m]", _law_l9, 100,
-                  symbolic=_sym_l9, symbolic_cases=(_case(2, 1, 2),),
-                  hypothesis=_hyp_phi_pi))
+                    _case(2, 1, 3)),
+    **_shifted_law(_l6_check, (0, 2), (2, 3))))
+_register(LawSpec("L7", "I E_[m] = F I", symbolic_cases=(_case(2, 1, 2),),
+                  **_shifted_law(_l7_check, (1, 2), (1, 3))))
+_register(LawSpec("L8", "ghost of E_[m] is the right shift",
+                  symbolic_cases=(_case(2, 1, 2),),
+                  **_shifted_law(_l8_check, (1, 2), (1, 3))))
+_register(LawSpec("L9", "E_[m] F_[m] = F_[m-1] E_[m]", hypothesis=_hyp_phi_pi,
+                  symbolic_cases=(_case(2, 1, 2),),
+                  **_shifted_law(_l9_check, (1, 2), (1, 3))))
 _register(LawSpec("L10", "lateral Frobenius congruence mod pi",
                   _law_l10, 200, hypothesis=_hyp_phi_pi))
 _register(LawSpec("L11", "kernel lateral Frobenius = F on additive tails",
@@ -658,6 +636,8 @@ def run_law(law_id, cfg, trials=None, seed=0, **params):
     spec = REGISTRY[law_id]
     if trials is None:
         trials = spec.trials
+    if trials < 1:
+        raise WittlabError(f"trials must be at least 1, got {trials}")
     start = time.perf_counter()
     if spec.hypothesis is not None:
         reason = spec.hypothesis(cfg, params)

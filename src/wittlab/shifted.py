@@ -197,18 +197,13 @@ def lateral_frobenius(v):
         raise InternalError(f"lateral Frobenius failed to solve: {exc}")
 
 
-def shift_E(v, path="auto"):
+def shift_E(v):
     """The ring map W_[m]n -> W_[m-1]n given coordinatewise by the plain
-    Frobenius polynomials; its shifted ghost drops the leading entry.
-
-    ``path`` selects the implementation: "ghost" (solve the shifted ghost
-    shift), "coords" (evaluate the cached
-    Frobenius polynomials), or "auto" (ghost).
-    """
+    Frobenius polynomials; its shifted ghost drops the leading entry, so
+    it is computed by solving that shifted ghost.  ``shift_E_coords`` is
+    the reference that evaluates the Frobenius polynomials instead."""
     if v.m < 1:
         raise ZeroShift("shift needs m >= 1")
-    if path == "coords":
-        return _shift_E_coords(v)
     hl, bl, rows = _rows(v)
     try:
         return _solve(hl, bl, v.rcfg, v.bcfg, rows[1:], v.m)
@@ -216,7 +211,11 @@ def shift_E(v, path="auto"):
         raise InternalError(f"shift_E ghost path failed to solve: {exc}")
 
 
-def _shift_E_coords(v):
+def shift_E_coords(v):
+    """shift_E by evaluating the cached Frobenius polynomials on the
+    coordinates."""
+    if v.m < 1:
+        raise ZeroShift("shift needs m >= 1")
     length = v.m + v.n
     polys = frobenius_polynomials(length, v.rcfg)
     # F_i only involves x_0..x_{i+1}, so zero-filling the rest is harmless

@@ -96,16 +96,21 @@ def test_eval_unknown_op(tmp_path):
     assert r.returncode == 2
 
 
-@pytest.mark.parametrize("ring,infile", [
-    ('{"p":2}', "-5"),
-    ('{"p":2}', None),
-    ("{}", "[1]"),
-    ('{"p":2,"trunc":"x"}', "[1]"),
-], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc"])
-def test_eval_malformed_input_is_usage_error(tmp_path, ring, infile):
-    infile = infile or str(tmp_path / "missing.json")
-    r = run_cli(["eval", "--ring", ring, "--op", "neg", "--in", infile],
-                tmp_path)
+@pytest.mark.parametrize("argv", [
+    ["eval", "--ring", '{"p":2}', "--op", "neg", "--in", "-5"],
+    ["eval", "--ring", '{"p":2}', "--op", "neg", "--in", None],
+    ["eval", "--ring", "{}", "--op", "neg", "--in", "[1]"],
+    ["eval", "--ring", '{"p":2,"trunc":"x"}', "--op", "neg", "--in", "[1]"],
+    ["verify", "--law", "L1", "--p", "2", "--ramified", "false",
+     "--trials", "-3"],
+    ["kernel", "--trials", "0"],
+], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
+        "verify-trials-negative", "kernel-trials-zero"])
+def test_eval_malformed_input_is_usage_error(tmp_path, argv):
+    # None stands for a file that does not exist
+    argv = [a if a is not None else str(tmp_path / "missing.json")
+            for a in argv]
+    r = run_cli(argv, tmp_path)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ")
@@ -159,6 +164,19 @@ def test_kernel_gm_all(tmp_path):
     r = run_cli(["kernel", "--group", "gm", "--p", "5", "--m", "1",
                  "--n", "2", "--prec", "6", "--trials", "5"], tmp_path)
     assert r.returncode == 0
-    docs = json.loads(r.stdout)
-    assert [d["check"] for d in docs] == ["psi", "phi", "diff"]
-    assert all(d["status"] == "pass" for d in docs)
+    assert r.stdout == (
+        '[{"check":"psi","detail":null,"status":"pass","trials":5},'
+        '{"check":"phi","detail":null,"status":"pass","trials":5},'
+        '{"check":"diff","detail":null,"sample":[25,0],"status":"pass",'
+        '"trials":5}]\n')
+
+
+def test_kernel_ga_all(tmp_path):
+    r = run_cli(["kernel", "--group", "ga", "--p", "3", "--m", "2",
+                 "--n", "3"], tmp_path)
+    assert r.returncode == 0
+    assert r.stdout == (
+        '[{"check":"psi","detail":null,"status":"pass","trials":25},'
+        '{"check":"phi","detail":null,"status":"pass","trials":25},'
+        '{"check":"diff","detail":null,'
+        '"sample":[27,-6561,-753145430616],"status":"pass","trials":25}]\n')

@@ -46,6 +46,7 @@ from wittlab.shifted import (
     lateral_frobenius,
     scalar_shifted,
     shift_E,
+    shift_E_coords,
     shifted_add,
     shifted_ghost,
     shifted_mul,
@@ -212,7 +213,7 @@ def test_shift_paths_agree_on_truncated_base(base, N):
         # which grow fast with q = 5: keep m + n <= 3
         m = rng.randint(1, 2)
         v = _reduce_shifted(B, _shifted(base, m, rng.randint(0, 3 - m), rng))
-        assert shift_E(v, path="coords") == shift_E(v, path="ghost")
+        assert shift_E_coords(v) == shift_E(v)
 
 
 # ----------------------------------------------------------------------

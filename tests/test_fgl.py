@@ -184,3 +184,18 @@ def test_load_custom_dict():
 def test_load_garbage():
     with pytest.raises(WittlabError):
         load_fgl({"nope": True}, Z2)
+
+
+def test_load_custom_table_with_unseen_smaller_powers():
+    # g^-1(g(X) + g(Y)) for g = X + X^3, to degree 7 at p = 3: the row
+    # i = 2 needs Y^3 and Y^5 after the row i = 1 has already needed Y^6
+    table = {(1, 0): 1, (1, 2): -3, (1, 4): 9, (2, 3): 27, (1, 6): -27,
+             (2, 5): -162, (3, 4): -351}
+    coeffs = [{"i": a, "j": b, "c": c}
+              for (i, j), c in table.items() for a, b in ((i, j), (j, i))]
+    Z3 = make_ring_config({"p": 3})
+    law = load_fgl({"degree": 7, "coeffs": coeffs}, Z3)
+    assert law.coeff(3, 4) == Z3.from_int(-351)
+    # its logarithm is g
+    assert formal_log(law) == [Frac(Z3.from_int(c), 1)
+                               for c in (1, 0, 1, 0, 0, 0, 0)]

@@ -1,10 +1,14 @@
 """Law harness: registry coverage, seeded determinism, report schema,
 and the mutation self-tests."""
 
+import json
+
 import jsonschema
 import pytest
 
-from wittlab.errors import ConfigUnsupported, UnknownLaw
+from wittlab import cli, laws
+from wittlab.errors import ConfigUnsupported, UnknownLaw, WittlabError
+from wittlab.kernel import KernelPoint
 from wittlab.laws import (
     REGISTRY,
     REPORT_SCHEMA,
@@ -60,6 +64,30 @@ def test_skip_with_reason():
     assert r.status == "skipped"
     assert "psi_integral" in r.reason
     assert r.trials == 0
+
+
+def test_trials_below_one_rejected():
+    for trials in (0, -3):
+        with pytest.raises(WittlabError):
+            run_law("L1", Z2, trials=trials)
+        with pytest.raises(WittlabError):
+            run_law("L15", Z2, trials=trials)   # before the skip
+
+
+def test_kernel_command_and_l13_share_one_check(monkeypatch, capsys):
+    real_phi = laws.kernel_phi
+
+    def wrong_phi(t):
+        out = real_phi(t)
+        coords = (out.coords[0] + out.bcfg.one(),) + out.coords[1:]
+        return KernelPoint(out.law, out.rcfg, out.bcfg, out.m, coords)
+
+    monkeypatch.setattr(laws, "kernel_phi", wrong_phi)
+    assert run_law("L13", Z2, trials=3).status == "fail"
+    assert cli.main(["kernel", "--group", "ga", "--p", "2", "--m", "1",
+                     "--n", "2", "--check", "phi", "--trials", "3"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)
+    assert entry["status"] == "fail" and entry["detail"] == {"trial": 0}
 
 
 def test_determinism_modulo_timing():
@@ -138,7 +166,8 @@ def test_phi_moving_pi_skips_lateral_laws():
     for law_id in ("L6", "L9", "L10"):
         r = run_law(law_id, PHI_NEG, trials=5, seed=3)
         assert r.status == "skipped" and r.reason == "phi(pi) != pi"
-    for law_id in ("L11", "L14", "L16", "table-ii", "table-iii"):
+    for law_id in ("L3", "L11", "L14", "L16", "table-i", "table-ii",
+                   "table-iii"):
         assert run_law(law_id, PHI_NEG, trials=5, seed=3).status == "pass"
 
 

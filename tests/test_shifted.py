@@ -20,6 +20,7 @@ from wittlab.shifted import (
     restrict_T,
     scalar_shifted,
     shift_E,
+    shift_E_coords,
     shifted_add,
     shifted_ghost,
     shifted_ghost_solve,
@@ -249,14 +250,14 @@ def test_shift_path_agreement():
             m, n = rng.randrange(1, 3), rng.randrange(1, 3)
             v = sv(cfg, m, [rng.randint(-30, 30) for _ in range(m + 1)],
                    [rng.randint(-30, 30) for _ in range(n)])
-            assert shift_E(v, path="ghost") == shift_E(v, path="coords")
+            assert shift_E(v) == shift_E_coords(v)
 
 
 def test_shift_path_agreement_ramified():
     v = ShiftedWittVector(
         RAM5, RAM5, 1,
         [RAM5.from_coeff([2, 1]), RAM5.from_int(1)], [RAM5.from_int(3)])
-    assert shift_E(v, path="ghost") == shift_E(v, path="coords")
+    assert shift_E(v) == shift_E_coords(v)
 
 
 def test_shift_truncated_base():
