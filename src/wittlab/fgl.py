@@ -124,8 +124,14 @@ def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
             _BUILTIN_LAWS[key] = FormalGroupLaw(cfg, degree, coeffs, tag)
         return _BUILTIN_LAWS[key]
     if isinstance(source, str):
-        with open(source) as fh:
-            source = json.load(fh)
+        try:
+            with open(source) as fh:
+                source = json.load(fh)
+        except OSError as exc:
+            raise WittlabError(f"unknown group {source!r}: not ga, gm or a "
+                               f"readable file ({exc.strerror})") from None
+        except ValueError as exc:   # invalid JSON or text encoding
+            raise WittlabError(f"invalid JSON in {source!r}: {exc}") from None
     if not isinstance(source, dict) or "coeffs" not in source:
         raise WittlabError(f"cannot load a formal group law from {source!r}")
     from .serialize import decode_element

@@ -145,11 +145,21 @@ class RingConfig:
                 conv[k - d + j] -= t * self.modulus[j]
         return tuple(c % mod for c in conv[:d]) if mod else tuple(conv[:d])
 
+    def csqr(self, a, mod=0):
+        """a * a; for d = 2 the closed form (a0^2 - m0a1^2, 2a0a1 - m1a1^2):
+        three bigint products, two of them squarings."""
+        if self.d != 2:
+            return self.cmul(a, a, mod)
+        (a0, a1), t = a, a[1] * a[1]
+        c0 = a0 * a0 - self.modulus[0] * t
+        c1 = (a0 * a1 << 1) - self.modulus[1] * t
+        return (c0 % mod, c1 % mod) if mod else (c0, c1)
+
     def cpow(self, a, e, mod=0):
-        """a^e by square-and-multiply through ``cmul(., ., mod)``."""
+        """a^e by square-and-multiply through ``csqr`` and ``cmul``."""
         if e <= 1:
             return a if e else self.cone()
-        half = self.cpow(self.cmul(a, a, mod), e >> 1, mod)
+        half = self.cpow(self.csqr(a, mod), e >> 1, mod)
         return self.cmul(half, a, mod) if e & 1 else half
 
     def cphi(self, a):
@@ -278,6 +288,12 @@ class RingConfig:
             terms = {m: self.creduce(c) for m, c in terms.items()}
         terms = {m: c for m, c in terms.items() if any(c)}
         return RingElement(self, terms)
+
+    def _wrap(self, terms):
+        """A term dict with no zero coefficient as an element; only a
+        truncation copies it, to reduce the coefficients."""
+        return (RingElement(self, terms) if self._hnf is None
+                else self._make(terms))
 
     def zero(self):
         return RingElement(self, {})
@@ -432,15 +448,18 @@ class RingElement:
         cfg = self.cfg
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            prev = terms.get(m)
-            terms[m] = cfg.cadd(prev, c) if prev is not None else c
-        return cfg._make(terms)
+            total = cfg.cadd(terms[m], c) if m in terms else c
+            if any(total):
+                terms[m] = total
+            else:
+                del terms[m]
+        return cfg._wrap(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         cfg = self.cfg
-        return cfg._make({m: cfg.cneg(c) for m, c in self.terms.items()})
+        return cfg._wrap({m: cfg.cneg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -490,11 +509,11 @@ class RingElement:
 
     def div_pi(self):
         cfg = self.cfg
-        return cfg._make({m: cfg.cdivpi(c) for m, c in self.terms.items()})
+        return cfg._wrap({m: cfg.cdivpi(c) for m, c in self.terms.items()})
 
     def div_int(self, k):
         cfg = self.cfg
-        return cfg._make({m: cfg.cdivint(c, k) for m, c in self.terms.items()})
+        return cfg._wrap({m: cfg.cdivint(c, k) for m, c in self.terms.items()})
 
     def pi_val(self):
         if not self.cfg.torsion_free:
@@ -610,7 +629,7 @@ def _product(cfg, a, b):
                 out[k] = plus(get(k, zero), mul(ca, cb))
         terms = {unpack(k): (c,) if d1 else c
                  for k, c in out.items() if c != zero}
-    return RingElement(cfg, terms) if cfg._hnf is None else cfg._make(terms)
+    return cfg._wrap(terms)
 
 
 class Frac:

@@ -119,7 +119,7 @@ class _Arith:
             self.zero, self.one, self.pi = 0, 1, cover.p
             self.phi, self.div_pi = (lambda a: a), None
             self.unwrap = lambda e: e.terms.get((), (0,))[0]
-            self.wrap = lambda cfg, x: cfg._make({(): (x,)})
+            self.wrap = lambda cfg, x: cfg._wrap({(): (x,)} if x else {})
             if mod:
                 self.mul = lambda a, b: a * b % mod
                 self.pow = lambda a, e: pow(a, e, mod)
@@ -132,7 +132,7 @@ class _Arith:
             self.mul, self.neg, self.pow = cover.cmul, cover.cneg, cover.cpow
             self.phi, self.div_pi = cover.cphi, cover.cdivpi
             self.unwrap = lambda e: e.terms.get((), self.zero)
-            self.wrap = lambda cfg, x: cfg._make({(): x})
+            self.wrap = lambda cfg, x: cfg._wrap({(): x} if any(x) else {})
             if mod:
                 self.mul = lambda a, b: cover.cmul(a, b, mod)
                 self.pow = lambda a, e: cover.cpow(a, e, mod)
@@ -164,19 +164,37 @@ def _arith(cfg, top=0):
     return _ARITH[key]
 
 
-def _fold(ar, op, acc, xs, i, stop):
-    """acc op pi^j x_j^(q^(i-j)), in order for j = 0 .. stop-1."""
-    mul, pw, pi, q = ar.mul, ar.pow, ar.pi, ar.q
-    for j in range(stop):
-        acc = op(acc, mul(pw(pi, j), pw(xs[j], q ** (i - j))))
+def _table(ar, xs):
+    """The power table of the row after xs: x_j^(q^(len(xs)-1-j))."""
+    k = len(xs) - 1
+    return [ar.pow(x, ar.q ** (k - j)) for j, x in enumerate(xs)]
+
+
+def _row(ar, pows, x=None, keep=True):
+    """Row i from the table pows[j] = x_j^(q^(i-1-j)), j < i, of row i-1:
+    sum_{j<i} pi^j x_j^(q^(i-j)) (+ pi^i x), summed by Horner in pi from
+    the top, so no pi^j is formed.  Each entry is raised to its q-th power
+    once; ``keep`` stores the powers back as the table of row i, otherwise
+    they are dropped as they are summed (a last row: its powers are the
+    largest values of the whole computation)."""
+    add, mul, pw, pi, q = ar.add, ar.mul, ar.pow, ar.pi, ar.q
+    acc = x
+    for j in range(len(pows) - 1, -1, -1):
+        y = pw(pows[j], q)
+        if keep:
+            pows[j] = y
+        acc = y if acc is None else add(y, mul(pi, acc))
     return acc
 
 
 def _ghost_rows(ar, xs, start=0):
     """Ghost entries start..len(xs)-1 of the unwrapped coordinates xs:
     w_i = sum_j pi^j x_j^(q^(i-j))."""
-    return [_fold(ar, ar.add, ar.zero, xs, i, i + 1)
-            for i in range(start, len(xs))]
+    pows, rows, last = _table(ar, xs[:start]), [], len(xs) - 1
+    for i in range(start, len(xs)):
+        rows.append(_row(ar, pows, xs[i], i < last))
+        pows.append(xs[i])
+    return rows
 
 
 def _solve_rows(ar, entries, comps, failure):
@@ -184,13 +202,16 @@ def _solve_rows(ar, entries, comps, failure):
     x_i = (w_i - sum_{j<i} pi^j x_j^(q^(i-j))) / pi^i; ``failure`` names
     entry i in the NonIntegral raised when the division is not exact.
     This is the library's one triangular solver."""
+    pows, last = _table(ar, comps), len(comps) + len(entries) - 1
     for w in entries:
         i = len(comps)
+        s = _row(ar, pows, keep=i < last)
         try:
-            comps.append(ar.div_pi_power(_fold(ar, ar.sub, w, comps, i, i),
-                                         i))
+            x = ar.div_pi_power(w if s is None else ar.sub(w, s), i)
         except NonDivisible:
             raise NonIntegral(failure.format(i)) from None
+        comps.append(x)
+        pows.append(x)
     return comps
 
 
@@ -409,10 +430,13 @@ def universal_polynomials(op, n, p=None, cfg=None, budget=TERM_BUDGET):
 
     path = _cache_dir() / f"{op}-n{n}-p{base.p}-{digest[:16]}.json"
     if path.exists():
-        data = json.loads(path.read_text())
-        polys = [decode_element(sym, enc) for enc in data["polys"]]
-        _MEMO[memo_key] = polys
-        return polys
+        try:
+            polys = [decode_element(sym, enc)
+                     for enc in json.loads(path.read_text())["polys"]]
+            _MEMO[memo_key] = polys
+            return polys
+        except (OSError, ValueError, LookupError, TypeError, WittlabError):
+            pass    # a corrupt cache file is a miss: recompute, rewrite
 
     xv = WittVector(sym, [sym.var(v) for v in xs])
     yv = WittVector(sym, [sym.var(v) for v in ys]) if ys else None

@@ -104,8 +104,10 @@ def test_eval_unknown_op(tmp_path):
     ["verify", "--law", "L1", "--p", "2", "--ramified", "false",
      "--trials", "-3"],
     ["kernel", "--trials", "0"],
+    ["kernel", "--group", "nosuch"],
 ], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
-        "verify-trials-negative", "kernel-trials-zero"])
+        "verify-trials-negative", "kernel-trials-zero",
+        "kernel-unknown-group"])
 def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     # None stands for a file that does not exist
     argv = [a if a is not None else str(tmp_path / "missing.json")
@@ -115,6 +117,23 @@ def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ")
     assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("garbage", ['{"polys": [', "{}", "[]",
+                                     '{"polys": [{"terms": 5}]}'],
+                         ids=["truncated", "no-polys", "not-an-object",
+                              "bad-terms"])
+def test_poly_corrupt_cache_file_is_a_miss(tmp_path, garbage):
+    argv = ["poly", "--op", "sum", "--n", "1", "--p", "2"]
+    first = run_cli(argv, tmp_path)
+    (path,) = (tmp_path / "cache").glob("*.json")
+    good = path.read_bytes()
+    path.write_text(garbage)
+    again = run_cli(argv, tmp_path)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == first.stdout
+    assert path.read_bytes() == good
+    assert list(path.parent.iterdir()) == [path]     # no temporary left
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,12 @@ library must agree.
 * A truncation B/pi^N computes mod pi^(N+L): every operator gives the
   result, or the error, of the same engine on the exact cover's
   arithmetic, at lengths past N and on orders of degree 2 and 3.
+* The row kernel (a q-th-power table summed by Horner in pi) gives the
+  rows, solves and errors of the per-term sum it replaced, and the d = 2
+  squaring equals the product of an element with itself.
 """
 
+import collections
 import random
 
 import pytest
@@ -25,6 +29,8 @@ import pytest
 from wittlab import kernel, shifted, witt
 from wittlab.errors import (
     ConfigUnsupported,
+    NonDivisible,
+    NonIntegral,
     PrecisionRequired,
     WittlabError,
     ZeroLength,
@@ -56,6 +62,9 @@ from wittlab.shifted import (
 from wittlab.witt import (
     WittVector,
     _Arith,
+    _arith,
+    _ghost_rows,
+    _solve_rows,
     exp_delta,
     frobenius,
     frobenius_iter,
@@ -553,3 +562,132 @@ def test_kernel_series_with_a_coefficient_phi_moves_is_unsupported(m, n, N):
     tg, sg = (KernelPoint(gm, PHI_NEG, B, m, c) for c in (t, s))
     assert kernel_add(tg, sg) == _ref_kernel_add(tg, sg)
     assert kernel_neg(tg) == _ref_kernel_neg(tg)
+
+
+# ----------------------------------------------------------------------
+# the row kernel against the per-term sum
+#
+# The reference builds every pi^j x_j^(q^(i-j)) of every row from scratch,
+# as the engine once did.  Over B/pi^N both run mod p^c, where a value is
+# only a representative: ghost rows are compared after reduction mod p^c,
+# solved coordinates after wrapping into B.
+
+
+def _ref_fold(ar, op, acc, xs, i, stop):
+    """acc op pi^j x_j^(q^(i-j)), in order for j = 0 .. stop-1."""
+    for j in range(stop):
+        acc = op(acc, ar.mul(ar.pow(ar.pi, j), ar.pow(xs[j], ar.q ** (i - j))))
+    return acc
+
+
+def _ref_ghost_rows(ar, xs, start=0):
+    return [_ref_fold(ar, ar.add, ar.zero, xs, i, i + 1)
+            for i in range(start, len(xs))]
+
+
+def _ref_solve_rows(ar, entries, comps, failure):
+    for w in entries:
+        i = len(comps)
+        try:
+            comps.append(ar.div_pi_power(_ref_fold(ar, ar.sub, w, comps, i, i),
+                                         i))
+        except NonDivisible:
+            raise NonIntegral(failure.format(i)) from None
+    return comps
+
+
+ROW_BASES = [Z2, Z3, RAM5, CUB5, Z5.truncated(6), RAM5.truncated(8), SYM2]
+ROW_IDS = ["Z2", "Z3", "x^2-5", "x^3-5", "Z5/5^6", "x^2-5/pi^8", "sym-p2"]
+FAILURE = "entry {} does not solve"
+
+
+def _coords(cfg, ar, n, rng):
+    """n + 1 unwrapped coordinates: random constants, or on the symbolic
+    base the variables x_0..x_n plus a constant."""
+    if cfg.nvars:
+        return [ar.unwrap(cfg.var(f"x{i}") + rng.randint(-3, 3))
+                for i in range(n + 1)]
+    exact = cfg.exact_cover()
+    return [ar.unwrap(cfg.convert(_elem(exact, rng))) for _ in range(n + 1)]
+
+
+@pytest.mark.parametrize("cfg", ROW_BASES, ids=ROW_IDS)
+def test_row_kernel_matches_per_term_sum(cfg):
+    rng = random.Random(f"row-kernel:{cfg.key}")
+    top = 3 if cfg.nvars else 5
+    for n in range(top + 1):
+        ar = _arith(cfg, n)
+        canon = ((lambda x: ar.wrap(cfg, x)) if cfg.trunc
+                 else (lambda x: x))
+        xs, ys = _coords(cfg, ar, n, rng), _coords(cfg, ar, n, rng)
+        for start in range(n + 1):
+            assert (list(map(ar.reduce, _ghost_rows(ar, xs, start)))
+                    == list(map(ar.reduce, _ref_ghost_rows(ar, xs, start))))
+        # entries in the image: the ghost rows of a Witt sum and product
+        rows_x, rows_y = _ghost_rows(ar, xs), _ghost_rows(ar, ys)
+        images = [list(map(ar.add, rows_x, rows_y)),
+                  list(map(ar.mul, rows_x, rows_y)),
+                  [ar.mul(ar.pi, w) for w in rows_x]]
+        cases = [(entries, None) for entries in images]
+        if n:   # the last entry moved by one is off the image: x_n + 1/pi^n
+            bad = rows_x[:-1] + [ar.add(rows_x[-1], ar.one)]
+            cases.append((bad, ("NonIntegral", FAILURE.format(n))))
+        for entries, error in cases:
+            # empty comps, then k preloaded head comps and the rest
+            for k in range(n + 1):
+                head = _ref_solve_rows(ar, entries[:k], [], FAILURE)
+                got = _outcome(_solve_rows, ar, entries[k:], list(head),
+                               FAILURE)
+                want = _outcome(_ref_solve_rows, ar, entries[k:], list(head),
+                                FAILURE)
+                if error:
+                    assert got == want == error
+                else:
+                    assert list(map(canon, got)) == list(map(canon, want))
+        assert _solve_rows(ar, [], [], FAILURE) == []
+
+
+def test_solve_drops_the_last_rows_powers():
+    """The last row's q-th powers, the largest values of a solve, are
+    summed as they are raised and never held together."""
+    live = collections.Counter()   # row -> its q-th powers still alive
+
+    class Power(int):
+        def __del__(self):
+            live[self.row] -= 1
+
+    ar, seen = _Arith(Z2), []
+
+    def power(a, e):
+        y = Power(pow(a, e))
+        y.row = len(seen)
+        live[y.row] += 1
+        return y
+
+    def divide(a, k):
+        seen.append(live[len(seen)])
+        return _Arith.div_pi_power(ar, a, k)
+
+    ar.pow, ar.div_pi_power = power, divide
+    xs = [3, -5, 7, 2, 11]
+    entries = _ghost_rows(_Arith(Z2), xs)
+    assert _solve_rows(ar, entries, [], FAILURE) == xs
+    # row i keeps its i powers as the next row's table; the last keeps none
+    assert seen == [0, 1, 2, 3, 0]
+
+
+SQUARE_BASES = [RAM5, EIS2, make_ring_config({"p": 3, "modulus": [-3, 3, 1]}),
+                CUB5]
+
+
+@pytest.mark.parametrize("cfg", SQUARE_BASES,
+                         ids=["x^2-5", "x^2+2x+2", "x^2+3x-3", "x^3-5"])
+def test_csqr_is_cmul_with_itself(cfg):
+    rng = random.Random(f"csqr:{cfg.key}")
+    for bits in (1, 8, 64, 4096):
+        for _ in range(6):
+            a = tuple(rng.randint(-2 ** bits, 2 ** bits)
+                      for _ in range(cfg.d))
+            assert cfg.csqr(a) == cfg.cmul(a, a)
+            for mod in (cfg.p ** 7, 2 ** 61 - 1):
+                assert cfg.csqr(a, mod) == cfg.cmul(a, a, mod)

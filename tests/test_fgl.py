@@ -186,6 +186,16 @@ def test_load_garbage():
         load_fgl({"nope": True}, Z2)
 
 
+def test_load_unknown_name_or_unreadable_file(tmp_path):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"coeffs": [')
+    for source, match in (("nosuch", "unknown group 'nosuch'"),
+                          (str(tmp_path), "unknown group"),
+                          (str(bad_json), "invalid JSON")):
+        with pytest.raises(WittlabError, match=match):
+            load_fgl(source, Z2)
+
+
 def test_load_custom_table_with_unseen_smaller_powers():
     # g^-1(g(X) + g(Y)) for g = X + X^3, to degree 7 at p = 3: the row
     # i = 2 needs Y^3 and Y^5 after the row i = 1 has already needed Y^6
