@@ -9,13 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .errors import ConfigUnsupported, InternalError, UnknownLaw, WittlabError
 from .fgl import load_fgl
 from .kernel import KernelPoint, difference_character
-from .laws import default_matrix, l13_check, l16_check, psi_check, run_suite
+from .laws import (
+    _rand_elem,
+    default_matrix,
+    l13_check,
+    l16_check,
+    psi_check,
+    run_suite,
+    run_trials,
+)
 from .rings import make_ring_config
 from .serialize import (
     canonical_dumps,
@@ -240,13 +247,10 @@ def cmd_verify(args):
 
 
 def _kernel_checks(args):
-    if args.trials < 1:
-        raise WittlabError(f"trials must be at least 1, got {args.trials}")
     cfg = make_ring_config({"p": args.p})
     law = load_fgl(args.group, cfg)
-    checks = (["psi", "phi", "diff"] if args.check == "all"
-              else [args.check])
-    if "psi" in checks and not law.is_additive and not cfg.psi_integral:
+    if (args.check in ("psi", "all") and not law.is_additive
+            and not cfg.psi_integral):
         raise ConfigUnsupported(
             f"e <= p-2 violated for p={args.p}: the psi series is not "
             "integral")
@@ -254,27 +258,22 @@ def _kernel_checks(args):
     m, n = max(args.m, 1), max(args.n, 2)
 
     def draw(rng, count):
-        return [B.from_int(rng.randint(-1000, 1000)) for _ in range(count)]
+        return [_rand_elem(B, rng) for _ in range(count)]
 
+    checks = {
+        "psi": lambda rng: psi_check(law, *draw(rng, 2), m, args.prec),
+        "phi": lambda rng: l13_check(
+            KernelPoint(law, cfg, B, m, draw(rng, args.n))),
+        "diff": lambda rng: l16_check(
+            KernelPoint(law, cfg, B, args.m, draw(rng, n))),
+    }
     results = []
-    for check in checks:
-        status = "pass"
-        detail = None
-        for trial in range(args.trials):
-            rng = random.Random(f"{args.seed}:{check}:{trial}")
-            if check == "psi":
-                ce = psi_check(law, *draw(rng, 2), m, args.prec)
-            elif check == "phi":
-                ce = l13_check(KernelPoint(law, cfg, B, m, draw(rng, args.n)))
-            else:
-                ce = l16_check(KernelPoint(law, cfg, B, args.m, draw(rng, n)))
-            if ce is not None:
-                status = "fail"
-                detail = {"trial": trial}
-                break
-        entry = {"check": check, "status": status, "trials": args.trials,
-                 "detail": detail}
-        if check == "diff" and status == "pass":
+    for check in checks if args.check == "all" else [args.check]:
+        _, ce = run_trials(checks[check], check, args.trials, args.seed)
+        entry = {"check": check, "status": "pass" if ce is None else "fail",
+                 "trials": args.trials,
+                 "detail": None if ce is None else {"trial": ce["trial"]}}
+        if check == "diff" and ce is None:
             sample = KernelPoint(
                 law, cfg, B,
                 args.m, [B.one()] + [B.zero()] * (n - 1))

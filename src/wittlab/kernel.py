@@ -103,6 +103,15 @@ def _check_pair(t, s):
         raise BaseMismatch("kernel points belong to different groups")
 
 
+def _tail_point(t, out, what):
+    """The kernel point of t's group carried by the tail of out, a shifted
+    vector that a map of kernels returned."""
+    for h in out.head:
+        if not h.is_zero():  # pragma: no cover - the maps keep the zero head
+            raise InternalError(f"{what} left the zero-head locus")
+    return KernelPoint(t.law, t.rcfg, t.bcfg, out.m, out.tail)
+
+
 def _tail_cutoff(m, length, trunc):
     """Smallest k >= 1 whose total-degree-k series terms vanish mod pi^N."""
     return max(1, -(-(trunc + length - 1) // (m + 1)))
@@ -143,11 +152,8 @@ def _kernel_series(t, coeffs, s=None):
     b = a if s is None else _shifted_rows(kernel_embed(s))[2]
     k = t.m + 1
     rows = _series_rows(hl, bl, t.rcfg, k, coeffs, a, b)
-    out = _shifted_solve(hl, bl, t.rcfg, t.bcfg, rows, k)
-    for h in out.head:
-        if not h.is_zero():  # pragma: no cover - identity section preserved
-            raise InternalError("kernel series left the zero-head locus")
-    return KernelPoint(t.law, t.rcfg, t.bcfg, t.m, out.tail)
+    return _tail_point(t, _shifted_solve(hl, bl, t.rcfg, t.bcfg, rows, k),
+                       "kernel series")
 
 
 def kernel_add(t, s):
@@ -186,22 +192,15 @@ def kernel_lateral_f(t):
     """The generalized lateral Frobenius: tail length drops by one."""
     if t.n < 2:
         raise ZeroTail("lateral Frobenius on kernels needs n >= 2")
-    out = lateral_frobenius(kernel_embed(t))
-    for h in out.head:
-        if not h.is_zero():  # pragma: no cover - phi(0) = 0
-            raise InternalError("lateral Frobenius left the zero-head locus")
-    return KernelPoint(t.law, t.rcfg, t.bcfg, t.m, out.tail)
+    return _tail_point(t, lateral_frobenius(kernel_embed(t)),
+                       "lateral Frobenius")
 
 
 def kernel_phi(t):
     """Phi: shift m drops by one; on coordinates this is the (pi) map."""
     if t.m < 1:
         raise ZeroShift("Phi needs m >= 1")
-    out = shift_E(kernel_embed(t))
-    for h in out.head:
-        if not h.is_zero():  # pragma: no cover - zero head maps to zero
-            raise InternalError("Phi left the zero-head locus")
-    return KernelPoint(t.law, t.rcfg, t.bcfg, t.m - 1, out.tail)
+    return _tail_point(t, shift_E(kernel_embed(t)), "Phi")
 
 
 def kernel_project_u(t, k):

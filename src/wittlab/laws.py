@@ -5,15 +5,16 @@ optional exact symbolic verification and machine-readable reports.
 Random inputs follow a fixed documented distribution: integer coordinates
 in [-1000, 1000] (coefficientwise for order elements) and, for symbolic
 sabotage runs, sparse polynomials of degree <= 2 in <= 4 variables with
-coefficients in [-9, 9].  Each trial draws an independent RNG stream from
-(seed, law id, trial index), so results are order-independent.
+coefficients in [-9, 9].  Trial i of a law (or ``wittlab kernel`` check)
+``key`` draws from its own stream "{seed}:{key}:{i}" (``run_trials``), so
+results are order-independent.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     ConfigUnsupported,
@@ -65,7 +66,6 @@ POLY_COEFF_BOUND = 9
 # random input distribution
 
 
-
 def _pick(rng, lo, hi, cap):
     """Uniform in [lo, hi], optionally capped (never below lo)."""
     if cap is not None:
@@ -73,21 +73,48 @@ def _pick(rng, lo, hi, cap):
     return rng.randint(lo, hi)
 
 
-def _rand_elem(cfg, rng, bound=INT_BOUND):
-    return cfg.from_coeff([rng.randint(-bound, bound)
+def _rand_elem(cfg, rng):
+    return cfg.from_coeff([rng.randint(-INT_BOUND, INT_BOUND)
                            for _ in range(cfg.d)])
 
 
-def _rand_witt(cfg, n, rng, bound=INT_BOUND):
-    return WittVector(cfg, [_rand_elem(cfg, rng, bound)
-                            for _ in range(n + 1)])
+def _rand_witt(cfg, n, rng):
+    return WittVector(cfg, [_rand_elem(cfg, rng) for _ in range(n + 1)])
 
 
-def _rand_shifted(cfg, m, n, rng, bound=INT_BOUND):
+def _rand_shifted(cfg, m, n, rng):
     return ShiftedWittVector(cfg, cfg, m,
-                             [_rand_elem(cfg, rng, bound)
-                              for _ in range(m + 1)],
-                             [_rand_elem(cfg, rng, bound) for _ in range(n)])
+                             [_rand_elem(cfg, rng) for _ in range(m + 1)],
+                             [_rand_elem(cfg, rng) for _ in range(n)])
+
+
+def _sym_shifted(p, m, n):
+    base = make_ring_config({"p": p})
+    names = [f"x{i}" for i in range(m + n + 1)]
+    sym = base.adjoin(names)
+    return ShiftedWittVector(sym, sym, m,
+                             [sym.var(names[i]) for i in range(m + 1)],
+                             [sym.var(names[m + 1 + i]) for i in range(n)])
+
+
+def _ga_point(cfg, m, n, rng):
+    law = load_fgl("ga", cfg.base_exact())
+    return KernelPoint(law, cfg, cfg, m,
+                       [_rand_elem(cfg, rng) for _ in range(n)])
+
+
+def _sym_ga_point(p, m, n):
+    base = make_ring_config({"p": p})
+    names = [f"t{i}" for i in range(n)]
+    sym = base.adjoin(names)
+    return KernelPoint(load_fgl("ga", base), sym, sym, m,
+                       [sym.var(v) for v in names])
+
+
+# A drawer is a seeded draw (cfg, m, n, rng) and a symbolic build (p, m, n)
+# of one point of the same kind: a shifted vector or a Ga kernel point.
+_SHIFTED = (_rand_shifted, _sym_shifted)
+_GA_POINT = (_ga_point, _sym_ga_point)
 
 
 def _rand_poly(cfg, rng):
@@ -99,14 +126,6 @@ def _rand_poly(cfg, rng):
             term = term * cfg.var(rng.choice(names))
         acc = acc + term
     return acc
-
-
-def _phi_fixes_pi(cfg):
-    return cfg.pi_elem().phi() == cfg.pi_elem()
-
-
-def _ce(**kw):
-    return kw
 
 
 def _enc(v):
@@ -127,8 +146,8 @@ def _enc(v):
 
 
 def _mismatch(inputs, lhs, rhs):
-    return _ce(inputs={k: _enc(v) for k, v in inputs.items()},
-               lhs=_enc(lhs), rhs=_enc(rhs))
+    return {"inputs": {k: _enc(v) for k, v in inputs.items()},
+            "lhs": _enc(lhs), "rhs": _enc(rhs)}
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +175,7 @@ def _law_l2(cfg, rng, params):
 
 
 def _hyp_phi_pi(cfg, params):
-    if not _phi_fixes_pi(cfg):
+    if cfg.pi_elem().phi() != cfg.pi_elem():
         return "phi(pi) != pi"
     return None
 
@@ -197,7 +216,7 @@ def _law_l4(cfg, rng, params):
 def _law_l5(cfg, rng, params):
     x, y = _rand_elem(cfg, rng), _rand_elem(cfg, rng)
     if not delta(cfg.one()).is_zero():
-        return _ce(axiom=1)
+        return {"axiom": 1}
     lhs = delta(x + y)
     rhs = delta(x) + delta(y) + c_pi(x, y)
     if lhs != rhs:
@@ -211,25 +230,19 @@ def _law_l5(cfg, rng, params):
     return None
 
 
-def _sym_shifted(p, m, n):
-    base = make_ring_config({"p": p})
-    names = [f"x{i}" for i in range(m + n + 1)]
-    sym = base.adjoin(names)
-    return ShiftedWittVector(sym, sym, m,
-                             [sym.var(names[i]) for i in range(m + 1)],
-                             [sym.var(names[m + 1 + i]) for i in range(n)])
-
-
-def _shifted_law(check, m_range, n_range):
+def _law(check, m_range, n_range, drawer):
     """The numeric trial (m, n drawn from the ranges, capped by m_max and
-    n_max) and the symbolic case of a check on one shifted vector."""
+    n_max, then one point drawn) and the symbolic case of a check on one
+    point of the drawer's kind."""
+    draw, build = drawer
+
     def numeric(cfg, rng, params):
         m = _pick(rng, *m_range, params.get("m_max"))
         n = _pick(rng, *n_range, params.get("n_max"))
-        return check(_rand_shifted(cfg, m, n, rng))
+        return check(draw(cfg, m, n, rng))
 
     def symbolic(case):
-        return check(_sym_shifted(case["p"], case["m"], case["n"]))
+        return check(build(case["p"], case["m"], case["n"]))
 
     return {"numeric": numeric, "symbolic": symbolic}
 
@@ -266,32 +279,18 @@ def _l9_check(v):
     return None
 
 
-def _law_l10(cfg, rng, params):
-    m = _pick(rng, 0, 2, params.get("m_max"))
-    n = _pick(rng, 1, 3, params.get("n_max"))
-    v = _rand_shifted(cfg, m, n, rng)
+def _l10_check(v):
     out = lateral_frobenius(v)
-    q = cfg.q
-    ins = list(v.head) + list(v.tail)
-    outs = list(out.head) + list(out.tail)
-    for i, o in enumerate(outs):
-        if not _div_pi(o - ins[i] ** q):
+    ins = v.head + v.tail
+    for i, o in enumerate(out.head + out.tail):
+        if not _div_pi(o - ins[i] ** v.bcfg.q):
             return _mismatch({"v": v}, out, v)
     return None
 
 
-def _ga_point(cfg, m, n, rng, bound=INT_BOUND):
-    law = load_fgl("ga", cfg.base_exact())
-    return KernelPoint(law, cfg, cfg, m,
-                       [_rand_elem(cfg, rng, bound) for _ in range(n)])
-
-
-def _law_l11(cfg, rng, params):
-    m = _pick(rng, 0, 2, params.get("m_max"))
-    n = _pick(rng, 2, 4, params.get("n_max"))
-    t = _ga_point(cfg, m, n, rng)
+def _l11_check(t):
     lhs = kernel_lateral_f(t).coords
-    rhs = frobenius(WittVector(cfg, t.coords)).comps
+    rhs = frobenius(WittVector(t.bcfg, t.coords)).comps
     if lhs != rhs:
         return _mismatch({"t": t}, list(lhs), list(rhs))
     return None
@@ -310,22 +309,6 @@ def _l12_check(t):
     return None
 
 
-def _law_l12(cfg, rng, params):
-    m = _pick(rng, 0, 2, params.get("m_max"))
-    n = _pick(rng, 1, 3, params.get("n_max"))
-    return _l12_check(_ga_point(cfg, m, n, rng))
-
-
-def _sym_l12(params):
-    base = make_ring_config({"p": params["p"]})
-    m, n = params["m"], params["n"]
-    names = [f"t{i}" for i in range(n)]
-    sym = base.adjoin(names)
-    law = load_fgl("ga", base)
-    t = KernelPoint(law, sym, sym, m, [sym.var(v) for v in names])
-    return _l12_check(t)
-
-
 def l13_check(t):
     """F iota_m = iota_(m-1) Phi_[m] at the kernel point t; for n = 1,
     also Phi_[m] = (pi) on the coordinate."""
@@ -341,12 +324,6 @@ def l13_check(t):
     return None
 
 
-def _law_l13(cfg, rng, params):
-    m = _pick(rng, 1, 2, params.get("m_max"))
-    n = _pick(rng, 1, 3, params.get("n_max"))
-    return l13_check(_ga_point(cfg, m, n, rng))
-
-
 def _l14_check(t, js):
     """phi^(m+j) iota_m = phi^(m+j-1) iota_m f_m at t, for each j in js."""
     s = kernel_lateral_f(t)
@@ -356,12 +333,6 @@ def _l14_check(t, js):
         if lhs != rhs:
             return _mismatch({"t": t, "j": t.bcfg.from_int(j)}, lhs, rhs)
     return None
-
-
-def _law_l14(cfg, rng, params):
-    m = _pick(rng, 0, 2, params.get("m_max"))
-    n = _pick(rng, 2, 3, params.get("n_max"))
-    return _l14_check(_ga_point(cfg, m, n, rng), range(2, n + 1))
 
 
 def _hyp_psi(cfg, params):
@@ -401,7 +372,7 @@ def _law_l15(cfg, rng, params):
     ga = load_fgl("ga", base)
     a = KernelPoint(ga, base, base, 1, [_rand_elem(base, rng)])
     if psi_map(ga, 1, a.coords[0], precision=prec) != a.coords[0]:
-        return _ce(part="psi_ga", inputs={"a": _enc(a)})
+        return {"part": "psi_ga", "inputs": {"a": _enc(a)}}
     return l13_check(a)
 
 
@@ -437,7 +408,7 @@ def _law_table_i(cfg, rng, params):
         _rand_witt(cfg, _pick(rng, 0, 2, params.get("n_max")), rng), m)
     if ce:
         return ce
-    return _law_l13(cfg, rng, params)
+    return REGISTRY["L13"].numeric(cfg, rng, params)
 
 
 def _law_table_ii(cfg, rng, params):
@@ -530,18 +501,9 @@ class TrialReport:
     mode: str = "numeric"
 
     def to_json(self):
-        out = {
-            "law": self.law,
-            "config": self.config,
-            "seed": self.seed,
-            "trials": self.trials,
-            "status": self.status,
-            "counterexample": self.counterexample,
-            "ms": self.ms,
-            "mode": self.mode,
-        }
-        if self.reason:
-            out["reason"] = self.reason
+        out = asdict(self)
+        if not self.reason:
+            del out["reason"]
         return out
 
 
@@ -585,26 +547,29 @@ _register(LawSpec(
     "L6", "F^(m+2) I = F^(m+1) I F_[m]", hypothesis=_hyp_phi_pi,
     symbolic_cases=(_case(2, 0, 2), _case(2, 1, 2), _case(3, 0, 2),
                     _case(2, 1, 3)),
-    **_shifted_law(_l6_check, (0, 2), (2, 3))))
+    **_law(_l6_check, (0, 2), (2, 3), _SHIFTED)))
 _register(LawSpec("L7", "I E_[m] = F I", symbolic_cases=(_case(2, 1, 2),),
-                  **_shifted_law(_l7_check, (1, 2), (1, 3))))
+                  **_law(_l7_check, (1, 2), (1, 3), _SHIFTED)))
 _register(LawSpec("L8", "ghost of E_[m] is the right shift",
                   symbolic_cases=(_case(2, 1, 2),),
-                  **_shifted_law(_l8_check, (1, 2), (1, 3))))
+                  **_law(_l8_check, (1, 2), (1, 3), _SHIFTED)))
 _register(LawSpec("L9", "E_[m] F_[m] = F_[m-1] E_[m]", hypothesis=_hyp_phi_pi,
                   symbolic_cases=(_case(2, 1, 2),),
-                  **_shifted_law(_l9_check, (1, 2), (1, 3))))
-_register(LawSpec("L10", "lateral Frobenius congruence mod pi",
-                  _law_l10, 200, hypothesis=_hyp_phi_pi))
+                  **_law(_l9_check, (1, 2), (1, 3), _SHIFTED)))
+_register(LawSpec("L10", "lateral Frobenius congruence mod pi", trials=200,
+                  hypothesis=_hyp_phi_pi,
+                  **_law(_l10_check, (0, 2), (1, 3), _SHIFTED)))
 _register(LawSpec("L11", "kernel lateral Frobenius = F on additive tails",
-                  _law_l11, 100))
+                  **_law(_l11_check, (0, 2), (2, 4), _GA_POINT)))
 _register(LawSpec(
-    "L12", "embedded kernel ghost = pi^(m+1) times tail ghost", _law_l12,
-    100, symbolic=_sym_l12,
-    symbolic_cases=(_case(2, 1, 1), _case(2, 0, 2), _case(2, 1, 3))))
-_register(LawSpec("L13", "F iota_m = iota_(m-1) Phi_[m]", _law_l13, 100))
+    "L12", "embedded kernel ghost = pi^(m+1) times tail ghost",
+    symbolic_cases=(_case(2, 1, 1), _case(2, 0, 2), _case(2, 1, 3)),
+    **_law(_l12_check, (0, 2), (1, 3), _GA_POINT)))
+_register(LawSpec("L13", "F iota_m = iota_(m-1) Phi_[m]",
+                  **_law(l13_check, (1, 2), (1, 3), _GA_POINT)))
 _register(LawSpec("L14", "phi^(m+j) iota_m = phi^(m+j-1) iota_m f_m",
-                  _law_l14, 100))
+                  **_law(lambda t: _l14_check(t, range(2, t.n + 1)),
+                         (0, 2), (2, 3), _GA_POINT)))
 _register(LawSpec("L15", "Psi ladder and additivity", _law_l15, 50,
                   hypothesis=_hyp_psi))
 _register(LawSpec("L16", "difference character factors through t_0",
@@ -630,50 +595,58 @@ def _law_sort_key(law_id):
     return (1, 0, law_id)
 
 
-def run_law(law_id, cfg, trials=None, seed=0, **params):
+def _spec(law_id):
     if law_id not in REGISTRY:
         raise UnknownLaw(f"no law {law_id!r}")
-    spec = REGISTRY[law_id]
-    if trials is None:
-        trials = spec.trials
+    return REGISTRY[law_id]
+
+
+def _guarded(fn, *args):
+    """fn(*args), or a counterexample naming the library error it raised."""
+    try:
+        return fn(*args)
+    except WittlabError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def run_trials(trial, key, trials, seed):
+    """Run trial(rng) on the streams random.Random("{seed}:{key}:{i}") for
+    i = 0 .. trials-1 until it returns a counterexample, which records i as
+    "trial".  Returns (trials run, counterexample or None)."""
     if trials < 1:
         raise WittlabError(f"trials must be at least 1, got {trials}")
-    start = time.perf_counter()
-    if spec.hypothesis is not None:
-        reason = spec.hypothesis(cfg, params)
-        if reason:
-            return TrialReport(law_id, encode_config(cfg), seed, 0,
-                               "skipped", None,
-                               (time.perf_counter() - start) * 1000,
-                               reason=reason)
-    status, ce, ran = "pass", None, 0
-    for trial in range(trials):
-        rng = random.Random(f"{seed}:{law_id}:{trial}")
-        ran = trial + 1
-        try:
-            ce = spec.numeric(cfg, rng, params)
-        except WittlabError as exc:
-            ce = _ce(error=type(exc).__name__, message=str(exc))
+    for i in range(trials):
+        ce = trial(random.Random(f"{seed}:{key}:{i}"))
         if ce is not None:
-            ce["trial"] = trial
-            status = "fail"
-            break
-    return TrialReport(law_id, encode_config(cfg), seed, ran, status, ce,
+            ce["trial"] = i
+            return i + 1, ce
+    return trials, None
+
+
+def run_law(law_id, cfg, trials=None, seed=0, **params):
+    spec = _spec(law_id)
+    if trials is None:
+        trials = spec.trials
+    start = time.perf_counter()
+    reason = spec.hypothesis(cfg, params) if spec.hypothesis else ""
+    if reason and trials > 0:   # trials below 1 raise in run_trials
+        return TrialReport(law_id, encode_config(cfg), seed, 0, "skipped",
+                           None, (time.perf_counter() - start) * 1000,
+                           reason=reason)
+    ran, ce = run_trials(lambda rng: _guarded(spec.numeric, cfg, rng, params),
+                         law_id, trials, seed)
+    return TrialReport(law_id, encode_config(cfg), seed, ran,
+                       "pass" if ce is None else "fail", ce,
                        (time.perf_counter() - start) * 1000)
 
 
 def symbolic_verify(law_id, case, seed=0):
-    if law_id not in REGISTRY:
-        raise UnknownLaw(f"no law {law_id!r}")
-    spec = REGISTRY[law_id]
+    spec = _spec(law_id)
     if spec.symbolic is None:
         raise ConfigUnsupported(f"{law_id} has no symbolic mode")
     start = time.perf_counter()
     base = make_ring_config({"p": case["p"]})
-    try:
-        ce = spec.symbolic(case)
-    except WittlabError as exc:
-        ce = _ce(error=type(exc).__name__, message=str(exc))
+    ce = _guarded(spec.symbolic, case)
     status = "pass" if ce is None else "fail"
     config = encode_config(base)
     config.update({k: v for k, v in case.items() if k != "p"})
@@ -700,18 +673,14 @@ def run_suite(law_filter="all", configs=None, trials=None, seed=0,
     else:
         wanted = (law_filter if isinstance(law_filter, (list, tuple))
                   else [law_filter])
-        for i in wanted:
-            if i not in REGISTRY:
-                raise UnknownLaw(f"no law {i!r}")
-        ids = list(wanted)
+        ids = [_spec(i).id for i in wanted]
     ids.sort(key=_law_sort_key)
     reports = []
     for law_id in ids:
-        spec = REGISTRY[law_id]
         for cfg in configs:
             reports.append(run_law(law_id, cfg, trials=trials, seed=seed,
                                    **params))
-        for case in spec.symbolic_cases:
+        for case in REGISTRY[law_id].symbolic_cases:
             reports.append(symbolic_verify(law_id, case, seed=seed))
     summary = {
         "pass": sum(r.status == "pass" for r in reports),

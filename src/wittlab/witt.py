@@ -365,7 +365,6 @@ def delta(r):
 # universal structure polynomials
 
 
-_UNIVERSAL_OPS = ("sum", "prod", "frobenius", "mult_pi")
 _MEMO = {}
 
 
@@ -384,11 +383,11 @@ def _cache_key(op, n, cfg):
     return payload, hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _budget_check(polys, budget):
+def _budget_check(polys):
     total = sum(len(p.terms) for p in polys)
-    if total > budget:
+    if total > TERM_BUDGET:
         raise BudgetExceeded(
-            f"symbolic expansion hit {total} terms (budget {budget})")
+            f"symbolic expansion hit {total} terms (budget {TERM_BUDGET})")
 
 
 def _write_cache(out, payload, polys):
@@ -407,13 +406,21 @@ def _write_cache(out, payload, polys):
     write("]}")
 
 
-def universal_polynomials(op, n, p=None, cfg=None, budget=TERM_BUDGET):
+_UNIVERSAL = {"sum": witt_add, "prod": witt_mul, "frobenius": frobenius,
+              "mult_pi": mult_pi}
+
+
+def universal_polynomials(op, n, p=None, cfg=None):
     """Exact structure polynomials in x_0..x_n (and y_0..y_n for binary
-    ops), computed once by symbolic ghost-solve and cached on disk."""
-    if op not in _UNIVERSAL_OPS:
+    ops), computed once by symbolic ghost-solve and cached on disk.  A
+    cache file is a hit only when it stores this request's op, n, p,
+    modulus and phi_pi and one polynomial per output coordinate."""
+    if op not in _UNIVERSAL:
         raise WittlabError(f"unknown universal operation {op!r}")
     if n < 0:
         raise WittlabError("n must be >= 0")
+    if op == "frobenius" and n < 1:
+        raise WittlabError("frobenius polynomials need n >= 1")
     if cfg is None:
         if p is None:
             raise WittlabError("need p or cfg")
@@ -431,26 +438,19 @@ def universal_polynomials(op, n, p=None, cfg=None, budget=TERM_BUDGET):
     path = _cache_dir() / f"{op}-n{n}-p{base.p}-{digest[:16]}.json"
     if path.exists():
         try:
-            polys = [decode_element(sym, enc)
-                     for enc in json.loads(path.read_text())["polys"]]
-            _MEMO[memo_key] = polys
-            return polys
+            data = json.loads(path.read_text())
+            encs = data["polys"]
+            if (data == dict(payload, polys=encs)
+                    and len(encs) == n + (op != "frobenius")):
+                polys = [decode_element(sym, enc) for enc in encs]
+                _MEMO[memo_key] = polys
+                return polys
         except (OSError, ValueError, LookupError, TypeError, WittlabError):
             pass    # a corrupt cache file is a miss: recompute, rewrite
 
-    xv = WittVector(sym, [sym.var(v) for v in xs])
-    yv = WittVector(sym, [sym.var(v) for v in ys]) if ys else None
-    if op == "sum":
-        polys = list(witt_add(xv, yv).comps)
-    elif op == "prod":
-        polys = list(witt_mul(xv, yv).comps)
-    elif op == "frobenius":
-        if n < 1:
-            raise WittlabError("frobenius polynomials need n >= 1")
-        polys = list(frobenius(xv).comps)
-    else:
-        polys = list(mult_pi(xv).comps)
-    _budget_check(polys, budget)
+    vecs = [WittVector(sym, [sym.var(v) for v in vs]) for vs in (xs, ys) if vs]
+    polys = list(_UNIVERSAL[op](*vecs).comps)
+    _budget_check(polys)
 
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = tempfile.NamedTemporaryFile("w", dir=path.parent, delete=False,

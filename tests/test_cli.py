@@ -119,10 +119,20 @@ def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     assert len(r.stderr.splitlines()) == 1
 
 
+# a cache file's stored request, up to its "polys" field
+OTHER_OP = '{"modulus": null, "n": 1, "op": "prod", "p": 2, "phi_pi": null, '
+SAME_OP = OTHER_OP.replace('"prod"', '"sum"')
+
+
 @pytest.mark.parametrize("garbage", ['{"polys": [', "{}", "[]",
-                                     '{"polys": [{"terms": 5}]}'],
+                                     '{"polys": [{"terms": 5}]}',
+                                     "5", '{"polys": [7]}',
+                                     OTHER_OP + '"polys": [0]}',
+                                     OTHER_OP + '"polys": [0, 0]}',
+                                     SAME_OP + '"polys": [0]}'],
                          ids=["truncated", "no-polys", "not-an-object",
-                              "bad-terms"])
+                              "bad-terms", "scalar", "polys-only", "other-op",
+                              "other-op-same-count", "too-few-polys"])
 def test_poly_corrupt_cache_file_is_a_miss(tmp_path, garbage):
     argv = ["poly", "--op", "sum", "--n", "1", "--p", "2"]
     first = run_cli(argv, tmp_path)

@@ -1,6 +1,7 @@
 """Law harness: registry coverage, seeded determinism, report schema,
 and the mutation self-tests."""
 
+import hashlib
 import json
 
 import jsonschema
@@ -18,6 +19,7 @@ from wittlab.laws import (
     symbolic_verify,
 )
 from wittlab.rings import make_ring_config
+from wittlab.serialize import canonical_dumps, encode_element
 from wittlab.shifted import ShiftedWittVector, lateral_frobenius
 
 Z2 = make_ring_config({"p": 2})
@@ -88,6 +90,46 @@ def test_kernel_command_and_l13_share_one_check(monkeypatch, capsys):
                      "--n", "2", "--check", "phi", "--trials", "3"]) == 1
     (entry,) = json.loads(capsys.readouterr().out)
     assert entry["status"] == "fail" and entry["detail"] == {"trial": 0}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_harness_bytes_are_pinned(monkeypatch, capsys):
+    # The sabotage counterexamples make the report hash see any change in
+    # the order in which trials draw from their seeded streams; the record
+    # of every drawn element sees it in the laws that pass.
+    drawn, draw = [], laws._rand_elem
+
+    def recording_draw(cfg, rng):
+        x = draw(cfg, rng)
+        drawn.append(encode_element(x))
+        return x
+
+    monkeypatch.setattr(laws, "_rand_elem", recording_draw)
+    monkeypatch.setattr(cli, "_rand_elem", recording_draw)
+    reports, summary = run_suite(trials=3, seed=5, include_sabotage=True)
+    assert summary == {"pass": 66, "fail": 6, "skipped": 1, "total": 73}
+    docs = [r.to_json() for r in reports]
+    for doc in docs:
+        doc.pop("ms")
+    assert _sha256(canonical_dumps(docs)) == (
+        "c62acc8a7a83ba3279d06d0c16f095297a30ae0b3257e5fae7f657aced3f8dc1")
+    assert len(drawn) == 644 and _sha256(canonical_dumps(drawn)) == (
+        "973922bf6df4a40ed7e389c57bed5f30f37f48799e1826d779f617fce0e2c555")
+    drawn.clear()
+    for argv, digest in [
+        (["--group", "gm", "--p", "5", "--check", "all"],
+         "6263e0a65790a80ae1bfa749616b9ca8c716d19a6c7d5a18248e80a8494c4aab"),
+        (["--group", "ga", "--p", "2", "--m", "1", "--n", "2", "--check",
+          "all"],
+         "7bbddb162ec349a5495dece1ff52210010c5069c1127f1706c71bb514f93c84a"),
+    ]:
+        assert cli.main(["kernel", *argv]) == 0
+        assert _sha256(capsys.readouterr().out) == digest
+    assert len(drawn) == 275 and _sha256(canonical_dumps(drawn)) == (
+        "48d366d6141f6b310de59e751ed6fe6927efc01ae7c98728822f345e2d5771cd")
 
 
 def test_determinism_modulo_timing():

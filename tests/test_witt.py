@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittlab.errors import (
     BaseMismatch,
+    BudgetExceeded,
     LengthMismatch,
     NonIntegral,
     TorsionBase,
@@ -367,3 +368,22 @@ def test_cache_write_constants():
 def test_universal_unknown_op():
     with pytest.raises(WittlabError):
         universal_polynomials("quotient", 1, p=2)
+
+
+def test_universal_budget_exceeded(tmp_path, monkeypatch, capsys):
+    """An expansion above TERM_BUDGET raises, leaves no cache file, and
+    is a usage error on the command line."""
+    import wittlab.witt as wmod
+    from wittlab import cli
+    monkeypatch.setattr(wmod, "TERM_BUDGET", 5)
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    with pytest.raises(BudgetExceeded):
+        universal_polynomials("sum", 2, p=2)
+    assert not list(tmp_path.rglob("*"))
+    assert cli.main(["poly", "--op", "sum", "--n", "2", "--p", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded: ")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.rglob("*"))
