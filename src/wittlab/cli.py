@@ -67,29 +67,32 @@ from .witt import (
 
 
 def _load_json(arg):
-    """Accept inline JSON, '-' for stdin, or a file path."""
+    """Accept inline JSON (a negative number included), '-' for stdin, or a
+    file path."""
     try:
         if arg == "-":
             return json.load(sys.stdin)
         stripped = arg.lstrip()
-        if (stripped[:1] in "[{" or stripped[:1].isdigit()
-                or stripped[:1] == '"'):
+        if stripped[:1] in '[{"' or stripped.removeprefix("-")[:1].isdigit():
             return json.loads(arg)
         with open(arg) as fh:
             return json.load(fh)
     except OSError as exc:
         raise WittlabError(f"cannot read {arg!r}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # invalid JSON or text encoding
         raise WittlabError(f"invalid JSON in {arg!r}: {exc}") from None
 
 
 def _emit(obj, out=None):
     text = canonical_dumps(obj)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise WittlabError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 # ----------------------------------------------------------------------
@@ -104,28 +107,88 @@ def cmd_poly(args):
 
 
 # ----------------------------------------------------------------------
-# eval
+# eval: each reader turns --in (with --m and --n) into the argument list of
+# its op, and accepts exactly the input forms that op computes on.
 
 
-def _decode_input(cfg, data, args):
-    if isinstance(data, dict) and "ghost" in data:
-        entries = [decode_element(cfg, e) for e in data["ghost"]]
-        return GhostVector(entries, head_count=data.get("head_count"))
-    if isinstance(data, dict) and "u" in data and "v" in data:
-        return (_decode_input(cfg, data["u"], args),
-                _decode_input(cfg, data["v"], args))
-    if isinstance(data, dict) and "head" in data:
-        return decode_shifted(cfg, cfg, data)
+def _witt(cfg, data, args):
+    if not isinstance(data, list) or args.m is not None:
+        raise WittlabError("expected a Witt vector: a JSON list, with no --m")
+    return [decode_witt(cfg, data)]
+
+
+def _shifted(cfg, data, args):
+    if isinstance(data, dict):
+        return [decode_shifted(cfg, cfg, data)]
+    if not isinstance(data, list) or args.m is None:
+        raise WittlabError('expected a shifted vector: {"m","n","head",'
+                           '"tail"}, or a JSON list with --m')
+    head = [decode_element(cfg, e) for e in data[:args.m + 1]]
+    tail = [decode_element(cfg, e) for e in data[args.m + 1:]]
+    if args.n is not None and len(tail) != args.n:
+        raise WittlabError(
+            f"input has tail length {len(tail)}, expected {args.n}")
+    return [ShiftedWittVector(cfg, cfg, args.m, head, tail)]
+
+
+def _pair(read):
+    def read_pair(cfg, data, args):
+        if not (isinstance(data, dict) and "u" in data and "v" in data):
+            raise WittlabError('expected a pair {"u":…,"v":…}')
+        return read(cfg, data["u"], args) + read(cfg, data["v"], args)
+    return read_pair
+
+
+def _ghost(cfg, data, args):
     if isinstance(data, list):
-        if args.m is not None:
-            head = [decode_element(cfg, e) for e in data[:args.m + 1]]
-            tail = [decode_element(cfg, e) for e in data[args.m + 1:]]
-            if args.n is not None and len(tail) != args.n:
-                raise WittlabError(
-                    f"input has tail length {len(tail)}, expected {args.n}")
-            return ShiftedWittVector(cfg, cfg, args.m, head, tail)
-        return decode_witt(cfg, data)
-    return decode_element(cfg, data)
+        data = {"ghost": data,
+                "head_count": None if args.m is None else args.m + 1}
+    if not (isinstance(data, dict) and isinstance(data.get("ghost"), list)
+            and isinstance(data.get("head_count"), (int, type(None)))):
+        raise WittlabError('expected a ghost vector: {"ghost",'
+                           '"head_count"}, or a JSON list')
+    return [GhostVector([decode_element(cfg, e) for e in data["ghost"]],
+                        data.get("head_count")), cfg]
+
+
+def _element(cfg, data, args):
+    return [decode_element(cfg, data)]
+
+
+def _element_n(cfg, data, args):
+    if args.n is None:
+        raise WittlabError(f"{args.op} needs --n")
+    return [decode_element(cfg, data), args.n]
+
+
+def _solve_ghost(g, cfg):
+    if g.head_count is None:
+        return ghost_solve(g, cfg)
+    return shifted_ghost_solve(g, cfg, cfg)
+
+
+_EVAL = {
+    "ghost": (ghost, _witt),
+    "frobenius": (frobenius, _witt),
+    "verschiebung": (verschiebung, _witt),
+    "truncate": (truncate, _witt),
+    "neg": (witt_neg, _witt),
+    "mult_pi": (mult_pi, _witt),
+    "add": (witt_add, _pair(_witt)),
+    "mul": (witt_mul, _pair(_witt)),
+    "sub": (witt_sub, _pair(_witt)),
+    "shifted_ghost": (shifted_ghost, _shifted),
+    "include_I": (include_I, _shifted),
+    "restrict_T": (restrict_T, _shifted),
+    "lateral_frobenius": (lateral_frobenius, _shifted),
+    "shift_E": (shift_E, _shifted),
+    "shifted_add": (shifted_add, _pair(_shifted)),
+    "shifted_mul": (shifted_mul, _pair(_shifted)),
+    "ghost_solve": (_solve_ghost, _ghost),
+    "delta": (delta, _element),
+    "teichmuller": (teichmuller, _element_n),
+    "exp_delta": (exp_delta, _element_n),
+}
 
 
 def _encode_result(res):
@@ -138,67 +201,13 @@ def _encode_result(res):
     return encode_element(res)
 
 
-_UNARY = {
-    "ghost": ghost,
-    "frobenius": frobenius,
-    "verschiebung": verschiebung,
-    "truncate": truncate,
-    "neg": witt_neg,
-    "mult_pi": mult_pi,
-    "delta": delta,
-    "shifted_ghost": shifted_ghost,
-    "include_I": include_I,
-    "restrict_T": restrict_T,
-    "lateral_frobenius": lateral_frobenius,
-    "shift_E": shift_E,
-}
-
-_BINARY = {
-    "add": witt_add,
-    "mul": witt_mul,
-    "sub": witt_sub,
-    "shifted_add": shifted_add,
-    "shifted_mul": shifted_mul,
-}
-
-
 def cmd_eval(args):
     cfg = make_ring_config(_load_json(args.ring))
     data = _load_json(args.infile)
-    op = args.op
-    if op in _BINARY:
-        if not (isinstance(data, dict) and "u" in data):
-            raise WittlabError(f'op {op} needs input {{"u":…,"v":…}}')
-        u, v = _decode_input(cfg, data, args)
-        res = _BINARY[op](u, v)
-    elif op == "ghost_solve":
-        if isinstance(data, dict) and "ghost" in data:
-            entries = [decode_element(cfg, e) for e in data["ghost"]]
-            head_count = data.get("head_count")
-        elif isinstance(data, list):
-            entries = [decode_element(cfg, e) for e in data]
-            head_count = args.m + 1 if args.m is not None else None
-        else:
-            raise WittlabError("ghost_solve needs a ghost-vector input")
-        g = GhostVector(entries, head_count=head_count)
-        if g.head_count is not None:
-            res = shifted_ghost_solve(g, cfg, cfg)
-        else:
-            res = ghost_solve(g, cfg)
-    elif op == "teichmuller":
-        if args.n is None:
-            raise WittlabError("teichmuller needs --n")
-        res = teichmuller(decode_element(cfg, data), args.n)
-    elif op == "exp_delta":
-        if args.n is None:
-            raise WittlabError("exp_delta needs --n")
-        res = exp_delta(decode_element(cfg, data), args.n)
-    elif op in _UNARY:
-        val = _decode_input(cfg, data, args)
-        res = _UNARY[op](val)
-    else:
-        raise WittlabError(f"unknown operator {op!r}")
-    _emit(_encode_result(res), args.out)
+    if args.op not in _EVAL:
+        raise WittlabError(f"unknown operator {args.op!r}")
+    fn, read = _EVAL[args.op]
+    _emit(_encode_result(fn(*read(cfg, data, args))), args.out)
     return 0
 
 
@@ -207,12 +216,8 @@ def cmd_eval(args):
 
 
 def _matrix_from_args(args):
-    configs = []
-    for p in args.p:
-        configs.append(make_ring_config({"p": p}))
-    if args.ramified:
-        configs.append(make_ring_config({"p": 5, "modulus": [-5, 0, 1]}))
-    return configs or default_matrix()
+    configs = [make_ring_config({"p": p}) for p in args.p]
+    return configs + default_matrix()[2:] if args.ramified else configs
 
 
 def cmd_verify(args):
@@ -269,9 +274,9 @@ def _kernel_checks(args):
     }
     results = []
     for check in checks if args.check == "all" else [args.check]:
-        _, ce = run_trials(checks[check], check, args.trials, args.seed)
+        ran, ce = run_trials(checks[check], check, args.trials, args.seed)
         entry = {"check": check, "status": "pass" if ce is None else "fail",
-                 "trials": args.trials,
+                 "trials": ran,
                  "detail": None if ce is None else {"trial": ce["trial"]}}
         if check == "diff" and ce is None:
             sample = KernelPoint(

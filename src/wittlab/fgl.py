@@ -135,11 +135,14 @@ def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
     if not isinstance(source, dict) or "coeffs" not in source:
         raise WittlabError(f"cannot load a formal group law from {source!r}")
     from .serialize import decode_element
-    d = int(source.get("degree", degree))
-    coeffs = {}
-    for entry in source["coeffs"]:
-        i, j = int(entry["i"]), int(entry["j"])
-        coeffs[(i, j)] = decode_element(cfg, entry["c"])
+    try:
+        d = int(source.get("degree", degree))
+        coeffs = {}
+        for entry in source["coeffs"]:
+            i, j = int(entry["i"]), int(entry["j"])
+            coeffs[(i, j)] = decode_element(cfg, entry["c"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise WittlabError(f"malformed group table: {exc!r}") from None
     return FormalGroupLaw(cfg, d, coeffs, CUSTOM)
 
 

@@ -122,6 +122,8 @@ def _series_rows(hl, bl, rcfg, k, coeffs, a, b):
     B: row r is sum phi^r(c_ij) a_r^i b_r^j, in R's arithmetic hl below
     row k and in B's arithmetic bl from row k on.  A scalar c enters as its
     ghost chain phi^r(c), the rule of scalar_shifted and scalar_mul."""
+    for _, c in coeffs:
+        _check_fixed(c, "the kernel group law")
     chains = [_phi_chain(hl, hl.unwrap(rcfg.convert(c)), len(a))
               for _, c in coeffs]
     chains = [ch[:k] + _lift_head(hl, bl, rcfg, ch[k:]) for ch in chains]
@@ -146,8 +148,6 @@ def _kernel_series(t, coeffs, s=None):
     """The tail of sum c_ij u^i v^j in W_[m]n(B), u and v the embeddings of
     t and s (v = u when s is None), evaluated on shifted ghost rows and
     solved once."""
-    for _, c in coeffs:
-        _check_fixed(c, "the kernel group law")
     hl, bl, a = _shifted_rows(kernel_embed(t))
     b = a if s is None else _shifted_rows(kernel_embed(s))[2]
     k = t.m + 1

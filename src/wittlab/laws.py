@@ -35,7 +35,8 @@ from .kernel import (
     psi_map,
 )
 from .rings import c_pi, make_ring_config
-from .serialize import encode_config, encode_element, encode_witt
+from .serialize import (encode_config, encode_element, encode_shifted,
+                        encode_witt)
 from .shifted import (
     ShiftedWittVector,
     include_I,
@@ -134,7 +135,6 @@ def _enc(v):
     if isinstance(v, WittVector):
         return encode_witt(v)
     if isinstance(v, ShiftedWittVector):
-        from .serialize import encode_shifted
         return encode_shifted(v)
     if isinstance(v, KernelPoint):
         return [encode_element(c) for c in v.coords]

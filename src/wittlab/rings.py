@@ -76,10 +76,12 @@ class RingConfig:
                 phi_pi = None
         self.phi_pi = phi_pi
         self.torsion_free = self.trunc == 0
-        self._hnf = self._compute_hnf() if self.trunc else None
-        self.e = self._compute_e()
+        # coefficient arithmetic, exact division included, on the exact order
+        probe = self if self.torsion_free else RingConfig(p, modulus)
+        self._hnf = self._compute_hnf(probe) if self.trunc else None
+        self.e = self._compute_e(probe)
         self.psi_integral = self.e <= p - 2
-        self._validate_phi()
+        self._validate_phi(probe)
         self.key = (self.p, self.modulus, self.phi_pi, self.trunc, self.vars)
         self.base_key = (self.p, self.modulus, self.phi_pi)
 
@@ -163,12 +165,13 @@ class RingConfig:
         return self.cmul(half, a, mod) if e & 1 else half
 
     def cphi(self, a):
-        if self.phi_pi is None:
-            return a
+        return a if self.phi_pi is None else self._at_phi_pi(a)
+
+    def _at_phi_pi(self, coeffs):
+        """sum_i coeffs[i] phi(pi)^i, by Horner."""
         res = self.czero()
-        for c in reversed(a):
-            res = self.cmul(res, self.phi_pi)
-            res = self.cadd(res, self.cfrom_int(c))
+        for c in reversed(coeffs):
+            res = self.cadd(self.cmul(res, self.phi_pi), self.cfrom_int(c))
         return res
 
     def cdivpi(self, a):
@@ -211,21 +214,19 @@ class RingConfig:
                 return v
             v += 1
 
-    def _compute_e(self):
+    def _compute_e(self, probe):
         if self.modulus is None:
             return 1
-        probe = RingConfig(self.p, self.modulus) if self.trunc else self
         e = probe.cval(probe.cfrom_int(self.p))
         if e is INFINITY or e < 1:
             raise RejectedModulus("p has no positive finite pi-valuation")
         return e
 
-    def _compute_hnf(self):
+    def _compute_hnf(self, probe):
         """Triangular basis of the lattice pi^N * R inside Z^d."""
         d = self.d
-        exact = RingConfig(self.p, self.modulus) if self.modulus else self
         pi = self._pi_coeff()
-        mat = [list(exact.cpow(pi, self.trunc + i)) for i in range(d)]
+        mat = [list(probe.cpow(pi, self.trunc + i)) for i in range(d)]
         for col in range(d):
             while True:
                 nz = [i for i in range(col, d) if mat[i][col] != 0]
@@ -258,17 +259,12 @@ class RingConfig:
                 v = [x - qq * y for x, y in zip(v, self._hnf[i])]
         return tuple(v)
 
-    def _validate_phi(self):
+    def _validate_phi(self, probe):
         if self.modulus is None:
             return
-        probe = self if self.torsion_free else RingConfig(self.p, self.modulus)
         if self.phi_pi is not None:
             # phi must be a well defined endomorphism: f(phi(pi)) = 0.
-            acc = probe.czero()
-            for c in reversed(self.modulus):
-                acc = probe.cmul(acc, self.phi_pi)
-                acc = probe.cadd(acc, probe.cfrom_int(c))
-            if any(acc):
+            if any(self._at_phi_pi(self.modulus)):
                 raise BadFrobeniusLift(
                     "phi_pi is not a root of the defining modulus")
             img = self.phi_pi
@@ -400,12 +396,11 @@ def _config(p, modulus, phi_pi, trunc, variables):
 class RingElement:
     """Canonical multivariate polynomial over the config's order."""
 
-    __slots__ = ("cfg", "terms", "_hash")
+    __slots__ = ("cfg", "terms")
 
     def __init__(self, cfg, terms):
         self.cfg = cfg
         self.terms = terms
-        self._hash = None
 
     # -- predicates ----------------------------------------------------
 
@@ -570,9 +565,7 @@ class RingElement:
         return self.cfg == other.cfg and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.cfg.key, tuple(self._sorted_terms())))
-        return self._hash
+        return hash((self.cfg.key, tuple(self._sorted_terms())))
 
     def __repr__(self):
         if not self.terms:
@@ -732,9 +725,9 @@ def make_ring_config(spec):
         modulus = tuple(int(c) for c in spec.get("modulus") or ()) or None
         phi_pi = (tuple(int(c) for c in phi_pi)
                   if phi_pi and phi_pi != "pi" else None)
+        variables = tuple(spec.get("vars", ()))
     except (TypeError, ValueError) as exc:
         raise WittlabError(f"malformed ring spec {spec!r}: {exc}") from None
-    variables = tuple(spec.get("vars", ()))
     return _config(spec["p"], modulus, phi_pi, trunc, variables)
 
 

@@ -62,29 +62,29 @@ def encode_element(elem):
 
 
 def decode_element(cfg, enc):
-    if isinstance(enc, int):
-        return cfg.from_int(enc)
-    if isinstance(enc, list):
-        return cfg.from_coeff(enc)
-    if isinstance(enc, dict) and "terms" in enc:
-        slots = {name: i for i, name in enumerate(cfg.vars)}
-        terms = {}
-        for term in enc["terms"]:
-            coeff = _decode_coeff(cfg, term["coeff"])
-            mono = [0] * cfg.nvars
-            for name, exp in term.get("monomial", {}).items():
-                if name not in slots:
-                    raise WittlabError(f"unknown variable {name!r}")
-                try:
+    try:
+        if isinstance(enc, int):
+            return cfg.from_int(enc)
+        if isinstance(enc, list):
+            return cfg.from_coeff(enc)
+        if isinstance(enc, dict) and "terms" in enc:
+            slots = {name: i for i, name in enumerate(cfg.vars)}
+            terms = {}
+            for term in enc["terms"]:
+                coeff = _decode_coeff(cfg, term["coeff"])
+                mono = [0] * cfg.nvars
+                for name, exp in term.get("monomial", {}).items():
+                    if name not in slots:
+                        raise WittlabError(f"unknown variable {name!r}")
                     mono[slots[name]] = int(exp)
-                except (TypeError, ValueError):
+                if min(mono, default=0) < 0:
                     raise WittlabError(
-                        f"exponent {exp!r} is not an integer") from None
-            if min(mono, default=0) < 0:
-                raise WittlabError("exponent must be a nonnegative integer")
-            mono = tuple(mono)
-            terms[mono] = cfg.cadd(terms.get(mono, cfg.czero()), coeff)
-        return cfg._make(terms)
+                        "exponent must be a nonnegative integer")
+                mono = tuple(mono)
+                terms[mono] = cfg.cadd(terms.get(mono, cfg.czero()), coeff)
+            return cfg._make(terms)
+    except (AttributeError, LookupError, TypeError, ValueError):
+        pass    # a malformed term, coefficient or exponent
     raise WittlabError(f"cannot decode element from {enc!r}")
 
 
@@ -119,11 +119,16 @@ def encode_shifted(v):
 
 def decode_shifted(rcfg, bcfg, enc):
     from .shifted import ShiftedWittVector
-    head = [decode_element(rcfg, c) for c in enc["head"]]
-    tail = [decode_element(bcfg, c) for c in enc["tail"]]
-    if len(head) != enc["m"] + 1 or len(tail) != enc["n"]:
+    try:
+        m, n = enc["m"], enc["n"]
+        head = [decode_element(rcfg, c) for c in enc["head"]]
+        tail = [decode_element(bcfg, c) for c in enc["tail"]]
+    except (LookupError, TypeError):
+        raise WittlabError('a shifted vector needs {"m","n","head","tail"}, '
+                           f"got {enc!r}") from None
+    if not isinstance(m, int) or len(head) != m + 1 or len(tail) != n:
         raise WittlabError("shifted encoding has inconsistent m/n")
-    return ShiftedWittVector(rcfg, bcfg, enc["m"], head, tail)
+    return ShiftedWittVector(rcfg, bcfg, m, head, tail)
 
 
 # ----------------------------------------------------------------------

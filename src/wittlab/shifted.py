@@ -9,9 +9,7 @@ from __future__ import annotations
 from .errors import (
     BaseMismatch,
     ConfigUnsupported,
-    InternalError,
     LengthMismatch,
-    NonIntegral,
     TorsionBase,
     WittlabError,
     ZeroShift,
@@ -25,7 +23,7 @@ from .witt import (
     _ghost_rows,
     _phi_chain,
     _solve_rows,
-    frobenius_polynomials,
+    universal_polynomials,
 )
 
 
@@ -111,12 +109,12 @@ def _rows(v):
     return hl, bl, _ghost_rows(hl, head) + _ghost_rows(bl, full, v.m + 1)
 
 
-def _solve(hl, bl, rcfg, bcfg, entries, head_count):
+def _solve(hl, bl, rcfg, bcfg, entries, head_count, what=None):
     head = _solve_rows(hl, entries[:head_count], [],
-                       "head ghost entry {} does not solve")
+                       "head ghost entry {} does not solve", what)
     comps = _solve_rows(bl, entries[head_count:],
                         _lift_head(hl, bl, rcfg, head),
-                        "tail ghost entry {} does not solve")
+                        "tail ghost entry {} does not solve", what)
     return ShiftedWittVector(rcfg, bcfg, head_count - 1,
                              [hl.wrap(rcfg, x) for x in head],
                              [bl.wrap(bcfg, x) for x in comps[head_count:]])
@@ -191,10 +189,8 @@ def lateral_frobenius(v):
             "lateral Frobenius with a nonzero head needs phi(pi) = pi")
     hl, bl, rows = _rows(v)
     entries = list(map(hl.phi, rows[:v.m + 1])) + rows[v.m + 2:]
-    try:
-        return _solve(hl, bl, v.rcfg, v.bcfg, entries, v.m + 1)
-    except NonIntegral as exc:  # pragma: no cover - Theorem guarantees this
-        raise InternalError(f"lateral Frobenius failed to solve: {exc}")
+    return _solve(hl, bl, v.rcfg, v.bcfg, entries, v.m + 1,
+                  "lateral Frobenius")
 
 
 def shift_E(v):
@@ -205,10 +201,7 @@ def shift_E(v):
     if v.m < 1:
         raise ZeroShift("shift needs m >= 1")
     hl, bl, rows = _rows(v)
-    try:
-        return _solve(hl, bl, v.rcfg, v.bcfg, rows[1:], v.m)
-    except NonIntegral as exc:  # pragma: no cover - integral coordinates
-        raise InternalError(f"shift_E ghost path failed to solve: {exc}")
+    return _solve(hl, bl, v.rcfg, v.bcfg, rows[1:], v.m, "shift_E ghost path")
 
 
 def shift_E_coords(v):
@@ -217,7 +210,7 @@ def shift_E_coords(v):
     if v.m < 1:
         raise ZeroShift("shift needs m >= 1")
     length = v.m + v.n
-    polys = frobenius_polynomials(length, v.rcfg)
+    polys = universal_polynomials("frobenius", length, cfg=v.rcfg)
     # F_i only involves x_0..x_{i+1}, so zero-filling the rest is harmless
     head_vals = {f"x{i}": v.head[i] if i <= v.m else v.rcfg.zero()
                  for i in range(length + 1)}
@@ -238,7 +231,4 @@ def scalar_shifted(rcfg, bcfg, m, n, r):
     hl, bl = _arith(rcfg), _arith(bcfg, m + n)
     chain = _phi_chain(hl, hl.unwrap(rcfg.convert(r)), m + n + 1)
     entries = chain[:m + 1] + _lift_head(hl, bl, rcfg, chain[m + 1:])
-    try:
-        return _solve(hl, bl, rcfg, bcfg, entries, m + 1)
-    except NonIntegral as exc:  # pragma: no cover - phi is a valid lift
-        raise InternalError(f"structure map failed to solve: {exc}")
+    return _solve(hl, bl, rcfg, bcfg, entries, m + 1, "structure map")

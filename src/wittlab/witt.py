@@ -197,11 +197,12 @@ def _ghost_rows(ar, xs, start=0):
     return rows
 
 
-def _solve_rows(ar, entries, comps, failure):
+def _solve_rows(ar, entries, comps, failure, what=None):
     """Extend the solved coordinates ``comps`` by one per ghost entry,
     x_i = (w_i - sum_{j<i} pi^j x_j^(q^(i-j))) / pi^i; ``failure`` names
-    entry i in the NonIntegral raised when the division is not exact.
-    This is the library's one triangular solver."""
+    entry i when the division is not exact.  That raises NonIntegral, or
+    InternalError when ``what`` names a map the theory guarantees to be
+    integral.  This is the library's one triangular solver."""
     pows, last = _table(ar, comps), len(comps) + len(entries) - 1
     for w in entries:
         i = len(comps)
@@ -209,6 +210,9 @@ def _solve_rows(ar, entries, comps, failure):
         try:
             x = ar.div_pi_power(w if s is None else ar.sub(w, s), i)
         except NonDivisible:
+            if what:
+                raise InternalError(
+                    f"{what} failed to solve: {failure.format(i)}") from None
             raise NonIntegral(failure.format(i)) from None
         comps.append(x)
         pows.append(x)
@@ -219,9 +223,10 @@ def _rows(ar, v):
     return _ghost_rows(ar, [ar.unwrap(c) for c in v.comps])
 
 
-def _solve(ar, cfg, entries):
+def _solve(ar, cfg, entries, what=None):
     comps = _solve_rows(ar, entries, [],
-                        "ghost entry {} is not in the image of the ghost map")
+                        "ghost entry {} is not in the image of the ghost map",
+                        what)
     return WittVector(cfg, [ar.wrap(cfg, x) for x in comps])
 
 
@@ -289,10 +294,7 @@ def frobenius_iter(v, k):
     if k > v.n:
         raise ZeroLength(f"Frobenius needs length >= {k + 1}")
     ar = _arith(v.cfg, v.n)
-    try:
-        return _solve(ar, v.cfg, _rows(ar, v)[k:])
-    except NonIntegral as exc:  # pragma: no cover - integral by construction
-        raise InternalError(f"Frobenius ghost shift failed to solve: {exc}")
+    return _solve(ar, v.cfg, _rows(ar, v)[k:], "Frobenius ghost shift")
 
 
 def verschiebung(v, times=1):
@@ -310,10 +312,7 @@ def mult_pi(v):
     """The unique map whose ghost is entrywise multiplication by pi."""
     ar = _arith(v.cfg, v.n)
     entries = [ar.mul(ar.pi, w) for w in _rows(ar, v)]
-    try:
-        return _solve(ar, v.cfg, entries)
-    except NonIntegral as exc:  # pragma: no cover
-        raise InternalError(f"(pi) map failed to solve: {exc}")
+    return _solve(ar, v.cfg, entries, "(pi) map")
 
 
 def _phi_chain(ar, x, count):
@@ -350,10 +349,7 @@ def exp_delta(r, n):
         raise TorsionBase("exp_delta needs an exact base")
     _check_fixed(r, "exp_delta")
     ar = _arith(cfg)
-    try:
-        return _solve(ar, cfg, _phi_chain(ar, ar.unwrap(r), n + 1))
-    except NonIntegral as exc:  # pragma: no cover - phi is a valid lift
-        raise InternalError(f"exp_delta failed to solve: {exc}")
+    return _solve(ar, cfg, _phi_chain(ar, ar.unwrap(r), n + 1), "exp_delta")
 
 
 def delta(r):
@@ -464,8 +460,3 @@ def universal_polynomials(op, n, p=None, cfg=None):
             os.unlink(tmp.name)
     _MEMO[memo_key] = polys
     return polys
-
-
-def frobenius_polynomials(length, cfg):
-    """F_0 .. F_{length-1} for the Frobenius W_length -> W_{length-1}."""
-    return universal_polynomials("frobenius", length, cfg=cfg)

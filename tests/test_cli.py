@@ -1,5 +1,8 @@
 """Command-line interface, exercised through subprocesses."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +10,11 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wittlab import cli, witt
 from wittlab.laws import REPORT_SCHEMA
+from wittlab.serialize import canonical_dumps
 
 
 def run_cli(args, tmp_path, **kw):
@@ -90,10 +96,97 @@ def test_eval_input_from_file(tmp_path):
     assert json.loads(r.stdout) == [6, 1]
 
 
+def test_eval_reads_each_op_by_its_declared_input(capsys):
+    ram = '{"p":5,"modulus":[-5,0,1]}'
+    outs = []
+    for ring, op, data, flags in [
+            (ram, "delta", "[2,3]", []),
+            (ram, "delta", '{"terms":[{"coeff":[2,3],"monomial":{}}]}', []),
+            ('{"p":2}', "teichmuller", "-5", ["--n", "1"])]:
+        assert cli.main(["eval", "--ring", ring, "--op", op, "--in", data,
+                         *flags]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    # an order element written as a coefficient list is an element for
+    # delta, and a leading minus sign starts a JSON number, not a file name
+    assert outs == [[-11712, -4776], [-11712, -4776], [-5, 0]]
+
+
 def test_eval_unknown_op(tmp_path):
     r = run_cli(["eval", "--ring", '{"p":2}', "--op", "quotient",
                  "--in", "[1]"], tmp_path)
     assert r.returncode == 2
+
+
+# Per ring: a Witt vector, a second one, a shifted vector (m = 1, n = 1) as
+# a list, an element (an int, or a coefficient list), the ghost vector of
+# the first Witt vector and the shifted ghost of the shifted one.
+EVAL_RINGS = [
+    ({"p": 2}, [3, 1, 2], [1, 2, 3], [1, 2, 3], 5, [3, 11, 91], [1, 5, 21]),
+    ({"p": 3}, [2, -1, 4], [0, 2, 3], [2, 1, 1], 4, [2, 5, 545],
+     [2, 11, 524]),
+    ({"p": 5, "modulus": [-5, 0, 1]}, [1, [0, 1], 2], [[1, 1], 0, 3],
+     [1, 0, [0, 1]], [2, 3], [[1, 0], [6, 0], [136, 0]],
+     [[1, 0], [1, 0], [1, 5]]),
+    ({"p": 5, "trunc": 4}, [7, 2, -3], [2, 0, 1], None, 6, None, None),
+]
+WITT_OPS = ["ghost", "frobenius", "verschiebung", "truncate", "neg",
+            "mult_pi"]
+SHIFTED_OPS = ["shifted_ghost", "include_I", "restrict_T",
+               "lateral_frobenius", "shift_E"]
+
+
+def _eval_corpus():
+    """(ring, op, input, extra flags) for every op and each input form it
+    accepts; a shifted head needs an exact ring, so the truncated ring runs
+    the Witt-vector and element ops only."""
+    cases = []
+    for spec, w, w2, h, e, g, gs in EVAL_RINGS:
+        one = [e] if isinstance(e, int) else e
+        elems = [e, one, {"terms": [{"coeff": e, "monomial": {}}]}]
+        forms = [(op, w, []) for op in WITT_OPS]
+        forms += [(op, {"u": w, "v": w2}, []) for op in ("add", "mul", "sub")]
+        forms += [("teichmuller", x, ["--n", "2"]) for x in elems]
+        if h is not None:
+            sh = {"m": 1, "n": 1, "head": h[:2], "tail": h[2:]}
+            forms += [(op, x, flags) for op in SHIFTED_OPS
+                      for x, flags in ((sh, []), (h, ["--m", "1"]),
+                                       (h, ["--m", "1", "--n", "1"]))]
+            forms += [(op, x, flags) for op in ("shifted_add", "shifted_mul")
+                      for x, flags in (({"u": sh, "v": sh}, []),
+                                       ({"u": h, "v": w2}, ["--m", "1"]),
+                                       ({"u": sh, "v": w2}, ["--m", "1"]))]
+            forms += [("delta", x, []) for x in elems
+                      if not isinstance(x, list)]
+            forms += [("exp_delta", x, ["--n", "2"]) for x in elems]
+            forms += [("ghost_solve", x, flags) for x, flags in (
+                ({"ghost": g}, []), ({"ghost": gs, "head_count": 2}, []),
+                (g, []), (gs, ["--m", "1"]))]
+        cases += [(json.dumps(spec), op, json.dumps(x), flags)
+                  for op, x, flags in forms]
+    return cases
+
+
+def test_eval_outputs_are_pinned(capsys):
+    outputs = []
+    for ring, op, data, flags in _eval_corpus():
+        argv = ["eval", "--ring", ring, "--op", op, "--in", data, *flags]
+        assert cli.main(argv) == 0, argv
+        outputs.append([argv, capsys.readouterr().out])
+    assert len(outputs) == 137
+    assert hashlib.sha256(canonical_dumps(outputs).encode()).hexdigest() == (
+        "74b0011ba614b76dffc6d3e0e8c12eb940885fb1e5efc4d39036046f0b3f283f")
+
+
+def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
+    # mult_pi's ghost rows <0, 0, 1> scale to <0, 0, 2>, which no integral
+    # vector over Z at p = 2 has as its ghost: the engine must report that
+    # the map the theory guarantees did not solve, with exit code 3
+    monkeypatch.setattr(witt, "_rows", lambda ar, v: [0, 0, 1])
+    assert cli.main(["eval", "--ring", '{"p":2}', "--op", "mult_pi",
+                     "--in", "[1,2,3]"]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: (pi) map failed to solve: ghost entry 2 is not in "
+        "the image of the ghost map\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -105,13 +198,38 @@ def test_eval_unknown_op(tmp_path):
      "--trials", "-3"],
     ["kernel", "--trials", "0"],
     ["kernel", "--group", "nosuch"],
+    ["eval", "--ring", '{"p":2}', "--op", "shifted_ghost",
+     "--in", '{"head":[1],"tail":[]}'],
+    ["eval", "--ring", '{"p":2}', "--op", "delta", "--in", '{"terms":[5]}'],
+    ["eval", "--ring", '{"p":2}', "--op", "delta",
+     "--in", '{"terms":[{"coeff":"a"}]}'],
+    ["eval", "--ring", '{"p":2}', "--op", "delta",
+     "--in", '{"terms":[{"coeff":1,"monomial":5}]}'],
+    ["eval", "--ring", '{"p":2}', "--op", "delta",
+     "--in", '{"terms":[{"monomial":{}}]}'],
+    ["eval", "--ring", '{"p":2}', "--op", "neg", "--in", '[["a"]]'],
+    ["eval", "--ring", '{"p":2,"vars":5}', "--op", "neg", "--in", "[1]"],
+    ["eval", "--ring", '{"p":2}', "--op", "neg", "--in", "[1]",
+     "--m", "0"],
+    ["eval", "--ring", '{"p":2}', "--op", "delta", "--in", "[1,2]"],
+    ["eval", "--ring", '{"p":2}', "--op", "ghost_solve",
+     "--in", '{"ghost":[1],"head_count":"x"}'],
+    ["poly", "--op", "sum", "--n", "1", "--p", "2",
+     "--out", "@tmp/no-such-dir/out.json"],
+    ["verify", "--law", "L1", "--p", "2", "--ramified", "false",
+     "--trials", "1", "--report", "@tmp/no-such-dir/report.json"],
 ], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
         "verify-trials-negative", "kernel-trials-zero",
-        "kernel-unknown-group"])
+        "kernel-unknown-group", "shifted-without-m", "terms-not-objects",
+        "coeff-not-a-number", "monomial-not-an-object", "term-without-coeff",
+        "coeff-list-of-lists", "ring-vars-not-a-list", "witt-op-given-m",
+        "element-op-given-a-vector", "head-count-not-an-integer",
+        "poly-out-missing-dir", "verify-report-missing-dir"])
 def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     # None stands for a file that does not exist
     argv = [a if a is not None else str(tmp_path / "missing.json")
             for a in argv]
+    argv = [a.replace("@tmp", str(tmp_path)) for a in argv]
     r = run_cli(argv, tmp_path)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
@@ -209,3 +327,68 @@ def test_kernel_ga_all(tmp_path):
         '{"check":"phi","detail":null,"status":"pass","trials":25},'
         '{"check":"diff","detail":null,'
         '"sample":[27,-6561,-753145430616],"status":"pass","trials":25}]\n')
+
+
+@pytest.mark.parametrize("table", [{"coeffs": [{"i": 1}]}, {"coeffs": 5},
+                                   {"degree": "x", "coeffs": []}],
+                         ids=["entry-without-j", "coeffs-not-a-list",
+                              "degree-not-an-integer"])
+def test_kernel_malformed_group_table_is_usage_error(tmp_path, table):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(table))
+    r = run_cli(["kernel", "--group", str(path), "--trials", "1"], tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
+# ----------------------------------------------------------------------
+# the error contract under fuzzing: every argv exits 0, 1 or 2, and a
+# usage error prints one "error:" line, never a traceback
+
+# valid specs (a phi that moves pi, a variable) and invalid ones
+FUZZ_RINGS = ['{"p":2}', '{"p":3}', '{"p":5,"modulus":[-5,0,1]}',
+              '{"p":5,"trunc":4}',
+              '{"p":5,"modulus":[-5,0,1],"phi_pi":[0,-1]}',
+              '{"p":2,"vars":["x0"]}', "{}", "[2]", '{"p":4}',
+              '{"p":2,"vars":5}', '{"p":2,"trunc":"x"}',
+              '{"p":5,"modulus":[5,0,1],"phi_pi":[1]}']
+FUZZ_KEYS = ["u", "v", "m", "n", "head", "tail", "ghost", "head_count",
+             "terms", "coeff", "monomial"]
+fuzz_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner,
+                                     max_size=4)),
+    max_leaves=10)
+small = st.integers(-1, 3)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: "), argv
+        assert len(err.getvalue().splitlines()) == 1, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=st.sampled_from(sorted(cli._EVAL) + ["quotient"]),
+       ring=st.sampled_from(FUZZ_RINGS), data=fuzz_json,
+       m=st.none() | small, n=st.none() | small)
+def test_eval_fuzz_keeps_the_error_contract(op, ring, data, m, n):
+    argv = ["eval", "--ring", ring, "--op", op, "--in", json.dumps(data)]
+    argv += ["--m", str(m)] if m is not None else []
+    argv += ["--n", str(n)] if n is not None else []
+    _run_in_process(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(group=st.sampled_from(["ga", "gm", "nosuch"]),
+       p=st.sampled_from([2, 3, 4, 5, 7]), m=small, n=small,
+       prec=st.integers(0, 4))
+def test_kernel_fuzz_keeps_the_error_contract(group, p, m, n, prec):
+    _run_in_process(["kernel", "--group", group, "--p", str(p), "--m", str(m),
+                     "--n", str(n), "--prec", str(prec), "--trials", "1"])

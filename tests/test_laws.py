@@ -90,6 +90,7 @@ def test_kernel_command_and_l13_share_one_check(monkeypatch, capsys):
                      "--n", "2", "--check", "phi", "--trials", "3"]) == 1
     (entry,) = json.loads(capsys.readouterr().out)
     assert entry["status"] == "fail" and entry["detail"] == {"trial": 0}
+    assert entry["trials"] == 1
 
 
 def _sha256(text):

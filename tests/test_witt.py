@@ -342,11 +342,9 @@ def test_universal_cache_bytes(tmp_path, monkeypatch, op, n, spec):
     """The streamed cache write gives the bytes of one json.dump."""
     monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
     import wittlab.witt as wmod
-    from wittlab.witt import frobenius_polynomials
     wmod._MEMO.clear()
     cfg = make_ring_config(spec)
-    polys = (frobenius_polynomials(n, cfg) if spec is RAM5_SPEC
-             else universal_polynomials(op, n, cfg=cfg))
+    polys = universal_polynomials(op, n, cfg=cfg)
     (path,) = tmp_path.glob("*.json")
     assert path.read_text() == _reference_cache_text(op, n, cfg, polys)
 
