@@ -144,7 +144,7 @@ def _ghost(cfg, data, args):
         data = {"ghost": data,
                 "head_count": None if args.m is None else args.m + 1}
     if not (isinstance(data, dict) and isinstance(data.get("ghost"), list)
-            and isinstance(data.get("head_count"), (int, type(None)))):
+            and type(data.get("head_count")) in (int, type(None))):
         raise WittlabError('expected a ghost vector: {"ghost",'
                            '"head_count"}, or a JSON list')
     return [GhostVector([decode_element(cfg, e) for e in data["ghost"]],

@@ -48,9 +48,11 @@ from .witt import (
 
 
 class KernelPoint:
-    """A point of N^[m]n G in tail coordinates."""
+    """A point of N^[m]n G in tail coordinates.  ``_embed`` keeps its
+    zero-head embedding once built, so the embedding's ghost rows are
+    computed at most once; equality ignores it."""
 
-    __slots__ = ("law", "rcfg", "bcfg", "m", "coords")
+    __slots__ = ("law", "rcfg", "bcfg", "m", "coords", "_embed")
 
     def __init__(self, law, rcfg, bcfg, m, coords):
         coords = tuple(coords)
@@ -64,6 +66,7 @@ class KernelPoint:
         self.bcfg = bcfg
         self.m = m
         self.coords = coords
+        self._embed = None
 
     @property
     def n(self):
@@ -86,8 +89,10 @@ def kernel_zero(law, rcfg, bcfg, m, n):
 
 def kernel_embed(t):
     """The zero-head shifted Witt vector carrying t."""
-    return ShiftedWittVector(t.rcfg, t.bcfg, t.m,
-                             (t.rcfg.zero(),) * (t.m + 1), t.coords)
+    if t._embed is None:
+        t._embed = ShiftedWittVector(t.rcfg, t.bcfg, t.m,
+                                     (t.rcfg.zero(),) * (t.m + 1), t.coords)
+    return t._embed
 
 
 def kernel_witt_point(t):
@@ -105,11 +110,13 @@ def _check_pair(t, s):
 
 def _tail_point(t, out, what):
     """The kernel point of t's group carried by the tail of out, a shifted
-    vector that a map of kernels returned."""
+    vector that a map of kernels returned; out is its embedding."""
     for h in out.head:
         if not h.is_zero():  # pragma: no cover - the maps keep the zero head
             raise InternalError(f"{what} left the zero-head locus")
-    return KernelPoint(t.law, t.rcfg, t.bcfg, out.m, out.tail)
+    pt = KernelPoint(t.law, t.rcfg, t.bcfg, out.m, out.tail)
+    pt._embed = out
+    return pt
 
 
 def _tail_cutoff(m, length, trunc):

@@ -158,7 +158,10 @@ def _law_l1(cfg, rng, params):
     n = rng.randrange(1, 4)
     u, v = _rand_witt(cfg, n, rng), _rand_witt(cfg, n, rng)
     gu, gv = ghost(u), ghost(v)
-    gs, gp = ghost(witt_add(u, v)), ghost(witt_mul(u, v))
+    # ghosts of the results from their coordinates, not the rows they were
+    # solved from: the premise every law over an exact base leans on
+    gs, gp = (ghost(WittVector(cfg, w.comps))
+              for w in (witt_add(u, v), witt_mul(u, v)))
     for a, b, s, p in zip(gu.entries, gv.entries, gs.entries, gp.entries):
         if a + b != s or a * b != p:
             return _mismatch({"u": u, "v": v}, gs, gp)
@@ -244,7 +247,8 @@ def _law(check, m_range, n_range, drawer):
     def symbolic(case):
         return check(build(case["p"], case["m"], case["n"]))
 
-    return {"numeric": numeric, "symbolic": symbolic}
+    return {"numeric": numeric, "symbolic": symbolic,
+            "min_shape": (m_range[0], n_range[0])}
 
 
 def _l6_check(v, lateral=lateral_frobenius):
@@ -264,7 +268,9 @@ def _l7_check(v):
 
 
 def _l8_check(v, shift=shift_E):
-    lhs = shifted_ghost(shift(v)).entries
+    out = shift(v)      # its ghost from its coordinates, as in L1
+    lhs = shifted_ghost(ShiftedWittVector(out.rcfg, out.bcfg, out.m,
+                                          out.head, out.tail)).entries
     rhs = shifted_ghost(v).entries[1:]
     if lhs != rhs:
         return _mismatch({"v": v}, list(lhs), list(rhs))
@@ -486,6 +492,7 @@ class LawSpec:
     symbolic: object = None
     symbolic_cases: tuple = ()
     sabotage: bool = False
+    min_shape: tuple = (0, 0)
 
 
 @dataclass
@@ -644,6 +651,11 @@ def symbolic_verify(law_id, case, seed=0):
     spec = _spec(law_id)
     if spec.symbolic is None:
         raise ConfigUnsupported(f"{law_id} has no symbolic mode")
+    (m_min, n_min), m, n = spec.min_shape, case.get("m"), case.get("n")
+    if not (type(m) is int and type(n) is int and m >= m_min
+            and n >= n_min):
+        raise WittlabError(f"{law_id} needs integers m >= {m_min} and "
+                           f"n >= {n_min}, got m={m!r}, n={n!r}")
     start = time.perf_counter()
     base = make_ring_config({"p": case["p"]})
     ce = _guarded(spec.symbolic, case)

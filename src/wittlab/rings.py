@@ -709,6 +709,14 @@ class Frac:
 # config construction
 
 
+def _json_int(x, what):
+    """x when it is an integer; a JSON float or boolean is rejected, never
+    truncated."""
+    if type(x) is not int:
+        raise WittlabError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def make_ring_config(spec):
     """Build a validated config from a plain description dict.
 
@@ -721,9 +729,10 @@ def make_ring_config(spec):
         raise WittlabError(f"ring spec {spec!r} needs an object with 'p'")
     phi_pi = spec.get("phi_pi", "pi")
     try:
-        trunc = int(spec.get("trunc", 0))
-        modulus = tuple(int(c) for c in spec.get("modulus") or ()) or None
-        phi_pi = (tuple(int(c) for c in phi_pi)
+        trunc = _json_int(spec.get("trunc", 0), "trunc")
+        modulus = tuple(_json_int(c, "a modulus coefficient")
+                        for c in spec.get("modulus") or ()) or None
+        phi_pi = (tuple(_json_int(c, "a phi_pi coefficient") for c in phi_pi)
                   if phi_pi and phi_pi != "pi" else None)
         variables = tuple(spec.get("vars", ()))
     except (TypeError, ValueError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import WittlabError
-from .rings import make_ring_config
+from .rings import _json_int, make_ring_config
 
 
 def canonical_dumps(obj):
@@ -45,9 +45,9 @@ def _encode_coeff(cfg, coeff):
 
 
 def _decode_coeff(cfg, enc):
-    if isinstance(enc, int):
-        return cfg.cfrom_int(enc)
-    coeff = tuple(int(c) for c in enc)
+    if not isinstance(enc, list):
+        return cfg.cfrom_int(_json_int(enc, "a coefficient"))
+    coeff = tuple(_json_int(c, "a coefficient") for c in enc)
     if len(coeff) != cfg.d:
         raise WittlabError(f"coefficient {enc!r} needs {cfg.d} coordinates")
     return coeff
@@ -63,10 +63,8 @@ def encode_element(elem):
 
 def decode_element(cfg, enc):
     try:
-        if isinstance(enc, int):
-            return cfg.from_int(enc)
-        if isinstance(enc, list):
-            return cfg.from_coeff(enc)
+        if isinstance(enc, (int, float, list)):
+            return cfg.from_coeff(_decode_coeff(cfg, enc))
         if isinstance(enc, dict) and "terms" in enc:
             slots = {name: i for i, name in enumerate(cfg.vars)}
             terms = {}
@@ -76,7 +74,7 @@ def decode_element(cfg, enc):
                 for name, exp in term.get("monomial", {}).items():
                     if name not in slots:
                         raise WittlabError(f"unknown variable {name!r}")
-                    mono[slots[name]] = int(exp)
+                    mono[slots[name]] = _json_int(exp, "an exponent")
                 if min(mono, default=0) < 0:
                     raise WittlabError(
                         "exponent must be a nonnegative integer")
@@ -120,13 +118,13 @@ def encode_shifted(v):
 def decode_shifted(rcfg, bcfg, enc):
     from .shifted import ShiftedWittVector
     try:
-        m, n = enc["m"], enc["n"]
+        m, n = _json_int(enc["m"], "m"), _json_int(enc["n"], "n")
         head = [decode_element(rcfg, c) for c in enc["head"]]
         tail = [decode_element(bcfg, c) for c in enc["tail"]]
     except (LookupError, TypeError):
         raise WittlabError('a shifted vector needs {"m","n","head","tail"}, '
                            f"got {enc!r}") from None
-    if not isinstance(m, int) or len(head) != m + 1 or len(tail) != n:
+    if len(head) != m + 1 or len(tail) != n:
         raise WittlabError("shifted encoding has inconsistent m/n")
     return ShiftedWittVector(rcfg, bcfg, m, head, tail)
 

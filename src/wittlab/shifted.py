@@ -21,6 +21,7 @@ from .witt import (
     _arith,
     _check_fixed,
     _ghost_rows,
+    _keep,
     _phi_chain,
     _solve_rows,
     universal_polynomials,
@@ -28,9 +29,11 @@ from .witt import (
 
 
 class ShiftedWittVector:
-    """Head (r_0..r_m) over R and tail (b_{m+1}..b_{m+n}) over B."""
+    """Head (r_0..r_m) over R and tail (b_{m+1}..b_{m+n}) over B.  When B
+    is exact, ``_ghost`` keeps the unwrapped shifted ghost rows once they
+    are known, as ``WittVector`` does; equality and hashing ignore it."""
 
-    __slots__ = ("rcfg", "bcfg", "m", "head", "tail")
+    __slots__ = ("rcfg", "bcfg", "m", "head", "tail", "_ghost")
 
     def __init__(self, rcfg, bcfg, m, head, tail):
         head = tuple(head)
@@ -52,6 +55,7 @@ class ShiftedWittVector:
         self.m = m
         self.head = head
         self.tail = tail
+        self._ghost = None
 
     @property
     def n(self):
@@ -103,10 +107,13 @@ def _rows(v):
     """Engine arithmetics of R and B, and the shifted ghost rows of v:
     entries 0..m in R, entries m+1..m+n in B."""
     hl, bl = _arith(v.rcfg), _arith(v.bcfg, v.m + v.n)
+    if v._ghost is not None:
+        return hl, bl, v._ghost
     head = [hl.unwrap(r) for r in v.head]
     full = (_lift_head(hl, bl, v.rcfg, head)
             + [bl.unwrap(b) for b in v.tail])
-    return hl, bl, _ghost_rows(hl, head) + _ghost_rows(bl, full, v.m + 1)
+    return hl, bl, _keep(v, v.bcfg, _ghost_rows(hl, head)
+                         + _ghost_rows(bl, full, v.m + 1))
 
 
 def _solve(hl, bl, rcfg, bcfg, entries, head_count, what=None):
@@ -115,9 +122,11 @@ def _solve(hl, bl, rcfg, bcfg, entries, head_count, what=None):
     comps = _solve_rows(bl, entries[head_count:],
                         _lift_head(hl, bl, rcfg, head),
                         "tail ghost entry {} does not solve", what)
-    return ShiftedWittVector(rcfg, bcfg, head_count - 1,
-                             [hl.wrap(rcfg, x) for x in head],
-                             [bl.wrap(bcfg, x) for x in comps[head_count:]])
+    v = ShiftedWittVector(rcfg, bcfg, head_count - 1,
+                          [hl.wrap(rcfg, x) for x in head],
+                          [bl.wrap(bcfg, x) for x in comps[head_count:]])
+    _keep(v, bcfg, entries)
+    return v
 
 
 def shifted_ghost(v):
@@ -167,9 +176,12 @@ def shifted_neg(u):
 
 
 def include_I(v):
-    """The natural ring map into W_{m+n}(B): push the head through f."""
-    comps = [v.f(r) for r in v.head] + list(v.tail)
-    return WittVector(v.bcfg, comps)
+    """The natural ring map into W_{m+n}(B): push the head through f.  Its
+    ghost is v's shifted ghost, read in B."""
+    out = WittVector(v.bcfg, [v.f(r) for r in v.head] + list(v.tail))
+    if v._ghost is not None and _arith(v.rcfg) is _arith(v.bcfg):
+        out._ghost = v._ghost
+    return out
 
 
 def restrict_T(v):
@@ -188,7 +200,7 @@ def lateral_frobenius(v):
         raise ConfigUnsupported(
             "lateral Frobenius with a nonzero head needs phi(pi) = pi")
     hl, bl, rows = _rows(v)
-    entries = list(map(hl.phi, rows[:v.m + 1])) + rows[v.m + 2:]
+    entries = [*map(hl.phi, rows[:v.m + 1]), *rows[v.m + 2:]]
     return _solve(hl, bl, v.rcfg, v.bcfg, entries, v.m + 1,
                   "lateral Frobenius")
 

@@ -31,9 +31,11 @@ TERM_BUDGET = 5_000_000
 
 
 class WittVector:
-    """Components (x_0 .. x_n) over one base ring."""
+    """Components (x_0 .. x_n) over one base ring.  On an exact config
+    ``_ghost`` keeps the unwrapped ghost rows once they are known (see
+    the ghost engine); equality and hashing ignore it."""
 
-    __slots__ = ("cfg", "comps")
+    __slots__ = ("cfg", "comps", "_ghost")
 
     def __init__(self, cfg, comps):
         comps = tuple(comps)
@@ -44,6 +46,7 @@ class WittVector:
                 raise BaseMismatch("component ring differs from vector ring")
         self.cfg = cfg
         self.comps = comps
+        self._ghost = None
 
     @property
     def n(self):
@@ -96,6 +99,12 @@ class GhostVector:
 # divides by up to pi^L computes mod pi^(N+L): coordinate i is right mod
 # pi^(N+L-i), and wrapping reduces it to the residue mod pi^N of the exact
 # result.
+#
+# On an exact config a solve's entries are the ghost of its output
+# (w_i = sum_{j<i} pi^j x_j^(q^(i-j)) + pi^i x_i holds exactly), so the
+# output keeps them as its rows, and a vector's ghost is computed at most
+# once.  A truncated solve's entries are not the ghost of the reduced
+# coordinates, and no vector over a truncated config keeps rows.
 
 
 class _Arith:
@@ -219,15 +228,26 @@ def _solve_rows(ar, entries, comps, failure, what=None):
     return comps
 
 
+def _keep(v, cfg, rows):
+    """rows, kept on v as its ghost (a tuple) when cfg is exact."""
+    if cfg.torsion_free:
+        rows = v._ghost = tuple(rows)
+    return rows
+
+
 def _rows(ar, v):
-    return _ghost_rows(ar, [ar.unwrap(c) for c in v.comps])
+    if v._ghost is not None:
+        return v._ghost
+    return _keep(v, v.cfg, _ghost_rows(ar, [ar.unwrap(c) for c in v.comps]))
 
 
 def _solve(ar, cfg, entries, what=None):
     comps = _solve_rows(ar, entries, [],
                         "ghost entry {} is not in the image of the ghost map",
                         what)
-    return WittVector(cfg, [ar.wrap(cfg, x) for x in comps])
+    v = WittVector(cfg, [ar.wrap(cfg, x) for x in comps])
+    _keep(v, cfg, entries)
+    return v
 
 
 def ghost(v):
@@ -298,9 +318,15 @@ def frobenius_iter(v, k):
 
 
 def verschiebung(v, times=1):
+    """V^times; its ghost is <0, .., 0, pi^times w_0, pi^times w_1, ..>."""
     cfg = v.cfg
-    comps = (cfg.zero(),) * times + v.comps
-    return WittVector(cfg, comps)
+    out = WittVector(cfg, (cfg.zero(),) * times + v.comps)
+    if v._ghost is not None:
+        ar = _arith(cfg)
+        scale = ar.pow(ar.pi, times)
+        out._ghost = ((ar.zero,) * times
+                      + tuple(ar.mul(scale, w) for w in v._ghost))
+    return out
 
 
 def teichmuller(b, n):

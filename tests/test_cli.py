@@ -218,13 +218,28 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
      "--out", "@tmp/no-such-dir/out.json"],
     ["verify", "--law", "L1", "--p", "2", "--ramified", "false",
      "--trials", "1", "--report", "@tmp/no-such-dir/report.json"],
+    ["eval", "--ring", '{"p":2}', "--op", "neg", "--in", "[[1.5],[2.9]]"],
+    ["eval", "--ring", '{"p":2}', "--op", "neg", "--in", "[true,2]"],
+    ["eval", "--ring", '{"p":5,"modulus":[-5.9,0,1]}', "--op", "neg",
+     "--in", "[1]"],
+    ["eval", "--ring", '{"p":2,"trunc":2.7}', "--op", "neg", "--in", "[1]"],
+    ["eval", "--ring", '{"p":2,"trunc":true}', "--op", "neg", "--in", "[1]"],
+    ["eval", "--ring", '{"p":2}', "--op", "shifted_ghost",
+     "--in", '{"m":true,"n":1,"head":[1,2],"tail":[3]}'],
+    ["eval", "--ring", '{"p":2}', "--op", "shifted_ghost",
+     "--in", '{"m":1,"n":1.0,"head":[1,2],"tail":[3]}'],
+    ["eval", "--ring", '{"p":2}', "--op", "ghost_solve",
+     "--in", '{"ghost":[1,3],"head_count":true}'],
 ], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
         "verify-trials-negative", "kernel-trials-zero",
         "kernel-unknown-group", "shifted-without-m", "terms-not-objects",
         "coeff-not-a-number", "monomial-not-an-object", "term-without-coeff",
         "coeff-list-of-lists", "ring-vars-not-a-list", "witt-op-given-m",
         "element-op-given-a-vector", "head-count-not-an-integer",
-        "poly-out-missing-dir", "verify-report-missing-dir"])
+        "poly-out-missing-dir", "verify-report-missing-dir",
+        "coeff-float", "coeff-boolean", "ring-modulus-float",
+        "ring-trunc-float", "ring-trunc-boolean", "shifted-m-boolean",
+        "shifted-n-float", "head-count-boolean"])
 def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     # None stands for a file that does not exist
     argv = [a if a is not None else str(tmp_path / "missing.json")

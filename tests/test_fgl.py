@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wittlab import cli
 from wittlab.errors import (
     NotAssociative,
     NotCommutative,
@@ -141,6 +142,19 @@ def test_not_commutative():
                                (2, 1): Z2.one()})
 
 
+@pytest.mark.parametrize("ij", [(2, 1), (1, 2), (3, 1)])
+def test_asymmetric_pair_on_one_side_only(ij):
+    coeffs = {(1, 0): Z2.one(), (0, 1): Z2.one(), ij: Z2.one()}
+    with pytest.raises(NotCommutative):
+        FormalGroupLaw(Z2, 4, coeffs)
+
+
+def test_asymmetric_pair_on_both_sides():
+    with pytest.raises(NotCommutative):
+        FormalGroupLaw(Z2, 3, {(1, 0): Z2.one(), (0, 1): Z2.one(),
+                               (2, 1): Z2.one(), (1, 2): Z2.from_int(3)})
+
+
 def test_not_associative():
     # X + Y + X^2 Y^2 fails at degree 4: obstruction 2XYZ(Z - X)
     with pytest.raises(NotAssociative):
@@ -179,6 +193,30 @@ def test_load_custom_dict():
         {"i": 1, "j": 0, "c": 1}, {"i": 0, "j": 1, "c": 1},
         {"i": 1, "j": 1, "c": 1}]}, Z2)
     assert law.coeff(1, 1) == Z2.one()
+
+
+def test_high_degree_table_loads_and_passes(tmp_path, capsys):
+    # validation walks the table's own entries, not every (i, j) up to the
+    # degree, so a degree-3000 jet of X + Y loads at once
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"degree": 3000, "coeffs": [
+        {"i": 1, "j": 0, "c": 1}, {"i": 0, "j": 1, "c": 1}]}))
+    assert load_fgl(str(path), Z2).degree == 3000
+    code = cli.main(["kernel", "--group", str(path), "--check", "phi",
+                     "--trials", "1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("table", [
+    {"degree": 4.5, "coeffs": []},
+    {"degree": True, "coeffs": []},
+    {"coeffs": [{"i": 1.0, "j": 0, "c": 1}]},
+    {"coeffs": [{"i": 1, "j": 0, "c": 1.0}]},
+], ids=["degree-float", "degree-boolean", "index-float", "coeff-float"])
+def test_table_numbers_must_be_integers(table):
+    with pytest.raises(WittlabError, match="must be an integer"):
+        load_fgl(table, Z2)
 
 
 def test_load_garbage():

@@ -157,6 +157,26 @@ def test_symbolic_verify():
     assert r.status == "pass"
 
 
+@pytest.mark.parametrize("law_id,case", [
+    ("L11", {"p": 2, "m": 2, "n": 1}),
+    ("L7", {"p": 2, "m": 0, "n": 2}),
+    ("L13", {"p": 2, "m": 0, "n": 1}),
+    ("L6", {"p": 2, "m": -1, "n": 2}),
+    ("L12", {"p": 2, "m": 1, "n": 1.0}),
+], ids=["L11-n1", "L7-m0", "L13-m0", "L6-m-negative", "L12-n-float"])
+def test_symbolic_case_below_the_law_shape_is_usage_error(law_id, case):
+    # a usage error, not a "fail" report carrying ZeroTail or ZeroShift
+    with pytest.raises(WittlabError, match="needs integers m >="):
+        symbolic_verify(law_id, case)
+
+
+def test_registered_symbolic_cases_fit_their_law():
+    for spec in REGISTRY.values():
+        m_min, n_min = spec.min_shape
+        for case in spec.symbolic_cases:
+            assert case["m"] >= m_min and case["n"] >= n_min, (spec.id, case)
+
+
 def test_symbolic_unsupported():
     with pytest.raises(ConfigUnsupported):
         symbolic_verify("L1", {"p": 2, "m": 0, "n": 1})

@@ -29,6 +29,21 @@ def test_p_must_be_prime():
         make_ring_config({"p": 6})
 
 
+@pytest.mark.parametrize("spec", [
+    {"p": 5, "modulus": [-5.9, 0, 1]},
+    {"p": 5, "modulus": [-5, 0, True]},
+    {"p": 5, "modulus": [-5, 0, 1], "phi_pi": [0.0, -1]},
+    {"p": 2, "trunc": 2.7},
+    {"p": 2, "trunc": 2.0},
+    {"p": 2, "trunc": True},
+], ids=["modulus-float", "modulus-boolean", "phi-pi-float", "trunc-float",
+        "trunc-integral-float", "trunc-boolean"])
+def test_spec_numbers_must_be_integers(spec):
+    # a JSON float or boolean is rejected, never truncated to an integer
+    with pytest.raises(WittlabError, match="must be an integer"):
+        make_ring_config(spec)
+
+
 @pytest.mark.parametrize("modulus", [
     [-5, 0, 2],      # not monic
     [-3, 0, 1],      # constant term not divisible by 5

@@ -90,6 +90,21 @@ def test_decode_bad_coeff_width():
         decode_element(RAM5, [1, 2, 3])
 
 
+@pytest.mark.parametrize("cfg,enc", [
+    (Z2, 1.5), (Z2, [2.9]), (Z2, True), (Z2, [False]), (RAM5, [1, 2.0]),
+    (Z2.adjoin(["x"]), {"terms": [{"coeff": 1.5, "monomial": {}}]}),
+    (Z2.adjoin(["x"]), {"terms": [{"coeff": True, "monomial": {"x": 1}}]}),
+    (RAM5.adjoin(["x"]), {"terms": [{"coeff": [1, 0.5], "monomial": {}}]}),
+    (Z2.adjoin(["x"]), {"terms": [{"coeff": 1, "monomial": {"x": 1.0}}]}),
+    (Z2.adjoin(["x"]), {"terms": [{"coeff": 1, "monomial": {"x": True}}]}),
+], ids=["float", "float-in-list", "boolean", "boolean-in-list",
+        "float-in-order-coeff", "term-coeff-float", "term-coeff-boolean",
+        "term-order-coeff-float", "exponent-float", "exponent-boolean"])
+def test_decode_rejects_floats_and_booleans(cfg, enc):
+    with pytest.raises(WittlabError, match="must be an integer"):
+        decode_element(cfg, enc)
+
+
 def _decode_term_by_term(cfg, enc):
     """The decoder as it was: one ring product and sum per term."""
     result = cfg.zero()
