@@ -13,9 +13,10 @@ import sys
 
 from .errors import ConfigUnsupported, InternalError, UnknownLaw, WittlabError
 from .fgl import load_fgl
-from .kernel import KernelPoint, difference_character
+from .kernel import difference_character
 from .laws import (
-    _rand_elem,
+    _point,
+    _seeded,
     default_matrix,
     l13_check,
     l16_check,
@@ -222,16 +223,16 @@ def _matrix_from_args(args):
 
 def cmd_verify(args):
     configs = _matrix_from_args(args)
-    params = {}
-    if args.m_max is not None:
-        params["m_max"] = args.m_max
-    if args.n_max is not None:
-        params["n_max"] = args.n_max
-    if args.prec is not None:
-        params["prec"] = args.prec
+    params = {k: getattr(args, k) for k in ("m_max", "n_max", "prec")
+              if getattr(args, k) is not None}
     law_filter = "all" if args.law == "all" else args.law.split(",")
-    reports, summary = run_suite(law_filter, configs, trials=args.trials,
-                                 seed=args.seed, **params)
+    try:
+        reports, summary = run_suite(law_filter, configs, trials=args.trials,
+                                     seed=args.seed, **params)
+    except InternalError as exc:   # keep what finished, then exit 3
+        if args.report:
+            _emit([r.to_json() for r in exc.reports], args.report)
+        raise
     for r in reports:
         cfgdesc = f"p={r.config.get('p')}"
         if r.config.get("modulus"):
@@ -262,15 +263,14 @@ def _kernel_checks(args):
     B = cfg.truncated(args.prec) if not law.is_additive else cfg
     m, n = max(args.m, 1), max(args.n, 2)
 
-    def draw(rng, count):
-        return [_rand_elem(B, rng) for _ in range(count)]
+    def draw(rng, shift, length):
+        return _point(law, cfg, B, shift, length, _seeded(rng))
 
     checks = {
-        "psi": lambda rng: psi_check(law, *draw(rng, 2), m, args.prec),
-        "phi": lambda rng: l13_check(
-            KernelPoint(law, cfg, B, m, draw(rng, args.n))),
-        "diff": lambda rng: l16_check(
-            KernelPoint(law, cfg, B, args.m, draw(rng, n))),
+        "psi": lambda rng: psi_check(draw(rng, m, 1), draw(rng, m, 1),
+                                     args.prec),
+        "phi": lambda rng: l13_check(draw(rng, m, args.n)),
+        "diff": lambda rng: l16_check(draw(rng, args.m, n)),
     }
     results = []
     for check in checks if args.check == "all" else [args.check]:
@@ -279,9 +279,8 @@ def _kernel_checks(args):
                  "trials": ran,
                  "detail": None if ce is None else {"trial": ce["trial"]}}
         if check == "diff" and ce is None:
-            sample = KernelPoint(
-                law, cfg, B,
-                args.m, [B.one()] + [B.zero()] * (n - 1))
+            sample = _point(law, cfg, B, args.m, n,
+                            lambda c, i: c.zero() if i else c.one())
             entry["sample"] = encode_witt(difference_character(sample))
         results.append(entry)
     return results

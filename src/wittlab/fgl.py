@@ -57,20 +57,20 @@ class FormalGroupLaw:
 
     def evaluate(self, x, y, max_degree=None):
         """F(x, y) in the ring of x and y, optionally truncated by total
-        degree after each term (for series work in polynomial rings)."""
+        degree (for series work in polynomial rings): then each power of
+        x and y is built from the one below and truncated, and so is each
+        term."""
         tcfg = x.cfg
-        acc = tcfg.zero()
-        xpow = {0: tcfg.one()}
-        ypow = {0: tcfg.one()}
+
+        def cap(e):
+            return e if max_degree is None else e.truncate_degree(max_degree)
+
+        acc, xpow, ypow = tcfg.zero(), [tcfg.one()], [tcfg.one()]
         for (i, j), c in sorted(self.coeffs.items()):
-            if i not in xpow:
-                xpow[i] = x ** i
-            if j not in ypow:
-                ypow[j] = y ** j
-            term = tcfg.convert(c) * xpow[i] * ypow[j]
-            if max_degree is not None:
-                term = term.truncate_degree(max_degree)
-            acc = acc + term
+            for pows, base, k in ((xpow, x, i), (ypow, y, j)):
+                while len(pows) <= k:
+                    pows.append(cap(pows[-1] * base))
+            acc = acc + cap(tcfg.convert(c) * xpow[i] * ypow[j])
         return acc
 
     def __repr__(self):

@@ -124,6 +124,22 @@ def _tail_cutoff(m, length, trunc):
     return max(1, -(-(trunc + length - 1) // (m + 1)))
 
 
+def _series_degree(law, cfg, m, length, what):
+    """The highest total degree whose terms of a series of the law on
+    length-``length`` vectors of shift m survive mod pi^N, after checking
+    that cfg is a pi-power truncation and that the law is known to that
+    degree."""
+    if cfg.torsion_free:
+        raise PrecisionRequired(
+            f"{what} for a non-additive law needs a pi-power truncated base")
+    top = _tail_cutoff(m, length, cfg.trunc) - 1
+    if not law.exact and law.degree < top:
+        raise PrecisionRequired(
+            f"law jet of degree {law.degree} cannot resolve precision "
+            f"pi^{cfg.trunc}")
+    return top
+
+
 def _series_rows(hl, bl, rcfg, k, coeffs, a, b):
     """Ghost rows of sum c_ij A^i B^j from the ghost rows a of A and b of
     B: row r is sum phi^r(c_ij) a_r^i b_r^j, in R's arithmetic hl below
@@ -145,10 +161,10 @@ def _series_rows(hl, bl, rcfg, k, coeffs, a, b):
     return rows
 
 
-def _law_terms(law, cutoff):
-    """F's terms, less those above the cut-off when F is only a jet."""
+def _law_terms(law, top):
+    """F's terms, less those above degree top when F is only a jet."""
     return [(ij, c) for ij, c in sorted(law.coeffs.items())
-            if law.exact or sum(ij) <= cutoff]
+            if law.exact or sum(ij) <= top]
 
 
 def _kernel_series(t, coeffs, s=None):
@@ -170,16 +186,8 @@ def kernel_add(t, s):
         u = WittVector(t.bcfg, t.coords)
         v = WittVector(t.bcfg, s.coords)
         return KernelPoint(law, t.rcfg, t.bcfg, t.m, witt_add(u, v).comps)
-    if t.bcfg.torsion_free:
-        raise PrecisionRequired(
-            "kernel addition for a non-additive law needs a pi-power "
-            "truncated base")
-    cutoff = _tail_cutoff(t.m, t.m + t.n + 1, t.bcfg.trunc)
-    if not law.exact and law.degree < cutoff - 1:
-        raise PrecisionRequired(
-            f"law jet of degree {law.degree} cannot resolve precision "
-            f"pi^{t.bcfg.trunc}")
-    return _kernel_series(t, _law_terms(law, cutoff), s)
+    top = _series_degree(law, t.bcfg, t.m, t.m + t.n + 1, "kernel addition")
+    return _kernel_series(t, _law_terms(law, top), s)
 
 
 def kernel_neg(t):
@@ -187,11 +195,8 @@ def kernel_neg(t):
     if law.is_additive:
         v = witt_neg(WittVector(t.bcfg, t.coords))
         return KernelPoint(law, t.rcfg, t.bcfg, t.m, v.comps)
-    if t.bcfg.torsion_free:
-        raise PrecisionRequired(
-            "kernel negation for a non-additive law needs a truncated base")
-    cutoff = _tail_cutoff(t.m, t.m + t.n + 1, t.bcfg.trunc)
-    inv = formal_inverse(law, max(cutoff, 1))
+    top = _series_degree(law, t.bcfg, t.m, t.m + t.n + 1, "kernel negation")
+    inv = formal_inverse(law, top)
     return _kernel_series(t, [((k, 0), b) for k, b in enumerate(inv, 1)])
 
 
@@ -324,22 +329,14 @@ def _group_difference(law, x, y, m):
     if law.is_additive:
         return witt_sub(x, y)
     cfg = x.cfg
-    if cfg.torsion_free:
-        raise PrecisionRequired(
-            "the group difference for a non-additive law needs a "
-            "truncated base")
-    cutoff = _tail_cutoff(m, x.n + 1, cfg.trunc)
-    if not law.exact and law.degree < cutoff:
-        raise PrecisionRequired(
-            f"law jet of degree {law.degree} cannot resolve precision "
-            f"pi^{cfg.trunc}")
-    inv = formal_inverse(law, max(cutoff, 1))
+    top = _series_degree(law, cfg, m, x.n + 1, "the group difference")
+    inv = formal_inverse(law, top)
     ar = _arith(cfg, x.n)
     ys = _witt_rows(ar, y)
     neg_y = _series_rows(ar, ar, ar.cover, 0,
                          [((k, 0), b) for k, b in enumerate(inv, 1)], ys, ys)
     return _witt_solve(ar, cfg, _series_rows(ar, ar, ar.cover, 0,
-                                             _law_terms(law, cutoff),
+                                             _law_terms(law, top),
                                              _witt_rows(ar, x), neg_y))
 
 

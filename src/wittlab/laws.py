@@ -2,12 +2,14 @@
 comparison-table identities) as a seeded, reproducible check, with
 optional exact symbolic verification and machine-readable reports.
 
-Random inputs follow a fixed documented distribution: integer coordinates
-in [-1000, 1000] (coefficientwise for order elements) and, for symbolic
-sabotage runs, sparse polynomials of degree <= 2 in <= 4 variables with
-coefficients in [-9, 9].  Trial i of a law (or ``wittlab kernel`` check)
-``key`` draws from its own stream "{seed}:{key}:{i}" (``run_trials``), so
-results are order-independent.
+Points are built over a pair (R, B): R the exact cover of the config, B
+the config or its truncation to the kernel precision.  Random inputs
+follow a fixed documented distribution: coordinates in [-1000, 1000]
+(coefficientwise for order elements), reduced mod pi^N in a truncated B,
+and, for symbolic sabotage runs, sparse polynomials of degree <= 2 in <= 4
+variables with coefficients in [-9, 9].  Trial i of a law (or ``wittlab
+kernel`` check) ``key`` draws from its own stream "{seed}:{key}:{i}"
+(``run_trials``), so results are order-independent.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import (
     ConfigUnsupported,
+    InternalError,
     UnknownLaw,
     WittlabError,
 )
@@ -83,39 +86,22 @@ def _rand_witt(cfg, n, rng):
     return WittVector(cfg, [_rand_elem(cfg, rng) for _ in range(n + 1)])
 
 
-def _rand_shifted(cfg, m, n, rng):
-    return ShiftedWittVector(cfg, cfg, m,
-                             [_rand_elem(cfg, rng) for _ in range(m + 1)],
-                             [_rand_elem(cfg, rng) for _ in range(n)])
+def _seeded(rng):
+    """The element source of a seeded trial: every coordinate a fresh draw."""
+    return lambda cfg, i: _rand_elem(cfg, rng)
 
 
-def _sym_shifted(p, m, n):
-    base = make_ring_config({"p": p})
-    names = [f"x{i}" for i in range(m + n + 1)]
-    sym = base.adjoin(names)
-    return ShiftedWittVector(sym, sym, m,
-                             [sym.var(names[i]) for i in range(m + 1)],
-                             [sym.var(names[m + 1 + i]) for i in range(n)])
+def _shifted(R, B, m, n, elem):
+    """The vector of W_[m]n(B) with head elem(R, 0..m) and tail
+    elem(B, m+1..m+n)."""
+    return ShiftedWittVector(R, B, m, [elem(R, i) for i in range(m + 1)],
+                             [elem(B, i) for i in range(m + 1, m + n + 1)])
 
 
-def _ga_point(cfg, m, n, rng):
-    law = load_fgl("ga", cfg.base_exact())
-    return KernelPoint(law, cfg, cfg, m,
-                       [_rand_elem(cfg, rng) for _ in range(n)])
-
-
-def _sym_ga_point(p, m, n):
-    base = make_ring_config({"p": p})
-    names = [f"t{i}" for i in range(n)]
-    sym = base.adjoin(names)
-    return KernelPoint(load_fgl("ga", base), sym, sym, m,
-                       [sym.var(v) for v in names])
-
-
-# A drawer is a seeded draw (cfg, m, n, rng) and a symbolic build (p, m, n)
-# of one point of the same kind: a shifted vector or a Ga kernel point.
-_SHIFTED = (_rand_shifted, _sym_shifted)
-_GA_POINT = (_ga_point, _sym_ga_point)
+def _point(law, R, B, m, n, elem):
+    """The point of N^[m]n G over B, G the group of law, with coordinates
+    elem(B, 0..n-1)."""
+    return KernelPoint(law, R, B, m, [elem(B, i) for i in range(n)])
 
 
 def _rand_poly(cfg, rng):
@@ -177,10 +163,12 @@ def _law_l2(cfg, rng, params):
     return None
 
 
+def _hyp_exact(cfg, params):
+    return None if cfg.torsion_free else "needs an exact base"
+
+
 def _hyp_phi_pi(cfg, params):
-    if cfg.pi_elem().phi() != cfg.pi_elem():
-        return "phi(pi) != pi"
-    return None
+    return None if cfg.phi_pi is None else "phi(pi) != pi"
 
 
 def _l3_check(t, m):
@@ -201,7 +189,8 @@ def _law_l3(cfg, rng, params):
 
 
 def _div_pi(x):
-    """x = 0 mod pi, checked in R/pi."""
+    """x = 0 mod pi, checked on its lift to the exact cover."""
+    x = x.cfg.exact_cover().convert(x)
     return x.is_zero() or x.pi_val() >= 1
 
 
@@ -233,19 +222,28 @@ def _law_l5(cfg, rng, params):
     return None
 
 
-def _law(check, m_range, n_range, drawer):
-    """The numeric trial (m, n drawn from the ranges, capped by m_max and
-    n_max, then one point drawn) and the symbolic case of a check on one
-    point of the drawer's kind."""
-    draw, build = drawer
+def _law(check, m_range, n_range, group):
+    """The numeric trial (m, n from the ranges, capped by m_max and n_max;
+    R = cfg's exact cover, B = cfg) and the symbolic case of a check on a
+    shifted vector, or with a group name on a kernel point of that group."""
+
+    def build(R, B, m, n, elem):
+        if group is None:
+            return _shifted(R, B, m, n, elem)
+        return _point(load_fgl(group, R.base_exact()), R, B, m, n, elem)
 
     def numeric(cfg, rng, params):
         m = _pick(rng, *m_range, params.get("m_max"))
         n = _pick(rng, *n_range, params.get("n_max"))
-        return check(draw(cfg, m, n, rng))
+        return check(build(cfg.exact_cover(), cfg, m, n, _seeded(rng)))
 
     def symbolic(case):
-        return check(build(case["p"], case["m"], case["n"]))
+        m, n = case["m"], case["n"]
+        prefix, count = ("x", m + n + 1) if group is None else ("t", n)
+        sym = make_ring_config({"p": case["p"]}).adjoin(
+            [f"{prefix}{i}" for i in range(count)])
+        return check(build(sym, sym, m, n,
+                           lambda cfg, i: cfg.var(f"{prefix}{i}")))
 
     return {"numeric": numeric, "symbolic": symbolic,
             "min_shape": (m_range[0], n_range[0])}
@@ -342,22 +340,19 @@ def _l14_check(t, js):
 
 
 def _hyp_psi(cfg, params):
-    if not cfg.psi_integral:
-        return "psi_integral=false"
-    return None
+    return None if cfg.psi_integral else "psi_integral=false"
 
 
-def psi_check(law, t0, s0, m, prec):
+def psi_check(t, s, prec):
     """The Psi ladder Psi_(m-1)(Phi_[m](t)_0) = pi Psi_m(t_0) and the
-    additivity Psi_m(t + s) = Psi_m(t_0) + Psi_m(s_0), for the kernel
-    points t, s of N^[m]1 over law.cfg with coordinates t0, s0."""
-    rcfg, bcfg = law.cfg, t0.cfg
-    t = KernelPoint(law, rcfg, bcfg, m, [t0])
+    additivity Psi_m(t + s) = Psi_m(t_0) + Psi_m(s_0), for kernel points
+    t, s of N^[m]1."""
+    law, m, (t0,), (s0,) = t.law, t.m, t.coords, s.coords
     lhs = psi_map(law, m - 1, kernel_phi(t).coords[0], precision=prec)
-    rhs = bcfg.convert(rcfg.pi_elem()) * psi_map(law, m, t0, precision=prec)
+    rhs = (t.bcfg.convert(t.rcfg.pi_elem())
+           * psi_map(law, m, t0, precision=prec))
     if lhs != rhs:
         return _mismatch({"t0": t0}, lhs, rhs)
-    s = KernelPoint(law, rcfg, bcfg, m, [s0])
     lhs = psi_map(law, m, kernel_add(t, s).coords[0], precision=prec)
     rhs = (psi_map(law, m, t0, precision=prec)
            + psi_map(law, m, s0, precision=prec))
@@ -368,15 +363,15 @@ def psi_check(law, t0, s0, m, prec):
 
 def _law_l15(cfg, rng, params):
     prec = params.get("prec", 6)
-    base = cfg.base_exact()
-    B = cfg.truncated(prec)
-    t0, s0 = _rand_elem(B, rng), _rand_elem(B, rng)
-    ce = psi_check(load_fgl("gm", base), t0, s0, 1, prec)
+    base, elem = cfg.base_exact(), _seeded(rng)
+    gm, B = load_fgl("gm", base), cfg.truncated(prec)
+    ce = psi_check(_point(gm, base, B, 1, 1, elem),
+                   _point(gm, base, B, 1, 1, elem), prec)
     if ce:
         return ce
     # additive degeneration: Psi = id and Phi = pi
     ga = load_fgl("ga", base)
-    a = KernelPoint(ga, base, base, 1, [_rand_elem(base, rng)])
+    a = _point(ga, cfg.exact_cover(), cfg, 1, 1, elem)
     if psi_map(ga, 1, a.coords[0], precision=prec) != a.coords[0]:
         return {"part": "psi_ga", "inputs": {"a": _enc(a)}}
     return l13_check(a)
@@ -393,19 +388,17 @@ def l16_check(t):
 
 
 def _law_l16(cfg, rng, params):
-    prec = params.get("prec", 6)
+    base, elem = cfg.base_exact(), _seeded(rng)
     m = _pick(rng, 0, 2, params.get("m_max"))
     n = _pick(rng, 2, 4, params.get("n_max"))
-    ce = l16_check(_ga_point(cfg, m, n, rng))
+    ce = l16_check(_point(load_fgl("ga", base), cfg.exact_cover(), cfg, m, n,
+                          elem))
     if ce:
         return ce
-    base = cfg.base_exact()
-    B = cfg.truncated(prec)
-    gm = load_fgl("gm", base)
     m = _pick(rng, 0, 1, params.get("m_max"))
     n = _pick(rng, 2, 3, params.get("n_max"))
-    t = KernelPoint(gm, base, B, m, [_rand_elem(B, rng) for _ in range(n)])
-    return l16_check(t)
+    return l16_check(_point(load_fgl("gm", base), base,
+                            cfg.truncated(params.get("prec", 6)), m, n, elem))
 
 
 def _law_table_i(cfg, rng, params):
@@ -425,7 +418,8 @@ def _law_table_ii(cfg, rng, params):
     rhs = frobenius_iter(verschiebung(frobenius(t), m + 1), m + n - 1)
     if lhs != rhs:
         return _mismatch({"t": t, "m": m}, lhs, rhs)
-    return _l14_check(_ga_point(cfg, m, n, rng), (n,))
+    return _l14_check(_point(load_fgl("ga", cfg.base_exact()),
+                             cfg.exact_cover(), cfg, m, n, _seeded(rng)), (n,))
 
 
 def _law_table_iii(cfg, rng, params):
@@ -436,7 +430,8 @@ def _law_table_iii(cfg, rng, params):
         return _mismatch({"v": v}, lhs, rhs)
     m = _pick(rng, 1, 2, params.get("m_max"))
     n = _pick(rng, 2, 3, params.get("n_max"))
-    pt = _ga_point(cfg, m, n, rng)
+    pt = _point(load_fgl("ga", cfg.base_exact()), cfg.exact_cover(), cfg, m,
+                n, _seeded(rng))
     lhs = kernel_phi(kernel_lateral_f(pt))
     rhs = kernel_lateral_f(kernel_phi(pt))
     if lhs != rhs:
@@ -461,21 +456,14 @@ def _sabotage_shift(v):
         GhostVector(g.entries[:-1], head_count=v.m), v.rcfg, v.bcfg)
 
 
-def _rand_poly_shifted(cfg, m, n, rng):
-    sym = cfg.adjoin(["u0", "u1"])
-    return ShiftedWittVector(sym, sym, m,
-                             [_rand_poly(sym, rng) for _ in range(m + 1)],
-                             [_rand_poly(sym, rng) for _ in range(n)])
-
-
-def _law_sabotage_lateral(cfg, rng, params):
-    v = _rand_poly_shifted(cfg, params.get("m", 1), params.get("n", 2), rng)
-    return _l6_check(v, lateral=_sabotage_lateral)
-
-
-def _law_sabotage_shift(cfg, rng, params):
-    v = _rand_poly_shifted(cfg, params.get("m", 1), params.get("n", 2), rng)
-    return _l8_check(v, shift=_sabotage_shift)
+def _sabotage(check):
+    """The trial of a check on a shifted vector of polynomials in u0, u1."""
+    def numeric(cfg, rng, params):
+        sym = cfg.adjoin(["u0", "u1"])
+        return check(_shifted(sym.exact_cover(), sym, params.get("m", 1),
+                              params.get("n", 2),
+                              lambda c, i: _rand_poly(c, rng)))
+    return numeric
 
 
 # ----------------------------------------------------------------------
@@ -545,38 +533,40 @@ def _register(spec):
 
 
 _register(LawSpec("L1", "ghost is a ring homomorphism", _law_l1, 200))
-_register(LawSpec("L2", "ghost_solve inverts ghost", _law_l2, 200))
+_register(LawSpec("L2", "ghost_solve inverts ghost", _law_l2, 200,
+                  hypothesis=_hyp_exact))
 _register(LawSpec("L3", "F(V(x)) = (pi)(x) and F(V^(m+1)) = V^m (pi)",
                   _law_l3, 100))
 _register(LawSpec("L4", "F(x)_i = x_i^q mod pi", _law_l4, 200))
-_register(LawSpec("L5", "delta axioms (1)-(3)", _law_l5, 200))
+_register(LawSpec("L5", "delta axioms (1)-(3)", _law_l5, 200,
+                  hypothesis=_hyp_exact))
 _register(LawSpec(
     "L6", "F^(m+2) I = F^(m+1) I F_[m]", hypothesis=_hyp_phi_pi,
     symbolic_cases=(_case(2, 0, 2), _case(2, 1, 2), _case(3, 0, 2),
                     _case(2, 1, 3)),
-    **_law(_l6_check, (0, 2), (2, 3), _SHIFTED)))
+    **_law(_l6_check, (0, 2), (2, 3), None)))
 _register(LawSpec("L7", "I E_[m] = F I", symbolic_cases=(_case(2, 1, 2),),
-                  **_law(_l7_check, (1, 2), (1, 3), _SHIFTED)))
+                  **_law(_l7_check, (1, 2), (1, 3), None)))
 _register(LawSpec("L8", "ghost of E_[m] is the right shift",
                   symbolic_cases=(_case(2, 1, 2),),
-                  **_law(_l8_check, (1, 2), (1, 3), _SHIFTED)))
+                  **_law(_l8_check, (1, 2), (1, 3), None)))
 _register(LawSpec("L9", "E_[m] F_[m] = F_[m-1] E_[m]", hypothesis=_hyp_phi_pi,
                   symbolic_cases=(_case(2, 1, 2),),
-                  **_law(_l9_check, (1, 2), (1, 3), _SHIFTED)))
+                  **_law(_l9_check, (1, 2), (1, 3), None)))
 _register(LawSpec("L10", "lateral Frobenius congruence mod pi", trials=200,
                   hypothesis=_hyp_phi_pi,
-                  **_law(_l10_check, (0, 2), (1, 3), _SHIFTED)))
+                  **_law(_l10_check, (0, 2), (1, 3), None)))
 _register(LawSpec("L11", "kernel lateral Frobenius = F on additive tails",
-                  **_law(_l11_check, (0, 2), (2, 4), _GA_POINT)))
+                  **_law(_l11_check, (0, 2), (2, 4), "ga")))
 _register(LawSpec(
     "L12", "embedded kernel ghost = pi^(m+1) times tail ghost",
     symbolic_cases=(_case(2, 1, 1), _case(2, 0, 2), _case(2, 1, 3)),
-    **_law(_l12_check, (0, 2), (1, 3), _GA_POINT)))
+    **_law(_l12_check, (0, 2), (1, 3), "ga")))
 _register(LawSpec("L13", "F iota_m = iota_(m-1) Phi_[m]",
-                  **_law(l13_check, (1, 2), (1, 3), _GA_POINT)))
+                  **_law(l13_check, (1, 2), (1, 3), "ga")))
 _register(LawSpec("L14", "phi^(m+j) iota_m = phi^(m+j-1) iota_m f_m",
                   **_law(lambda t: _l14_check(t, range(2, t.n + 1)),
-                         (0, 2), (2, 3), _GA_POINT)))
+                         (0, 2), (2, 3), "ga")))
 _register(LawSpec("L15", "Psi ladder and additivity", _law_l15, 50,
                   hypothesis=_hyp_psi))
 _register(LawSpec("L16", "difference character factors through t_0",
@@ -590,10 +580,12 @@ _register(LawSpec("table-iii", "(pi) F = F (pi); Phi f = f Phi",
                   _law_table_iii, 100))
 _register(LawSpec("sabotage-lateral",
                   "lateral Frobenius with un-phi'd head (must fail L6)",
-                  _law_sabotage_lateral, 100, sabotage=True))
+                  _sabotage(lambda v: _l6_check(v, _sabotage_lateral)), 100,
+                  sabotage=True))
 _register(LawSpec("sabotage-shift",
                   "E_[m] dropping the wrong ghost entry (must fail L8)",
-                  _law_sabotage_shift, 100, sabotage=True))
+                  _sabotage(lambda v: _l8_check(v, _sabotage_shift)), 100,
+                  sabotage=True))
 
 
 def _law_sort_key(law_id):
@@ -677,6 +669,8 @@ def default_matrix():
 
 def run_suite(law_filter="all", configs=None, trials=None, seed=0,
               include_sabotage=False, **params):
+    """The reports and their summary; an InternalError leaves with the
+    reports finished before it as its ``reports`` attribute."""
     if configs is None:
         configs = default_matrix()
     if law_filter == "all":
@@ -688,12 +682,16 @@ def run_suite(law_filter="all", configs=None, trials=None, seed=0,
         ids = [_spec(i).id for i in wanted]
     ids.sort(key=_law_sort_key)
     reports = []
-    for law_id in ids:
-        for cfg in configs:
-            reports.append(run_law(law_id, cfg, trials=trials, seed=seed,
-                                   **params))
-        for case in REGISTRY[law_id].symbolic_cases:
-            reports.append(symbolic_verify(law_id, case, seed=seed))
+    try:
+        for law_id in ids:
+            for cfg in configs:
+                reports.append(run_law(law_id, cfg, trials=trials, seed=seed,
+                                       **params))
+            for case in REGISTRY[law_id].symbolic_cases:
+                reports.append(symbolic_verify(law_id, case, seed=seed))
+    except InternalError as exc:
+        exc.reports = reports
+        raise
     summary = {
         "pass": sum(r.status == "pass" for r in reports),
         "fail": sum(r.status == "fail" for r in reports),

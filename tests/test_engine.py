@@ -299,7 +299,11 @@ def _ref_kernel_add(t, s):
 def _ref_kernel_neg(t):
     law = t.law
     cutoff = _tail_cutoff(t.m, t.m + t.n + 1, t.bcfg.trunc)
-    inv = formal_inverse(law, max(cutoff, 1))
+    if not law.exact and law.degree < cutoff - 1:
+        raise PrecisionRequired(
+            f"law jet of degree {law.degree} cannot resolve precision "
+            f"pi^{t.bcfg.trunc}")
+    inv = formal_inverse(law, cutoff - 1)
     u = kernel_embed(t)
     acc = shifted_zero(t.rcfg, t.bcfg, t.m, t.n)
     pow_u = None
@@ -326,11 +330,11 @@ def _ref_witt_series(coeffs_k, v, cutoff):
 def _ref_group_difference(law, x, y, m):
     cfg = x.cfg
     cutoff = _tail_cutoff(m, x.n + 1, cfg.trunc)
-    if not law.exact and law.degree < cutoff:
+    if not law.exact and law.degree < cutoff - 1:
         raise PrecisionRequired(
             f"law jet of degree {law.degree} cannot resolve precision "
             f"pi^{cfg.trunc}")
-    inv = formal_inverse(law, max(cutoff, 1))
+    inv = formal_inverse(law, cutoff - 1)
     # the structure map of a coefficient phi moves needs phi(pi) = pi: the
     # inverse series is checked first, as the implementation runs it first
     for c in inv + [c for (i, j), c in sorted(law.coeffs.items())

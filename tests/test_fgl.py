@@ -1,6 +1,7 @@
 """Formal group laws: builtins, validation, logarithms, inverses."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from wittlab.rings import Frac, make_ring_config
 
 Z2 = make_ring_config({"p": 2})
 Z5 = make_ring_config({"p": 5})
+DATA = Path(__file__).parent / "data"
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +127,30 @@ def test_inverse_is_inverse():
         inv = inv + sym.convert(c) * x ** k
     out = gm.evaluate(x, inv, max_degree=6).truncate_degree(6)
     assert out.is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lubin_tate_table(p):
+    # the p-typical law with logarithm sum_k X^(p^k) / p^k, to degree 16:
+    # 122 terms at p = 2 and 54 at p = 3, none of them a polynomial law
+    cfg = make_ring_config({"p": p})
+    law = load_fgl(str(DATA / f"lt_p{p}_d16.json"), cfg)
+    powers = [p ** k for k in range(5) if p ** k <= 16]
+    assert formal_log(law) == [Frac(cfg.one() if n in powers else cfg.zero(),
+                                    n) for n in range(1, 17)]
+    # the inverse has integer coefficients and log(i(X)) = -log(X), both
+    # sides scaled by the largest p^k
+    sym = cfg.adjoin(["x"])
+    x = sym.var("x")
+    inv = sym.zero()
+    for k, b in enumerate(formal_inverse(law), start=1):
+        assert b.cfg == cfg and b.is_constant()
+        inv = inv + sym.convert(b) * x ** k
+
+    def scaled_log(y):
+        return sum((powers[-1] // n * y ** n for n in powers), sym.zero())
+
+    assert (scaled_log(inv) + scaled_log(x)).truncate_degree(16).is_zero()
 
 
 # ----------------------------------------------------------------------

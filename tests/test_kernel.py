@@ -35,6 +35,7 @@ from wittlab.shifted import shifted_ghost
 from wittlab.witt import WittVector, ghost, verschiebung, witt_add
 
 Z2 = make_ring_config({"p": 2})
+Z3 = make_ring_config({"p": 3})
 Z5 = make_ring_config({"p": 5})
 
 GA2 = load_fgl("ga", Z2)
@@ -117,6 +118,20 @@ def test_shallow_jet_rejected():
     t = kp(jet, Z5, 0, [2], bcfg=B)
     with pytest.raises(PrecisionRequired):
         kernel_add(t, t)
+
+
+@pytest.mark.parametrize("op,arity", [
+    (kernel_add, 2), (kernel_neg, 1), (difference_character, 1),
+], ids=["kernel_add", "kernel_neg", "difference_character"])
+def test_shallow_jet_needs_precision(op, arity):
+    # every series of a law jet asks for a longer table, the inverse
+    # series of kernel_neg and the group difference included
+    jet = load_fgl({"degree": 2, "coeffs": [
+        {"i": 1, "j": 0, "c": 1}, {"i": 0, "j": 1, "c": 1},
+        {"i": 1, "j": 1, "c": 1}]}, Z3)
+    t = kp(jet, Z3, 0, [2, 1], bcfg=Z3.truncated(6))
+    with pytest.raises(PrecisionRequired, match="law jet of degree 2"):
+        op(*[t] * arity)
 
 
 # ----------------------------------------------------------------------

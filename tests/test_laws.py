@@ -1,14 +1,17 @@
 """Law harness: registry coverage, seeded determinism, report schema,
 and the mutation self-tests."""
 
+import dataclasses
 import hashlib
 import json
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wittlab import cli, laws
-from wittlab.errors import ConfigUnsupported, UnknownLaw, WittlabError
+from wittlab.errors import (ConfigUnsupported, InternalError, UnknownLaw,
+                            WittlabError)
 from wittlab.kernel import KernelPoint
 from wittlab.laws import (
     REGISTRY,
@@ -109,7 +112,6 @@ def test_harness_bytes_are_pinned(monkeypatch, capsys):
         return x
 
     monkeypatch.setattr(laws, "_rand_elem", recording_draw)
-    monkeypatch.setattr(cli, "_rand_elem", recording_draw)
     reports, summary = run_suite(trials=3, seed=5, include_sabotage=True)
     assert summary == {"pass": 66, "fail": 6, "skipped": 1, "total": 73}
     docs = [r.to_json() for r in reports]
@@ -242,3 +244,73 @@ def test_lateral_frobenius_needs_phi_fixing_pi():
     out = lateral_frobenius(ShiftedWittVector(PHI_NEG, PHI_NEG, 1,
                                               [zero, zero], [one, one]))
     assert all(h.is_zero() for h in out.head) and out.n == 1
+
+
+def _skips(reports):
+    return {r.law: r.reason for r in reports if r.status == "skipped"}
+
+
+@pytest.mark.parametrize("spec", [
+    {"p": 2, "trunc": 5},
+    {"p": 3, "trunc": 4},
+    {"p": 5, "modulus": [-5, 0, 1], "trunc": 6},
+    {"p": 5, "modulus": [-5, 0, 1], "phi_pi": [0, -1], "trunc": 6},
+    {"p": 5, "modulus": [-5, 0, 1], "phi_pi": [0, -1], "trunc": 1},
+], ids=["Z2-trunc5", "Z3-trunc4", "ram5-trunc6", "phi-neg-trunc6",
+        "phi-neg-trunc1"])
+def test_truncated_bases_get_real_verdicts(spec):
+    # R is the exact cover and B the truncation: only the laws that need
+    # an exact base, and those whose hypothesis is phi(pi) = pi, skip
+    cfg = make_ring_config(spec)
+    reports, summary = run_suite(configs=[cfg], trials=3, seed=3)
+    assert summary["fail"] == 0
+    want = {"L2": "needs an exact base", "L5": "needs an exact base"}
+    if cfg.phi_pi is not None:
+        want.update(dict.fromkeys(("L6", "L9", "L10"), "phi(pi) != pi"))
+    if not cfg.psi_integral:
+        want["L15"] = "psi_integral=false"
+    assert _skips(reports) == want
+
+
+def test_internal_error_keeps_finished_reports(monkeypatch, tmp_path):
+    def broken(cfg, rng, params):
+        raise InternalError("ghost entry 0 does not solve")
+
+    monkeypatch.setitem(REGISTRY, "L2", dataclasses.replace(REGISTRY["L2"],
+                                                            numeric=broken))
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "--law", "L1,L2", "--p", "2", "--ramified",
+                     "false", "--trials", "2", "--report", str(report)]) == 3
+    (doc,) = json.loads(report.read_text())
+    assert doc["law"] == "L1" and doc["status"] == "pass"
+
+
+NON_SABOTAGE = [i for i in REGISTRY if not REGISTRY[i].sabotage]
+
+
+@st.composite
+def ring_specs(draw):
+    """An Eisenstein modulus of degree 2 or 3 at a small prime, a Frobenius
+    lift (pi, or for degree 2 the other root -c_1 - pi) and a truncation."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.sampled_from([2, 3]))
+    unit = draw(st.sampled_from([u for u in range(-3, 4) if u % p]))
+    modulus = ([p * unit] + [p * draw(st.integers(-1, 1))
+                             for _ in range(d - 1)] + [1])
+    phi_pi = "pi"
+    if d == 2 and draw(st.booleans()):
+        phi_pi = [-modulus[1], -1]
+    return {"p": p, "modulus": modulus, "phi_pi": phi_pi,
+            "trunc": draw(st.sampled_from([0, 1, 3, 6]))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=ring_specs())
+def test_config_fuzz_gets_no_fail(spec):
+    try:
+        cfg = make_ring_config(spec)
+    except WittlabError:
+        assume(False)
+    for law_id in NON_SABOTAGE:
+        r = run_law(law_id, cfg, trials=2, seed=1)
+        assert r.status != "fail", (law_id, spec, r.counterexample)
