@@ -223,6 +223,8 @@ def _matrix_from_args(args):
 
 def cmd_verify(args):
     configs = _matrix_from_args(args)
+    if args.prec is not None and args.prec < 1:
+        raise WittlabError(f"prec must be at least 1, got {args.prec}")
     params = {k: getattr(args, k) for k in ("m_max", "n_max", "prec")
               if getattr(args, k) is not None}
     law_filter = "all" if args.law == "all" else args.law.split(",")

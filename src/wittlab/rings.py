@@ -10,7 +10,7 @@ representation comparison.
 from __future__ import annotations
 
 import math
-from operator import add, lshift, mul as mul_
+from operator import add, lshift, mul as mul_, neg, sub
 
 from .errors import (
     BadFrobeniusLift,
@@ -118,13 +118,13 @@ class RingConfig:
         return (0, 1) + (0,) * (self.d - 2)
 
     def cadd(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def csub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(sub, a, b))
 
     def cneg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def cmul(self, a, b, mod=0):
         """a * b, entrywise mod ``mod`` if given; for d = 2, f = x^2 + m1 x
@@ -436,19 +436,23 @@ class RingElement:
             return self.cfg.from_int(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _merge(self, other, op, lone=None):
+        """self op other, merged into a copy of self's terms."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        cfg = self.cfg
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            total = cfg.cadd(terms[m], c) if m in terms else c
+            total = (op(terms[m], c) if m in terms
+                     else c if lone is None else lone(c))
             if any(total):
                 terms[m] = total
             else:
                 del terms[m]
-        return cfg._wrap(terms)
+        return self.cfg._wrap(terms)
+
+    def __add__(self, other):
+        return self._merge(other, self.cfg.cadd)
 
     __radd__ = __add__
 
@@ -457,10 +461,7 @@ class RingElement:
         return cfg._wrap({m: cfg.cneg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, self.cfg.csub, self.cfg.cneg)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -25,7 +25,7 @@ from .errors import (
     ZeroLength,
 )
 from .rings import RingElement, make_ring_config
-from .serialize import decode_element, encode_element
+from .serialize import _encode_coeff, decode_element, encode_element
 
 TERM_BUDGET = 5_000_000
 
@@ -126,7 +126,7 @@ class _Arith:
             self.wrap = lambda cfg, x: cfg.convert(x)
         elif cover.d == 1:
             self.zero, self.one, self.pi = 0, 1, cover.p
-            self.phi, self.div_pi = (lambda a: a), None
+            self.phi = lambda a: a
             self.unwrap = lambda e: e.terms.get((), (0,))[0]
             self.wrap = lambda cfg, x: cfg._wrap({(): (x,)} if x else {})
             if mod:
@@ -149,12 +149,15 @@ class _Arith:
                 self.unwrap = lambda e: self.reduce(e.terms.get((), self.zero))
 
     def div_pi_power(self, a, k):
-        """a / pi^k; NonDivisible when it is not exact."""
-        if self.div_pi:
+        """a / pi^k; NonDivisible when it is not exact.  For d = 1, pi = p
+        and a is divided by p^k in one pass."""
+        if self.cover.d > 1:
             for _ in range(k):
                 a = self.div_pi(a)
             return a
-        a, rem = divmod(a, self.pi ** k)    # ints: one division by p^k
+        if self.cover.nvars:
+            return a.div_int(self.cover.p ** k)
+        a, rem = divmod(a, self.pi ** k)
         if rem:
             raise NonDivisible(f"integer not divisible by {self.pi}^{k}")
         return a
@@ -414,17 +417,21 @@ def _budget_check(polys):
 
 def _write_cache(out, payload, polys):
     """The bytes of json.dump(payload + {"polys": encoded polys}, out,
-    sort_keys=True), written term by term through the C encoder."""
+    sort_keys=True), one polynomial at a time: a constant by the encoder,
+    terms from the sorted term dict, names in json's key order (x10, x2)."""
     dumps, write = json.JSONEncoder(sort_keys=True).encode, out.write
     write(dumps(dict(payload, polys=[]))[:-2])  # "polys" is the last key
-    for i, enc in enumerate(map(encode_element, polys)):
-        if not isinstance(enc, dict):       # a constant
-            write((", " if i else "") + dumps(enc))
+    for i, poly in enumerate(polys):
+        cfg, sep = poly.cfg, ", " if i else ""
+        if poly.is_constant():
+            write(sep + dumps(encode_element(poly)))
             continue
-        write((", " if i else "") + '{"terms": [')
-        for j, term in enumerate(enc["terms"]):
-            write((", " if j else "") + dumps(term))
-        write("]}")
+        names = sorted((v, k, dumps(v) + ": ") for k, v in enumerate(cfg.vars))
+        write(sep + '{"terms": [' + ", ".join(
+            '{"coeff": %s, "monomial": {%s}}' % (   # str() of ints is json
+                _encode_coeff(cfg, c),
+                ", ".join(name + str(m[k]) for _, k, name in names if m[k]))
+            for m, c in sorted(poly.terms.items())) + "]}")
     write("]}")
 
 

@@ -197,6 +197,8 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
     ["verify", "--law", "L1", "--p", "2", "--ramified", "false",
      "--trials", "-3"],
     ["kernel", "--trials", "0"],
+    ["verify", "--law", "L15,L16", "--prec", "0"],
+    ["verify", "--law", "L15,L16", "--prec", "-1"],
     ["kernel", "--group", "nosuch"],
     ["eval", "--ring", '{"p":2}', "--op", "shifted_ghost",
      "--in", '{"head":[1],"tail":[]}'],
@@ -231,7 +233,8 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
     ["eval", "--ring", '{"p":2}', "--op", "ghost_solve",
      "--in", '{"ghost":[1,3],"head_count":true}'],
 ], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
-        "verify-trials-negative", "kernel-trials-zero",
+        "verify-trials-negative", "kernel-trials-zero", "verify-prec-zero",
+        "verify-prec-negative",
         "kernel-unknown-group", "shifted-without-m", "terms-not-objects",
         "coeff-not-a-number", "monomial-not-an-object", "term-without-coeff",
         "coeff-list-of-lists", "ring-vars-not-a-list", "witt-op-given-m",

@@ -286,6 +286,45 @@ def test_product_kernel_one_term_and_constant_factors(name):
         assert mono * mono == _reference_mul(mono, mono)
 
 
+@pytest.mark.parametrize("name", list(KERNEL_CONFIGS))
+def test_sub_matches_add_of_negation(name):
+    """a - b merges into a copy of a's terms: it must equal a + (-b)
+    through full and partial cancellation, with ints on either side, and
+    leave both operands as they were."""
+    rng = random.Random(f"sub:{name}")
+    base = make_ring_config(KERNEL_CONFIGS[name])
+    for cfg in (base, base.adjoin(["v0", "v1", "v2"])):
+        for _ in range(25):
+            a, b = (_random_poly(cfg, rng, rng.choice((0, 1, 3, 8)), 4)
+                    for _ in range(2))
+            before = dict(a.terms), dict(b.terms)
+            for x, y in ((a, b), (b, a), (a, a), (a, _copy(a)),
+                         (a + b, b), (a + b, a), (a, cfg.zero())):
+                diff = x - y
+                assert diff == x + (-y)
+                assert all(any(c) for c in diff.terms.values())
+            assert (a + b) - b == a and (a - a).is_zero()
+            assert a - 3 == a + (-3) == a + cfg.from_int(-3)
+            assert 3 - a == (-a) + 3
+            assert (a.terms, b.terms) == before
+        with pytest.raises(TypeError):
+            a - 1.5
+
+
+@pytest.mark.parametrize("name", ["Z2", "x^2-5", "x^3-5"])
+def test_coefficient_ops_match_generator_forms(name):
+    """cadd / csub / cneg at d = 1, 2, 3 against the zip forms."""
+    rng = random.Random(f"coeff-ops:{name}")
+    cfg = make_ring_config(KERNEL_CONFIGS[name])
+    for _ in range(50):
+        a, b = (tuple(rng.randint(-10 ** 40, 10 ** 40) for _ in range(cfg.d))
+                for _ in range(2))
+        assert cfg.cadd(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert cfg.csub(a, b) == tuple(x - y for x, y in zip(a, b))
+        assert cfg.cneg(a) == tuple(-x for x in a)
+        assert cfg.csub(a, a) == cfg.cadd(a, cfg.cneg(a)) == cfg.czero()
+
+
 def test_product_kernel_field_width_edges():
     cfg = Z2.adjoin([f"v{i}" for i in range(13)])
     x, y, z = cfg.var("v0"), cfg.var("v6"), cfg.var("v12")

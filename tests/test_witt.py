@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wittlab.errors import (
     BaseMismatch,
     BudgetExceeded,
+    InternalError,
     LengthMismatch,
     NonIntegral,
     TorsionBase,
@@ -115,6 +116,35 @@ def test_ghost_solve_non_integral():
     g = GhostVector([Z2.from_int(1), Z2.from_int(0)])
     with pytest.raises(NonIntegral):
         ghost_solve(g, Z2)
+
+
+@pytest.mark.parametrize("rows,bad", [
+    (lambda x: [x[0], x[0] ** 3 + 3 * x[1],
+                x[0] ** 9 + 3 * x[1] ** 3 + 3 * x[2]], 2),
+    (lambda x: [x[0], x[0] ** 3 + x[1]], 1),
+], ids=["entry-2-divisible-by-p-not-p^2", "entry-1-off-the-image"])
+def test_symbolic_solve_failure_names_its_entry(rows, bad):
+    """On a d = 1 symbolic base the solve divides by p^i in one pass; a
+    failure still names the entry it stopped at."""
+    sym = Z3.adjoin(["x0", "x1", "x2"])
+    g = GhostVector(rows([sym.var(f"x{i}") for i in range(3)]))
+    with pytest.raises(NonIntegral) as err:
+        ghost_solve(g)
+    assert str(err.value) == (
+        f"ghost entry {bad} is not in the image of the ghost map")
+
+
+def test_symbolic_guaranteed_solve_failure_is_internal(monkeypatch):
+    # ghost rows <0, 0, x0> scale to <0, 0, 3 x0>, and 3 x0 / 9 is not
+    # integral: the (pi) map, which the theory guarantees, failed to solve
+    import wittlab.witt as wmod
+    sym = Z3.adjoin(["x0"])
+    x0 = sym.var("x0")
+    monkeypatch.setattr(wmod, "_rows", lambda ar, v: [ar.zero, ar.zero, x0])
+    with pytest.raises(InternalError) as err:
+        mult_pi(WittVector(sym, [x0, x0, x0]))
+    assert str(err.value) == ("(pi) map failed to solve: ghost entry 2 is "
+                              "not in the image of the ghost map")
 
 
 def test_ghost_solve_needs_exact_base():
@@ -361,6 +391,27 @@ def test_cache_write_constants():
     buf = io.StringIO()
     wmod._write_cache(buf, payload, polys)
     assert buf.getvalue() == _reference_cache_text("sum", 1, cfg, polys)
+
+
+@pytest.mark.parametrize("spec", [{"p": 2}, RAM5_SPEC], ids=["Z-p2", "x^2-5"])
+def test_cache_write_two_digit_names(spec):
+    """Over x0..x11 json orders the names "x10", "x11" before "x2"; terms
+    with negative coefficients, a zero polynomial and constants."""
+    import io
+    import wittlab.witt as wmod
+    cfg = make_ring_config(spec)
+    sym = cfg.adjoin([f"x{i}" for i in range(12)])
+    x, pi = [sym.var(f"x{i}") for i in range(12)], sym.pi_elem()
+    polys = [x[10] * x[2] ** 3 - 7 * x[11] + x[0] * x[1] - 5, sym.zero(),
+             -x[2] + pi * x[10] ** 2 - x[9] * x[11] * x[1] ** 4,
+             1 - 2 * pi, sum(x, sym.zero()) * -3 + x[11] ** 12,
+             sym.from_int(-4), (x[2] - x[10] + pi) ** 3]
+    payload, _ = wmod._cache_key("sum", 5, cfg)
+    buf = io.StringIO()
+    wmod._write_cache(buf, payload, polys)
+    text = buf.getvalue()
+    assert text == _reference_cache_text("sum", 5, cfg, polys)
+    assert '{"x10": 1, "x2": 3}' in text
 
 
 def test_universal_unknown_op():
