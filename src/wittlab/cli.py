@@ -15,6 +15,7 @@ from .errors import ConfigUnsupported, InternalError, UnknownLaw, WittlabError
 from .fgl import load_fgl
 from .kernel import difference_character
 from .laws import (
+    _bases,
     _point,
     _seeded,
     default_matrix,
@@ -217,8 +218,11 @@ def cmd_eval(args):
 
 
 def _matrix_from_args(args):
+    if args.ramified not in ("true", "false"):
+        raise WittlabError(f"--ramified takes true or false, not "
+                           f"{args.ramified!r}")
     configs = [make_ring_config({"p": p}) for p in args.p]
-    return configs + default_matrix()[2:] if args.ramified else configs
+    return configs + (default_matrix()[2:] if args.ramified == "true" else [])
 
 
 def cmd_verify(args):
@@ -262,11 +266,11 @@ def _kernel_checks(args):
         raise ConfigUnsupported(
             f"e <= p-2 violated for p={args.p}: the psi series is not "
             "integral")
-    B = cfg.truncated(args.prec) if not law.is_additive else cfg
+    bases = _bases(law, cfg, args.prec)
     m, n = max(args.m, 1), max(args.n, 2)
 
     def draw(rng, shift, length):
-        return _point(law, cfg, B, shift, length, _seeded(rng))
+        return _point(law, *bases, shift, length, _seeded(rng))
 
     checks = {
         "psi": lambda rng: psi_check(draw(rng, m, 1), draw(rng, m, 1),
@@ -281,7 +285,7 @@ def _kernel_checks(args):
                  "trials": ran,
                  "detail": None if ce is None else {"trial": ce["trial"]}}
         if check == "diff" and ce is None:
-            sample = _point(law, cfg, B, args.m, n,
+            sample = _point(law, *bases, args.m, n,
                             lambda c, i: c.zero() if i else c.one())
             entry["sample"] = encode_witt(difference_character(sample))
         results.append(entry)
@@ -328,8 +332,7 @@ def build_parser():
     p.add_argument("--law", default="all")
     p.add_argument("--p", type=lambda s: [int(x) for x in s.split(",")],
                    default=[2, 3])
-    p.add_argument("--ramified", type=lambda s: s.lower() != "false",
-                   default=True)
+    p.add_argument("--ramified", type=str.lower, default="true")
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)

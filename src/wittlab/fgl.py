@@ -172,23 +172,23 @@ def formal_log(law, kmax=None):
 
 def formal_inverse(law, kmax=None):
     """Coefficients b_1=-1, b_2, ..., b_kmax of the series i(Y) with
-    F(Y, i(Y)) = 0 mod degree kmax+1; always integral."""
+    F(Y, i(Y)) = 0 mod degree kmax+1; always integral.  As F(Y, 0) = Y,
+    b_k is minus the Y^k coefficient of sum c_ij Y^i i(Y)^j over j >= 1
+    but (0, 1), which needs only b_1 .. b_(k-1) and the i(Y)^j kept."""
     cfg = law.cfg
     if kmax is None:
         kmax = law.degree
     _check_degree(law, kmax)
-    sym = cfg.adjoin(["_S"])
-    s = sym.var("_S")
-    known, inv = law._inverse or (1, -s)
-    for k in range(known + 1, kmax + 1):
-        resid = law.evaluate(s, inv, max_degree=k)
-        inv = inv - _coeff_of(resid, k, sym) * s ** k
-    law._inverse = max(known, kmax), inv
-    return [_coeff_of(inv, k, cfg) for k in range(1, kmax + 1)]
-
-
-def _coeff_of(elem, k, target_cfg):
-    """Constant coefficient of S^k of a univariate polynomial, as an
-    element of target_cfg (same coefficient ring)."""
-    coeff = elem.terms.get((k,), elem.cfg.czero())
-    return target_cfg.from_coeff(coeff)
+    zero, terms = cfg.zero(), [(i, j, c) for (i, j), c in law.coeffs.items()
+                               if j and (i, j) != (0, 1)]
+    pows = law._inverse = law._inverse or [None, [zero, -cfg.one()]]
+    b = pows[1]                   # pows[j][d]: the Y^d coefficient of i^j
+    for k in range(len(b), kmax + 1):
+        for j in range(2, min(max([1] + [j for _, j, _ in terms]), k) + 1):
+            if j == len(pows):
+                pows.append([zero] * j)
+            pows[j].append(sum((b[e] * pows[j - 1][k - e]
+                                for e in range(1, k - j + 2)), zero))
+        b.append(-sum((c * pows[j][k - i] for i, j, c in terms
+                       if k - i >= j), zero))
+    return b[1:kmax + 1]

@@ -34,16 +34,12 @@ from .shifted import (
     shift_E,
 )
 from .witt import (
-    WittVector,
     _arith,
     _check_fixed,
     _phi_chain,
     _rows as _witt_rows,
     _solve as _witt_solve,
     frobenius_iter,
-    witt_add,
-    witt_neg,
-    witt_sub,
 )
 
 
@@ -128,7 +124,9 @@ def _series_degree(law, cfg, m, length, what):
     """The highest total degree whose terms of a series of the law on
     length-``length`` vectors of shift m survive mod pi^N, after checking
     that cfg is a pi-power truncation and that the law is known to that
-    degree."""
+    degree.  The additive law's X + Y and -Y have degree 1 on any base."""
+    if law.is_additive:
+        return 1
     if cfg.torsion_free:
         raise PrecisionRequired(
             f"{what} for a non-additive law needs a pi-power truncated base")
@@ -182,19 +180,12 @@ def _kernel_series(t, coeffs, s=None):
 def kernel_add(t, s):
     _check_pair(t, s)
     law = t.law
-    if law.is_additive:
-        u = WittVector(t.bcfg, t.coords)
-        v = WittVector(t.bcfg, s.coords)
-        return KernelPoint(law, t.rcfg, t.bcfg, t.m, witt_add(u, v).comps)
     top = _series_degree(law, t.bcfg, t.m, t.m + t.n + 1, "kernel addition")
     return _kernel_series(t, _law_terms(law, top), s)
 
 
 def kernel_neg(t):
     law = t.law
-    if law.is_additive:
-        v = witt_neg(WittVector(t.bcfg, t.coords))
-        return KernelPoint(law, t.rcfg, t.bcfg, t.m, v.comps)
     top = _series_degree(law, t.bcfg, t.m, t.m + t.n + 1, "kernel negation")
     inv = formal_inverse(law, top)
     return _kernel_series(t, [((k, 0), b) for k, b in enumerate(inv, 1)])
@@ -326,8 +317,6 @@ def _psi_coeffs(law, m, bcfg, precision):
 def _group_difference(law, x, y, m):
     """x minus y under the law: F(x, i(y)) on the ghost rows of x and y,
     solved once."""
-    if law.is_additive:
-        return witt_sub(x, y)
     cfg = x.cfg
     top = _series_degree(law, cfg, m, x.n + 1, "the group difference")
     inv = formal_inverse(law, top)

@@ -104,6 +104,12 @@ def _point(law, R, B, m, n, elem):
     return KernelPoint(law, R, B, m, [elem(B, i) for i in range(n)])
 
 
+def _bases(law, cfg, prec):
+    """(R, B) for law's kernel points on cfg: R the exact cover, B cfg for
+    the additive group (X + Y is a polynomial) and cfg mod pi^prec else."""
+    return cfg.exact_cover(), cfg if law.is_additive else cfg.truncated(prec)
+
+
 def _rand_poly(cfg, rng):
     acc = cfg.zero()
     names = cfg.vars[:4]
@@ -223,27 +229,28 @@ def _law_l5(cfg, rng, params):
 
 
 def _law(check, m_range, n_range, group):
-    """The numeric trial (m, n from the ranges, capped by m_max and n_max;
-    R = cfg's exact cover, B = cfg) and the symbolic case of a check on a
-    shifted vector, or with a group name on a kernel point of that group."""
+    """The numeric trial (m, n from the ranges, capped by m_max and n_max)
+    and the symbolic case of a check on a shifted vector over (cfg's exact
+    cover, cfg), or with a load_fgl name on a point over ``_bases``."""
 
-    def build(R, B, m, n, elem):
+    def build(cfg, m, n, elem, prec):
         if group is None:
-            return _shifted(R, B, m, n, elem)
-        return _point(load_fgl(group, R.base_exact()), R, B, m, n, elem)
+            return _shifted(cfg.exact_cover(), cfg, m, n, elem)
+        law = load_fgl(group, cfg.base_exact())
+        return _point(law, *_bases(law, cfg, prec), m, n, elem)
 
     def numeric(cfg, rng, params):
         m = _pick(rng, *m_range, params.get("m_max"))
         n = _pick(rng, *n_range, params.get("n_max"))
-        return check(build(cfg.exact_cover(), cfg, m, n, _seeded(rng)))
+        return check(build(cfg, m, n, _seeded(rng), params.get("prec", 6)))
 
     def symbolic(case):
         m, n = case["m"], case["n"]
         prefix, count = ("x", m + n + 1) if group is None else ("t", n)
         sym = make_ring_config({"p": case["p"]}).adjoin(
             [f"{prefix}{i}" for i in range(count)])
-        return check(build(sym, sym, m, n,
-                           lambda cfg, i: cfg.var(f"{prefix}{i}")))
+        return check(build(sym, m, n, lambda cfg, i: cfg.var(f"{prefix}{i}"),
+                           6))
 
     return {"numeric": numeric, "symbolic": symbolic,
             "min_shape": (m_range[0], n_range[0])}
@@ -364,14 +371,15 @@ def psi_check(t, s, prec):
 def _law_l15(cfg, rng, params):
     prec = params.get("prec", 6)
     base, elem = cfg.base_exact(), _seeded(rng)
-    gm, B = load_fgl("gm", base), cfg.truncated(prec)
-    ce = psi_check(_point(gm, base, B, 1, 1, elem),
-                   _point(gm, base, B, 1, 1, elem), prec)
+    gm = load_fgl("gm", base)
+    bases = _bases(gm, cfg, prec)
+    ce = psi_check(_point(gm, *bases, 1, 1, elem),
+                   _point(gm, *bases, 1, 1, elem), prec)
     if ce:
         return ce
     # additive degeneration: Psi = id and Phi = pi
     ga = load_fgl("ga", base)
-    a = _point(ga, cfg.exact_cover(), cfg, 1, 1, elem)
+    a = _point(ga, *_bases(ga, cfg, prec), 1, 1, elem)
     if psi_map(ga, 1, a.coords[0], precision=prec) != a.coords[0]:
         return {"part": "psi_ga", "inputs": {"a": _enc(a)}}
     return l13_check(a)
@@ -387,27 +395,22 @@ def l16_check(t):
     return None
 
 
-def _law_l16(cfg, rng, params):
-    base, elem = cfg.base_exact(), _seeded(rng)
-    m = _pick(rng, 0, 2, params.get("m_max"))
-    n = _pick(rng, 2, 4, params.get("n_max"))
-    ce = l16_check(_point(load_fgl("ga", base), cfg.exact_cover(), cfg, m, n,
-                          elem))
-    if ce:
-        return ce
-    m = _pick(rng, 0, 1, params.get("m_max"))
-    n = _pick(rng, 2, 3, params.get("n_max"))
-    return l16_check(_point(load_fgl("gm", base), base,
-                            cfg.truncated(params.get("prec", 6)), m, n, elem))
+def _in_turn(*trials):
+    """One trial: the given trials in turn on its stream, up to the first
+    counterexample."""
+    def numeric(cfg, rng, params):
+        for trial in trials:
+            ce = trial(cfg, rng, params)
+            if ce:
+                return ce
+        return None
+    return numeric
 
 
-def _law_table_i(cfg, rng, params):
+def _table_i_l3(cfg, rng, params):
     m = _pick(rng, 1, 3, params.get("m_max"))
-    ce = _l3_check(
+    return _l3_check(
         _rand_witt(cfg, _pick(rng, 0, 2, params.get("n_max")), rng), m)
-    if ce:
-        return ce
-    return REGISTRY["L13"].numeric(cfg, rng, params)
 
 
 def _law_table_ii(cfg, rng, params):
@@ -418,8 +421,9 @@ def _law_table_ii(cfg, rng, params):
     rhs = frobenius_iter(verschiebung(frobenius(t), m + 1), m + n - 1)
     if lhs != rhs:
         return _mismatch({"t": t, "m": m}, lhs, rhs)
-    return _l14_check(_point(load_fgl("ga", cfg.base_exact()),
-                             cfg.exact_cover(), cfg, m, n, _seeded(rng)), (n,))
+    ga = load_fgl("ga", cfg.base_exact())
+    return _l14_check(_point(ga, *_bases(ga, cfg, params.get("prec", 6)), m,
+                             n, _seeded(rng)), (n,))
 
 
 def _law_table_iii(cfg, rng, params):
@@ -430,8 +434,9 @@ def _law_table_iii(cfg, rng, params):
         return _mismatch({"v": v}, lhs, rhs)
     m = _pick(rng, 1, 2, params.get("m_max"))
     n = _pick(rng, 2, 3, params.get("n_max"))
-    pt = _point(load_fgl("ga", cfg.base_exact()), cfg.exact_cover(), cfg, m,
-                n, _seeded(rng))
+    ga = load_fgl("ga", cfg.base_exact())
+    pt = _point(ga, *_bases(ga, cfg, params.get("prec", 6)), m, n,
+                _seeded(rng))
     lhs = kernel_phi(kernel_lateral_f(pt))
     rhs = kernel_lateral_f(kernel_phi(pt))
     if lhs != rhs:
@@ -460,8 +465,7 @@ def _sabotage(check):
     """The trial of a check on a shifted vector of polynomials in u0, u1."""
     def numeric(cfg, rng, params):
         sym = cfg.adjoin(["u0", "u1"])
-        return check(_shifted(sym.exact_cover(), sym, params.get("m", 1),
-                              params.get("n", 2),
+        return check(_shifted(sym.exact_cover(), sym, 1, 2,
                               lambda c, i: _rand_poly(c, rng)))
     return numeric
 
@@ -570,9 +574,11 @@ _register(LawSpec("L14", "phi^(m+j) iota_m = phi^(m+j-1) iota_m f_m",
 _register(LawSpec("L15", "Psi ladder and additivity", _law_l15, 50,
                   hypothesis=_hyp_psi))
 _register(LawSpec("L16", "difference character factors through t_0",
-                  _law_l16, 50))
+                  _in_turn(_law(l16_check, (0, 2), (2, 4), "ga")["numeric"],
+                           _law(l16_check, (0, 1), (2, 3), "gm")["numeric"]),
+                  50))
 _register(LawSpec("table-i", "F V^(m+1) = V^m (pi); F iota = iota Phi",
-                  _law_table_i, 100))
+                  _in_turn(_table_i_l3, REGISTRY["L13"].numeric), 100))
 _register(LawSpec("table-ii",
                   "F^(m+n) V^(m+1) = F^(m-1+n) V^(m+1) F; kernel analogue",
                   _law_table_ii, 100))

@@ -735,10 +735,12 @@ def make_ring_config(spec):
                         for c in spec.get("modulus") or ()) or None
         phi_pi = (tuple(_json_int(c, "a phi_pi coefficient") for c in phi_pi)
                   if phi_pi and phi_pi != "pi" else None)
-        variables = tuple(spec.get("vars", ()))
+        names = spec.get("vars", [])
+        if type(names) is not list or not all(type(v) is str for v in names):
+            raise TypeError("vars must be a list of strings")
     except (TypeError, ValueError) as exc:
         raise WittlabError(f"malformed ring spec {spec!r}: {exc}") from None
-    return _config(spec["p"], modulus, phi_pi, trunc, variables)
+    return _config(spec["p"], modulus, phi_pi, trunc, tuple(names))
 
 
 def c_pi(x, y):

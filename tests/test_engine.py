@@ -13,6 +13,9 @@ library must agree.
   the difference character) equal their per-step definitions: k
   Frobenius round trips, and one shifted / Witt ring operation per
   series term.
+* The additive group goes through the kernel group series like any other
+  law: its sum, negative and group difference are Witt addition,
+  negation and subtraction of the tails, on exact and truncated bases.
 * A truncation B/pi^N computes mod pi^(N+L): every operator gives the
   result, or the error, of the same engine on the exact cover's
   arithmetic, at lengths past N and on orders of degree 2 and 3.
@@ -76,6 +79,7 @@ from wittlab.witt import (
     witt_add,
     witt_mul,
     witt_neg,
+    witt_sub,
     witt_zero,
 )
 
@@ -456,6 +460,60 @@ def test_formal_inverse_returns_a_fresh_list():
     assert formal_inverse(law, 6) == want
     assert formal_inverse(law, 8)[:6] == want
     assert formal_inverse(law, 4) == want[:4]
+
+
+# ----------------------------------------------------------------------
+# the additive group through the series against Witt arithmetic on tails
+#
+# The references compute the additive law's group structure as Witt
+# arithmetic: witt_add / witt_neg of the tails, and witt_sub of the two
+# Frobenius images inside the difference character.
+
+
+def _ga_add(t, s):
+    v = witt_add(WittVector(t.bcfg, t.coords), WittVector(t.bcfg, s.coords))
+    return KernelPoint(t.law, t.rcfg, t.bcfg, t.m, v.comps)
+
+
+def _ga_neg(t):
+    v = witt_neg(WittVector(t.bcfg, t.coords))
+    return KernelPoint(t.law, t.rcfg, t.bcfg, t.m, v.comps)
+
+
+def _ga_difference_character(t):
+    x = frobenius_iter(kernel_witt_point(t), t.m + 1)
+    y = frobenius_iter(kernel_witt_point(kernel_lateral_f(t)), t.m)
+    return witt_sub(x, y)
+
+
+# op: (series path, reference, arity, least tail length)
+GA_OPS = {"kernel_add": (kernel_add, _ga_add, 2, 1),
+          "kernel_neg": (kernel_neg, _ga_neg, 1, 1),
+          "difference_character": (difference_character,
+                                   _ga_difference_character, 1, 2)}
+# the exact bases L16 draws its additive points on, then two truncations
+GA_BASES = [(Z2, 0), (Z3, 0), (RAM5, 0)] + TRUNCATIONS
+GA_IDS = ["Z2", "Z3", "RAM5"] + TRUNC_IDS
+
+
+@pytest.mark.parametrize("base,N", GA_BASES, ids=GA_IDS)
+@pytest.mark.parametrize("op", sorted(GA_OPS))
+def test_additive_series_is_witt_arithmetic_on_tails(op, base, N):
+    fn, ref, arity, n_min = GA_OPS[op]
+    B = base.truncated(N)      # N = 0 is the exact base itself
+    law = load_fgl("ga", base)
+    rng = random.Random(f"ga-series:{op}:{base.key}:{N}")
+    raised = set()
+    for m in range(3):
+        for n in list(range(n_min, 5)) * 2:
+            points = [KernelPoint(law, base, B, m,
+                                  [B.convert(_elem(base, rng))
+                                   for _ in range(n)])
+                      for _ in range(arity)]
+            got = _outcome(fn, *points)
+            assert got == _outcome(ref, *points), (m, n)
+            raised.add(isinstance(got, tuple))
+    assert raised == {False}    # every shape gave a value
 
 
 # ----------------------------------------------------------------------
