@@ -30,17 +30,19 @@ CUSTOM = "custom"
 class FormalGroupLaw:
     """Coefficients c_{ij} (constants of one base config) with i+j <= D.
     The inverse and logarithm series are kept once computed, and extended
-    when a longer prefix is asked for, and so are the Psi coefficients."""
+    when a longer prefix is asked for, and so are the Psi coefficients and
+    the kernel series' coefficient chains."""
 
     __slots__ = ("cfg", "degree", "coeffs", "tag", "_inverse", "_log_units",
-                 "_psi")
+                 "_psi", "_chains")
 
     def __init__(self, cfg, degree, coeffs, tag=CUSTOM):
         self.cfg = cfg
         self.degree = degree
         self.coeffs = dict(coeffs)
         self.tag = tag
-        self._inverse, self._log_units, self._psi = None, [cfg.one()], {}
+        self._inverse, self._log_units = None, [cfg.one()]
+        self._psi, self._chains = {}, {}
         _validate(self)
 
     @property

@@ -37,9 +37,7 @@ from .witt import (
     _arith,
     _check_fixed,
     _phi_chain,
-    _rows as _witt_rows,
     _solve as _witt_solve,
-    frobenius_iter,
 )
 
 
@@ -138,57 +136,78 @@ def _series_degree(law, cfg, m, length, what):
     return top
 
 
-def _series_rows(hl, bl, rcfg, k, coeffs, a, b):
-    """Ghost rows of sum c_ij A^i B^j from the ghost rows a of A and b of
-    B: row r is sum phi^r(c_ij) a_r^i b_r^j, in R's arithmetic hl below
-    row k and in B's arithmetic bl from row k on.  A scalar c enters as its
-    ghost chain phi^r(c), the rule of scalar_shifted and scalar_mul."""
-    for _, c in coeffs:
-        _check_fixed(c, "the kernel group law")
-    chains = [_phi_chain(hl, hl.unwrap(rcfg.convert(c)), len(a))
-              for _, c in coeffs]
-    chains = [ch[:k] + _lift_head(hl, bl, rcfg, ch[k:]) for ch in chains]
-    rows = []
-    for r in range(len(a)):
-        ar = hl if r < k else bl
-        acc = ar.zero
-        for ((i, j), _), chain in zip(coeffs, chains):
-            acc = ar.add(acc, ar.mul(chain[r], ar.mul(ar.pow(a[r], i),
-                                                      ar.pow(b[r], j))))
-        rows.append(acc)
-    return rows
-
-
 def _law_terms(law, top):
     """F's terms, less those above degree top when F is only a jet."""
     return [(ij, c) for ij, c in sorted(law.coeffs.items())
             if law.exact or sum(ij) <= top]
 
 
-def _kernel_series(t, coeffs, s=None):
-    """The tail of sum c_ij u^i v^j in W_[m]n(B), u and v the embeddings of
-    t and s (v = u when s is None), evaluated on shifted ghost rows and
-    solved once."""
+def _chains(law, series, top, hl, bl, k, count):
+    """The exponents (i, j) and, row by row, the ghost chains phi^r(c_ij)
+    of the series sum c_ij A^i B^j: series "F" is the law to degree top,
+    "i" its inverse i(A).  Row r is in R's arithmetic hl below row k and
+    in B's arithmetic bl from row k on.  A scalar c enters as its ghost
+    chain, the rule of scalar_shifted and scalar_mul.  The law keeps them
+    per (series, top, hl, bl, k, count), once every coefficient has passed
+    the phi(pi) check; a rejected series is checked again on every call."""
+    key = (series, top, hl, bl, k, count)
+    kept = law._chains.get(key)
+    if kept is not None:
+        return kept
+    coeffs = (_law_terms(law, top) if series == "F" else
+              [((i, 0), b) for i, b in enumerate(formal_inverse(law, top), 1)])
+    for _, c in coeffs:
+        _check_fixed(c, "the kernel group law")
+    rcfg = hl.cover
+    chains = [_phi_chain(hl, hl.unwrap(rcfg.convert(c)), count)
+              for _, c in coeffs]
+    chains = [ch[:k] + _lift_head(hl, bl, rcfg, ch[k:]) for ch in chains]
+    kept = law._chains[key] = ([ij for ij, _ in coeffs],
+                               [[ch[r] for ch in chains]
+                                for r in range(count)])
+    return kept
+
+
+def _series_rows(law, series, top, hl, bl, k, a, b):
+    """Ghost rows of the series (see ``_chains``) from the ghost rows a of
+    A and b of B: row r is sum phi^r(c_ij) a_r^i b_r^j, each power of a_r
+    and b_r built once from the one below."""
+    exps, chains = _chains(law, series, top, hl, bl, k, len(a))
+    imax, jmax = (max((e[x] for e in exps), default=0) for x in (0, 1))
+    rows = []
+    for r, chain in enumerate(chains):
+        ar = hl if r < k else bl
+        mul, apow, bpow = ar.mul, [ar.one, a[r]], [ar.one, b[r]]
+        for pows, top_e in ((apow, imax), (bpow, jmax)):
+            while len(pows) <= top_e:
+                pows.append(mul(pows[-1], pows[1]))
+        acc = ar.zero
+        for (i, j), c in zip(exps, chain):
+            acc = ar.add(acc, mul(c, mul(apow[i], bpow[j])))
+        rows.append(acc)
+    return rows
+
+
+def _kernel_series(t, series, what, s=None):
+    """The tail of a series of the law (see ``_chains``) in W_[m]n(B) at u
+    and v, the embeddings of t and s (v = u when s is None), evaluated on
+    shifted ghost rows and solved once."""
+    top = _series_degree(t.law, t.bcfg, t.m, t.m + t.n + 1, what)
     hl, bl, a = _shifted_rows(kernel_embed(t))
     b = a if s is None else _shifted_rows(kernel_embed(s))[2]
     k = t.m + 1
-    rows = _series_rows(hl, bl, t.rcfg, k, coeffs, a, b)
+    rows = _series_rows(t.law, series, top, hl, bl, k, a, b)
     return _tail_point(t, _shifted_solve(hl, bl, t.rcfg, t.bcfg, rows, k),
                        "kernel series")
 
 
 def kernel_add(t, s):
     _check_pair(t, s)
-    law = t.law
-    top = _series_degree(law, t.bcfg, t.m, t.m + t.n + 1, "kernel addition")
-    return _kernel_series(t, _law_terms(law, top), s)
+    return _kernel_series(t, "F", "kernel addition", s)
 
 
 def kernel_neg(t):
-    law = t.law
-    top = _series_degree(law, t.bcfg, t.m, t.m + t.n + 1, "kernel negation")
-    inv = formal_inverse(law, top)
-    return _kernel_series(t, [((k, 0), b) for k, b in enumerate(inv, 1)])
+    return _kernel_series(t, "i", "kernel negation")
 
 
 def kernel_lateral_f(t):
@@ -259,20 +278,22 @@ def psi_map(law, m, t0, precision=None):
     """Psi(t_0) = sum_k phi^(m+1)(a_k) pi^((m+1)(k-1)) t_0^k, the degree-1
     part of the logarithm ladder; coefficients are audited for
     integrality and the whole series is rejected when the base ring
-    cannot guarantee it (e > p - 2).  The law keeps the coefficients."""
+    cannot guarantee it (e > p - 2).  The law keeps the coefficients as
+    values of bcfg's engine arithmetic, where Horner's rule runs."""
     bcfg = t0.cfg
     if precision is None:
         if not bcfg.trunc:
             raise PrecisionRequired(
                 "psi over an exact base needs an explicit precision")
         precision = bcfg.trunc
-    key = (m, bcfg, precision)
+    ar, key = _arith(bcfg), (m, bcfg, precision)
     if key not in law._psi:
-        law._psi[key] = _psi_coeffs(law, m, bcfg, precision)
-    acc = bcfg.zero()
+        law._psi[key] = [ar.unwrap(c)
+                         for c in _psi_coeffs(law, m, bcfg, precision)]
+    x, acc = ar.unwrap(t0), ar.zero
     for c in reversed(law._psi[key]):   # t_0 (c_1 + t_0 (c_2 + ...))
-        acc = (acc + c) * t0
-    return acc
+        acc = ar.mul(ar.add(acc, c), x)
+    return ar.wrap(bcfg, acc)
 
 
 def _psi_coeffs(law, m, bcfg, precision):
@@ -314,26 +335,22 @@ def _psi_coeffs(law, m, bcfg, precision):
 # the difference character
 
 
-def _group_difference(law, x, y, m):
-    """x minus y under the law: F(x, i(y)) on the ghost rows of x and y,
-    solved once."""
-    cfg = x.cfg
-    top = _series_degree(law, cfg, m, x.n + 1, "the group difference")
-    inv = formal_inverse(law, top)
-    ar = _arith(cfg, x.n)
-    ys = _witt_rows(ar, y)
-    neg_y = _series_rows(ar, ar, ar.cover, 0,
-                         [((k, 0), b) for k, b in enumerate(inv, 1)], ys, ys)
-    return _witt_solve(ar, cfg, _series_rows(ar, ar, ar.cover, 0,
-                                             _law_terms(law, top),
-                                             _witt_rows(ar, x), neg_y))
-
-
 def difference_character(t):
     """F^(m+1)(i_m t) minus F^m(i_m f_m t) under the law; a length-(n-1)
-    Witt point that depends only on t_0."""
+    Witt point that depends only on t_0.  With R the shifted ghost rows of
+    t's embedding, R[m+1:] is the ghost of x = F^(m+1)(i_m t), and the same
+    rows with a zero first entry are the ghost of y = F^m(i_m f_m t) (the
+    lateral rule applies phi to a zero head row), so F(x, i(y)) is
+    evaluated on them and solved once.  Over B/pi^N this gives the residues
+    of the composed maps, because the solve needs row i only mod
+    pi^(N+i)."""
     if t.n < 2:
         raise ZeroTail("the difference character needs n >= 2")
-    x = frobenius_iter(kernel_witt_point(t), t.m + 1)
-    y = frobenius_iter(kernel_witt_point(kernel_lateral_f(t)), t.m)
-    return _group_difference(t.law, x, y, t.m)
+    law, cfg = t.law, t.bcfg
+    top = _series_degree(law, cfg, t.m, t.n, "the group difference")
+    ar = _arith(cfg, t.n - 1)
+    x = list(map(ar.reduce, _shifted_rows(kernel_embed(t))[2][t.m + 1:]))
+    y = [ar.zero] + x[1:]
+    neg_y = _series_rows(law, "i", top, ar, ar, 0, y, y)
+    return _witt_solve(ar, cfg, _series_rows(law, "F", top, ar, ar, 0, x,
+                                             neg_y))

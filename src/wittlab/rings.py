@@ -250,8 +250,12 @@ class RingConfig:
         return [tuple(r) for r in mat]
 
     def creduce(self, a):
+        """The canonical residue of a mod pi^N; for d = 1 the HNF is
+        [[p^N]], so that is a_0 mod p^N."""
         if self._hnf is None:
             return a
+        if self.d == 1:
+            return (a[0] % self._hnf[0][0],)
         v = list(a)
         for i in range(self.d):
             qq = v[i] // self._hnf[i][i]
@@ -279,11 +283,14 @@ class RingConfig:
     # element constructors
 
     def _make(self, terms):
-        """Canonicalize a raw {exponent tuple: coeff tuple} dict."""
-        if self._hnf is not None:
-            terms = {m: self.creduce(c) for m, c in terms.items()}
-        terms = {m: c for m, c in terms.items() if any(c)}
-        return RingElement(self, terms)
+        """Canonicalize a raw {exponent tuple: coeff tuple} dict: reduce
+        each coefficient (on a truncation) and drop the zeros, in one pass."""
+        if self._hnf is None:
+            return RingElement(self, {m: c for m, c in terms.items()
+                                      if any(c)})
+        red = self.creduce
+        return RingElement(self, {m: r for m, c in terms.items()
+                                  if any(r := red(c))})
 
     def _wrap(self, terms):
         """A term dict with no zero coefficient as an element; only a
@@ -419,11 +426,6 @@ class RingElement:
             raise WittlabError(f"{self!r} is not an integer constant")
         return self.const_coeff()[0]
 
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
@@ -521,37 +523,6 @@ class RingElement:
     def truncate_degree(self, max_deg):
         terms = {m: c for m, c in self.terms.items() if sum(m) <= max_deg}
         return self.cfg._make(terms)
-
-    def substitute(self, values, target_cfg=None):
-        """Evaluate at ``values`` (a name -> element mapping).
-
-        Unmapped variables must exist in the target config and are kept.
-        """
-        cfg = self.cfg
-        if target_cfg is None:
-            sample = next(iter(values.values()), None)
-            target_cfg = sample.cfg if sample is not None else cfg
-        images = []
-        for name in cfg.vars:
-            if name in values:
-                images.append(target_cfg.convert(values[name])
-                              if values[name].cfg is not target_cfg
-                              else values[name])
-            else:
-                images.append(target_cfg.var(name))
-        result = target_cfg.zero()
-        pow_cache = [dict() for _ in images]
-        for mono, coeff in self.terms.items():
-            term = target_cfg.from_coeff(coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    cached = pow_cache[i].get(e)
-                    if cached is None:
-                        cached = images[i] ** e
-                        pow_cache[i][e] = cached
-                    term = term * cached
-            result = result + term
-        return result
 
     # -- dunder plumbing -----------------------------------------------
 
@@ -686,16 +657,6 @@ class Frac:
     def pi_val(self):
         den_val = self.cfg.from_int(self.den).pi_val()
         return self.num.pi_val() - den_val
-
-    def is_integral(self):
-        try:
-            self.num.div_int(self.den)
-        except NonDivisible:
-            return False
-        return True
-
-    def as_element(self):
-        return self.num.div_int(self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Frac):

@@ -24,7 +24,6 @@ from .witt import (
     _keep,
     _phi_chain,
     _solve_rows,
-    universal_polynomials,
 )
 
 
@@ -208,30 +207,11 @@ def lateral_frobenius(v):
 def shift_E(v):
     """The ring map W_[m]n -> W_[m-1]n given coordinatewise by the plain
     Frobenius polynomials; its shifted ghost drops the leading entry, so
-    it is computed by solving that shifted ghost.  ``shift_E_coords`` is
-    the reference that evaluates the Frobenius polynomials instead."""
+    it is computed by solving that shifted ghost."""
     if v.m < 1:
         raise ZeroShift("shift needs m >= 1")
     hl, bl, rows = _rows(v)
     return _solve(hl, bl, v.rcfg, v.bcfg, rows[1:], v.m, "shift_E ghost path")
-
-
-def shift_E_coords(v):
-    """shift_E by evaluating the cached Frobenius polynomials on the
-    coordinates."""
-    if v.m < 1:
-        raise ZeroShift("shift needs m >= 1")
-    length = v.m + v.n
-    polys = universal_polynomials("frobenius", length, cfg=v.rcfg)
-    # F_i only involves x_0..x_{i+1}, so zero-filling the rest is harmless
-    head_vals = {f"x{i}": v.head[i] if i <= v.m else v.rcfg.zero()
-                 for i in range(length + 1)}
-    head = [polys[i].substitute(head_vals, v.rcfg) for i in range(v.m)]
-    full = [v.f(r) for r in v.head] + list(v.tail)
-    full_vals = {f"x{i}": full[i] for i in range(length + 1)}
-    tail = [polys[i].substitute(full_vals, v.bcfg)
-            for i in range(v.m, length)]
-    return ShiftedWittVector(v.rcfg, v.bcfg, v.m - 1, head, tail)
 
 
 def scalar_shifted(rcfg, bcfg, m, n, r):

@@ -13,6 +13,10 @@ library must agree.
   the difference character) equal their per-step definitions: k
   Frobenius round trips, and one shifted / Witt ring operation per
   series term.
+* The difference character, one ghost pass of the embedding and one
+  solve, equals its composed definition: two Frobenius images of Witt
+  points, one of them through the lateral Frobenius, and the group
+  difference evaluated on their ghost rows.
 * The additive group goes through the kernel group series like any other
   law: its sum, negative and group difference are Witt addition,
   negation and subtraction of the tails, on exact and truncated bases.
@@ -26,8 +30,10 @@ library must agree.
 
 import collections
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittlab import kernel, shifted, witt
 from wittlab.errors import (
@@ -37,6 +43,7 @@ from wittlab.errors import (
     PrecisionRequired,
     WittlabError,
     ZeroLength,
+    ZeroTail,
 )
 from wittlab.fgl import formal_inverse, load_fgl
 from wittlab.kernel import (
@@ -55,7 +62,6 @@ from wittlab.shifted import (
     lateral_frobenius,
     scalar_shifted,
     shift_E,
-    shift_E_coords,
     shifted_add,
     shifted_ghost,
     shifted_mul,
@@ -82,6 +88,8 @@ from wittlab.witt import (
     witt_sub,
     witt_zero,
 )
+
+from oracles import shift_E_coords, substitute
 
 Z2 = make_ring_config({"p": 2})
 Z3 = make_ring_config({"p": 3})
@@ -210,7 +218,7 @@ def test_universal_polynomials_match_constant_path(cfg, op, n):
         u, v = _witt(cfg, n, rng), _witt(cfg, n, rng)
         values = {f"x{i}": c for i, c in enumerate(u.comps)}
         values.update({f"y{i}": c for i, c in enumerate(v.comps)})
-        got = [poly.substitute(values, cfg) for poly in polys]
+        got = [substitute(poly, values, cfg) for poly in polys]
         assert got == list(UNIVERSAL_OPS[op](u, v).comps)
 
 
@@ -514,6 +522,110 @@ def test_additive_series_is_witt_arithmetic_on_tails(op, base, N):
             assert got == _outcome(ref, *points), (m, n)
             raised.add(isinstance(got, tuple))
     assert raised == {False}    # every shape gave a value
+
+
+# ----------------------------------------------------------------------
+# the one-pass difference character against its composed definition
+#
+# The reference builds both Frobenius images as Witt points, the second
+# through the lateral Frobenius, takes each one's ghost rows and evaluates
+# the group difference F(x, i(y)) on them, every coefficient chain rebuilt
+# and every power raised on each call.
+
+
+def _per_call_series_rows(hl, bl, rcfg, k, coeffs, a, b):
+    for _, c in coeffs:
+        _check_fixed(c, "the kernel group law")
+    chains = [witt._phi_chain(hl, hl.unwrap(rcfg.convert(c)), len(a))
+              for _, c in coeffs]
+    chains = [ch[:k] + shifted._lift_head(hl, bl, rcfg, ch[k:])
+              for ch in chains]
+    rows = []
+    for r in range(len(a)):
+        ar = hl if r < k else bl
+        acc = ar.zero
+        for ((i, j), _), chain in zip(coeffs, chains):
+            acc = ar.add(acc, ar.mul(chain[r], ar.mul(ar.pow(a[r], i),
+                                                      ar.pow(b[r], j))))
+        rows.append(acc)
+    return rows
+
+
+def _composed_group_difference(law, x, y, m):
+    cfg = x.cfg
+    top = kernel._series_degree(law, cfg, m, x.n + 1, "the group difference")
+    inv = formal_inverse(law, top)
+    ar = _arith(cfg, x.n)
+    ys = witt._rows(ar, y)
+    neg_y = _per_call_series_rows(
+        ar, ar, ar.cover, 0, [((k, 0), b) for k, b in enumerate(inv, 1)],
+        ys, ys)
+    return witt._solve(ar, cfg, _per_call_series_rows(
+        ar, ar, ar.cover, 0, kernel._law_terms(law, top), witt._rows(ar, x),
+        neg_y))
+
+
+def _composed_difference_character(t):
+    if t.n < 2:
+        raise ZeroTail("the difference character needs n >= 2")
+    x = frobenius_iter(kernel_witt_point(t), t.m + 1)
+    y = frobenius_iter(kernel_witt_point(kernel_lateral_f(t)), t.m)
+    return _composed_group_difference(t.law, x, y, t.m)
+
+
+DATA = Path(__file__).parent / "data"
+ONE_PASS_GROUPS = ["ga", "gm", "lt_p2_d16", "lt_p3_d16"]
+ONE_PASS_BASES = [Z2, Z3, Z5, RAM5, PHI_NEG]
+ONE_PASS_IDS = ["Z2", "Z3", "Z5", "RAM5", "PHI_NEG"]
+_ONE_PASS_LAWS = {}
+
+
+def _one_pass_law(group, base):
+    if (group, base) not in _ONE_PASS_LAWS:
+        source = (group if group in ("ga", "gm")
+                  else str(DATA / f"{group}.json"))
+        _ONE_PASS_LAWS[group, base] = load_fgl(source, base)
+    return _ONE_PASS_LAWS[group, base]
+
+
+@pytest.mark.parametrize("base", ONE_PASS_BASES, ids=ONE_PASS_IDS)
+@pytest.mark.parametrize("group", ONE_PASS_GROUPS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_one_pass_difference_character_matches_composed_maps(group, base,
+                                                              data):
+    law = _one_pass_law(group, base)
+    N = data.draw(st.sampled_from([0, 4, 5, 6, 7, 8]), label="N")
+    m = data.draw(st.integers(0, 2), label="m")
+    n = data.draw(st.integers(1, 4), label="n")
+    B = base.truncated(N)      # N = 0 is the exact base itself
+    coords = [B.convert(base.from_coeff(
+        [data.draw(st.integers(-10 ** 6, 10 ** 6)) for _ in range(base.d)]))
+        for _ in range(n)]
+    got, want = (_outcome(fn, KernelPoint(law, base, B, m, coords))
+                 for fn in (difference_character,
+                            _composed_difference_character))
+    assert got == want
+
+
+def test_kept_chains_never_skip_the_phi_pi_check():
+    """A chain kept for one base is not reused for another, and a series
+    that fails the phi(pi) check is checked again and never kept."""
+    rng = random.Random("kept-chains")
+    m, n, N = 1, 2, 6
+    for base, calls in ((RAM5, 1), (PHI_NEG, 2)):
+        law, B = KERNEL_LAWS["pi-gm-jet8"](base), base.truncated(N)
+        t, s = (KernelPoint(law, base, B, m, [B.convert(_elem(base, rng))
+                                              for _ in range(n)])
+                for _ in range(2))
+        for _ in range(calls):
+            if base is RAM5:
+                assert kernel_add(t, s) == _ref_kernel_add(t, s)
+                continue
+            with pytest.raises(ConfigUnsupported, match="kernel group law"):
+                kernel_add(t, s)
+        # one kept entry on RAM5, none on PHI_NEG, however many calls
+        assert len(law._chains) == (base is RAM5)
 
 
 # ----------------------------------------------------------------------

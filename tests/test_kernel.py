@@ -17,6 +17,7 @@ from wittlab.errors import (
 from wittlab.fgl import FormalGroupLaw, formal_log, load_fgl
 from wittlab.kernel import (
     KernelPoint,
+    _psi_coeffs,
     _psi_series_bound,
     difference_character,
     kernel_add,
@@ -301,6 +302,46 @@ def test_psi_errors_raise_on_every_call():
             with pytest.raises(error) as want:
                 _psi_uncached(law, m, t0, precision)
             assert str(got.value) == str(want.value)
+            # a rejected series is never kept
+            assert (m, t0.cfg, precision or t0.cfg.trunc) not in law._psi
+
+
+def _psi_horner(law, m, t0, precision=None):
+    """Psi by Horner's rule on elements of t0's ring, every product
+    reduced: the loop psi_map ran before it kept engine values."""
+    bcfg = t0.cfg
+    coeffs = _psi_coeffs(law, m, bcfg, precision or bcfg.trunc)
+    acc = bcfg.zero()
+    for c in reversed(coeffs):
+        acc = (acc + c) * t0
+    return acc
+
+
+# (base, truncation, m, precision): L15 and `kernel --check psi` at their
+# default precision 6 on the CLI and default-matrix configs (gm mod pi^6,
+# ga on the exact base with an explicit precision, m = 0 .. 2), and the
+# kernel-trunc benchmark's gm calls (precision None, m = 0 .. 2)
+PSI_CASES = ([(base, N, m, 6) for base in (Z2, Z3, Z5, RAM5)
+              for N in (0, 6) for m in range(3)]
+             + [(base, N, m, None) for base in (Z5, RAM5) for N in (6, 8)
+                for m in range(3)])
+
+
+@pytest.mark.parametrize("group", ["ga", "gm"])
+def test_psi_engine_values_match_element_horner(group):
+    rng = random.Random(f"psi-horner:{group}")
+    ran = 0
+    for base, N, m, precision in PSI_CASES:
+        law, B = load_fgl(group, base), base.truncated(N)
+        if group == "gm" and (not N or not base.psi_integral):
+            continue    # rejected series: see the test above
+        for _ in range(3):
+            t0 = B.from_coeff([rng.randrange(-10 ** 6, 10 ** 6)
+                               for _ in range(base.d)])
+            assert (psi_map(law, m, t0, precision)
+                    == _psi_horner(law, m, t0, precision))
+            ran += 1
+    assert ran == 3 * (36 if group == "ga" else 21)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from wittlab.shifted import (
     restrict_T,
     scalar_shifted,
     shift_E,
-    shift_E_coords,
     shifted_add,
     shifted_ghost,
     shifted_ghost_solve,
@@ -29,6 +28,8 @@ from wittlab.shifted import (
     shifted_zero,
 )
 from wittlab.witt import GhostVector, WittVector, frobenius, ghost, witt_add, witt_mul
+
+from oracles import shift_E_coords
 
 Z2 = make_ring_config({"p": 2})
 Z3 = make_ring_config({"p": 3})
