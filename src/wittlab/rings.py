@@ -1,16 +1,16 @@
 """Exact arithmetic for the base rings everything else is generic over.
 
 Supported rings: the integers with pi = p; monogenic orders Z[x]/(f) with f
-monic and Eisenstein at p, uniformized by the class of x; multivariate
-polynomial extensions of either (for symbolic verification); and pi-power
-truncations R/pi^N.  Elements are kept in a canonical form so equality is a
-representation comparison.
+monic, Eisenstein at p and f(0) = ±p, uniformized by the class of x;
+multivariate polynomial extensions of either (for symbolic verification);
+and pi-power truncations R/pi^N.  Elements are kept in a canonical form so
+equality is a representation comparison.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, lshift, mul as mul_, neg, sub
+from operator import add, lshift, mod as mod_, mul as mul_, neg, sub
 
 from .errors import (
     BadFrobeniusLift,
@@ -76,12 +76,14 @@ class RingConfig:
                 phi_pi = None
         self.phi_pi = phi_pi
         self.torsion_free = self.trunc == 0
-        # coefficient arithmetic, exact division included, on the exact order
-        probe = self if self.torsion_free else RingConfig(p, modulus)
-        self._hnf = self._compute_hnf(probe) if self.trunc else None
-        self.e = self._compute_e(probe)
+        # p = pi^d * unit, so e = d and, with N = kd + r, pi^N Z[pi] is
+        # p^(k+1) Z^r + p^k Z^(d-r) in the power basis: one modulus a slot
+        self.e = self.d
+        k, r = divmod(trunc, self.d)
+        self._mods = (tuple(p ** (k + 1) if i < r else p ** k
+                            for i in range(self.d)) if trunc else None)
         self.psi_integral = self.e <= p - 2
-        self._validate_phi(probe)
+        self._validate_phi()
         self.key = (self.p, self.modulus, self.phi_pi, self.trunc, self.vars)
         self.base_key = (self.p, self.modulus, self.phi_pi)
 
@@ -96,9 +98,9 @@ class RingConfig:
             if c % p != 0:
                 raise RejectedModulus(
                     f"modulus {modulus} is not Eisenstein at {p}")
-        if modulus[0] % (p * p) == 0:
+        if abs(modulus[0]) != p:
             raise RejectedModulus(
-                f"constant term of {modulus} is divisible by {p}^2")
+                f"constant term of {modulus} must be ±{p}")
 
     # ------------------------------------------------------------------
     # coefficient arithmetic (integer tuples of length d, power basis of pi)
@@ -214,69 +216,25 @@ class RingConfig:
                 return v
             v += 1
 
-    def _compute_e(self, probe):
-        if self.modulus is None:
-            return 1
-        e = probe.cval(probe.cfrom_int(self.p))
-        if e is INFINITY or e < 1:
-            raise RejectedModulus("p has no positive finite pi-valuation")
-        return e
-
-    def _compute_hnf(self, probe):
-        """Triangular basis of the lattice pi^N * R inside Z^d."""
-        d = self.d
-        pi = self._pi_coeff()
-        mat = [list(probe.cpow(pi, self.trunc + i)) for i in range(d)]
-        for col in range(d):
-            while True:
-                nz = [i for i in range(col, d) if mat[i][col] != 0]
-                if not nz:
-                    raise InternalError("pi^N lattice is not full rank")
-                if len(nz) == 1:
-                    break
-                nz.sort(key=lambda i: abs(mat[i][col]))
-                base = nz[0]
-                for i in nz[1:]:
-                    qq = mat[i][col] // mat[base][col]
-                    mat[i] = [x - qq * y for x, y in zip(mat[i], mat[base])]
-            base = nz[0]
-            mat[col], mat[base] = mat[base], mat[col]
-            if mat[col][col] < 0:
-                mat[col] = [-x for x in mat[col]]
-            for i in range(col):
-                qq = mat[i][col] // mat[col][col]
-                if qq:
-                    mat[i] = [x - qq * y for x, y in zip(mat[i], mat[col])]
-        return [tuple(r) for r in mat]
-
     def creduce(self, a):
-        """The canonical residue of a mod pi^N; for d = 1 the HNF is
-        [[p^N]], so that is a_0 mod p^N."""
-        if self._hnf is None:
+        """The canonical residue of a mod pi^N: each power-basis slot mod
+        its modulus; for d = 1 that is a_0 mod p^N."""
+        if self._mods is None:
             return a
         if self.d == 1:
-            return (a[0] % self._hnf[0][0],)
-        v = list(a)
-        for i in range(self.d):
-            qq = v[i] // self._hnf[i][i]
-            if qq:
-                v = [x - qq * y for x, y in zip(v, self._hnf[i])]
-        return tuple(v)
+            return (a[0] % self._mods[0],)
+        return tuple(map(mod_, a, self._mods))
 
-    def _validate_phi(self, probe):
-        if self.modulus is None:
+    def _validate_phi(self):
+        if self.phi_pi is None:
             return
-        if self.phi_pi is not None:
-            # phi must be a well defined endomorphism: f(phi(pi)) = 0.
-            if any(self._at_phi_pi(self.modulus)):
-                raise BadFrobeniusLift(
-                    "phi_pi is not a root of the defining modulus")
-            img = self.phi_pi
-        else:
-            img = probe._pi_coeff()
-        # Frobenius-lift congruence on the generator: phi(pi) = pi^q mod pi.
-        diff = probe.csub(img, probe.cpow(probe._pi_coeff(), self.q))
-        if probe.cval(diff) < 1:
+        # phi must be a well defined endomorphism: f(phi(pi)) = 0.
+        if any(self._at_phi_pi(self.modulus)):
+            raise BadFrobeniusLift(
+                "phi_pi is not a root of the defining modulus")
+        # Frobenius-lift congruence on the generator: phi(pi) = pi^q = 0 mod
+        # pi, and pi Z[pi] = pZ + Z^(d-1), so p must divide phi(pi)_0.
+        if self.phi_pi[0] % self.p:
             raise BadFrobeniusLift("phi(pi) is not congruent to pi^q mod pi")
 
     # ------------------------------------------------------------------
@@ -285,7 +243,7 @@ class RingConfig:
     def _make(self, terms):
         """Canonicalize a raw {exponent tuple: coeff tuple} dict: reduce
         each coefficient (on a truncation) and drop the zeros, in one pass."""
-        if self._hnf is None:
+        if self._mods is None:
             return RingElement(self, {m: c for m, c in terms.items()
                                       if any(c)})
         red = self.creduce
@@ -295,7 +253,7 @@ class RingConfig:
     def _wrap(self, terms):
         """A term dict with no zero coefficient as an element; only a
         truncation copies it, to reduce the coefficients."""
-        return (RingElement(self, terms) if self._hnf is None
+        return (RingElement(self, terms) if self._mods is None
                 else self._make(terms))
 
     def zero(self):

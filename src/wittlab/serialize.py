@@ -1,6 +1,7 @@
 """JSON encodings for configs, elements, vectors, and universal polynomials.
 
-Everything round-trips: ``decode_*(encode_*(x)) == x``.  Dumps are canonical
+Everything round-trips: ``decode_*(encode_*(x)) == x``, and a config's
+encoding is a spec for ``rings.make_ring_config``.  Dumps are canonical
 (sorted keys, fixed separators, newline-terminated) so golden files are
 byte-stable.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .errors import WittlabError
-from .rings import _json_int, make_ring_config
+from .rings import _json_int
 
 
 def canonical_dumps(obj):
@@ -30,10 +31,6 @@ def encode_config(cfg):
         "trunc": cfg.trunc,
         "vars": list(cfg.vars),
     }
-
-
-def decode_config(obj):
-    return make_ring_config(obj)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Reference paths that only the tests call: polynomial evaluation, the
-coordinate path of E_[m], and the integrality of a logarithm fraction.
+coordinate path of E_[m], the integrality of a logarithm fraction, and the
+Hermite-normal-form reduction mod pi^N.
 
 The library computes these maps on ghost rows; the cross-checks compare
 it with the definitions kept here.
 """
 
-from wittlab.errors import NonDivisible, ZeroShift
+from wittlab.errors import InternalError, NonDivisible, ZeroShift
 from wittlab.shifted import ShiftedWittVector
 from wittlab.witt import universal_polynomials
 
@@ -75,3 +76,44 @@ def shift_E_coords(v):
     tail = [substitute(polys[i], full_vals, v.bcfg)
             for i in range(v.m, length)]
     return ShiftedWittVector(v.rcfg, v.bcfg, v.m - 1, head, tail)
+
+
+def pi_power_hnf(cfg, n):
+    """Triangular basis of the lattice pi^n * R inside Z^d, by integer row
+    reduction of the power-basis vectors of pi^n, ..., pi^(n+d-1); cfg is
+    the exact order."""
+    d = cfg.d
+    pi = cfg._pi_coeff()
+    mat = [list(cfg.cpow(pi, n + i)) for i in range(d)]
+    for col in range(d):
+        while True:
+            nz = [i for i in range(col, d) if mat[i][col] != 0]
+            if not nz:
+                raise InternalError("pi^N lattice is not full rank")
+            if len(nz) == 1:
+                break
+            nz.sort(key=lambda i: abs(mat[i][col]))
+            base = nz[0]
+            for i in nz[1:]:
+                qq = mat[i][col] // mat[base][col]
+                mat[i] = [x - qq * y for x, y in zip(mat[i], mat[base])]
+        base = nz[0]
+        mat[col], mat[base] = mat[base], mat[col]
+        if mat[col][col] < 0:
+            mat[col] = [-x for x in mat[col]]
+        for i in range(col):
+            qq = mat[i][col] // mat[col][col]
+            if qq:
+                mat[i] = [x - qq * y for x, y in zip(mat[i], mat[col])]
+    return [tuple(r) for r in mat]
+
+
+def hnf_reduce(hnf, a):
+    """The canonical residue of the coefficient tuple a modulo the lattice
+    with triangular basis hnf."""
+    v = list(a)
+    for i, row in enumerate(hnf):
+        qq = v[i] // row[i]
+        if qq:
+            v = [x - qq * y for x, y in zip(v, row)]
+    return tuple(v)

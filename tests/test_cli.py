@@ -236,6 +236,8 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
     ["verify", "--law", "L1", "--trials", "1", "--ramified", "0"],
     ["eval", "--ring", '{"p":2,"vars":"xy"}', "--op", "neg", "--in", "[1]"],
     ["eval", "--ring", '{"p":2,"vars":[1]}', "--op", "neg", "--in", "[1]"],
+    ["eval", "--ring", '{"p":5,"modulus":[-10,0,1]}', "--op", "ghost",
+     "--in", "[1]"],
 ], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
         "verify-trials-negative", "kernel-trials-zero", "verify-prec-zero",
         "verify-prec-negative",
@@ -247,7 +249,8 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
         "coeff-float", "coeff-boolean", "ring-modulus-float",
         "ring-trunc-float", "ring-trunc-boolean", "shifted-m-boolean",
         "shifted-n-float", "head-count-boolean", "verify-ramified-no",
-        "verify-ramified-zero", "ring-vars-string", "ring-vars-int"])
+        "verify-ramified-zero", "ring-vars-string", "ring-vars-int",
+        "ring-constant-term-not-plus-minus-p"])
 def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     # None stands for a file that does not exist
     argv = [a if a is not None else str(tmp_path / "missing.json")

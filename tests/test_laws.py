@@ -7,7 +7,7 @@ import json
 
 import jsonschema
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wittlab import cli, laws
 from wittlab.errors import (ConfigUnsupported, InternalError, UnknownLaw,
@@ -290,11 +290,12 @@ NON_SABOTAGE = [i for i in REGISTRY if not REGISTRY[i].sabotage]
 
 @st.composite
 def ring_specs(draw):
-    """An Eisenstein modulus of degree 2 or 3 at a small prime, a Frobenius
-    lift (pi, or for degree 2 the other root -c_1 - pi) and a truncation."""
+    """An accepted modulus (Eisenstein of degree 2 or 3 at a small prime,
+    constant term ±p), a Frobenius lift (pi, or for degree 2 the other root
+    -c_1 - pi) and a truncation."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     d = draw(st.sampled_from([2, 3]))
-    unit = draw(st.sampled_from([u for u in range(-3, 4) if u % p]))
+    unit = draw(st.sampled_from([-1, 1]))
     modulus = ([p * unit] + [p * draw(st.integers(-1, 1))
                              for _ in range(d - 1)] + [1])
     phi_pi = "pi"
@@ -307,10 +308,7 @@ def ring_specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(spec=ring_specs())
 def test_config_fuzz_gets_no_fail(spec):
-    try:
-        cfg = make_ring_config(spec)
-    except WittlabError:
-        assume(False)
+    cfg = make_ring_config(spec)
     for law_id in NON_SABOTAGE:
         r = run_law(law_id, cfg, trials=2, seed=1)
         assert r.status != "fail", (law_id, spec, r.counterexample)

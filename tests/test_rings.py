@@ -1,5 +1,6 @@
 """Base ring layer: configs, canonical elements, exact pi-division."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,14 @@ from wittlab.errors import (
 )
 from wittlab.rings import Frac, make_ring_config
 
-from oracles import frac_as_element, frac_is_integral, substitute, total_degree
+from oracles import (
+    frac_as_element,
+    frac_is_integral,
+    hnf_reduce,
+    pi_power_hnf,
+    substitute,
+    total_degree,
+)
 
 
 Z2 = make_ring_config({"p": 2})
@@ -51,10 +59,44 @@ def test_spec_numbers_must_be_integers(spec):
     [-3, 0, 1],      # constant term not divisible by 5
     [-25, 0, 1],     # p^2 divides constant term
     [0, -5, 1],      # middle coefficient not divisible by p... zero const
+    [-10, 0, 1],     # Eisenstein, but the constant term is 2p
+    [-10, 5, 1],     # Eisenstein, but the constant term is 2p
 ])
 def test_eisenstein_rejection(modulus):
     with pytest.raises(RejectedModulus):
         make_ring_config({"p": 5, "modulus": modulus})
+
+
+@pytest.mark.parametrize("modulus", [
+    [-10, 0, 1], [-10, 5, 1], [-25, 0, 1], [0, -5, 1], [15, 5, 0, 1],
+])
+def test_constant_term_must_be_plus_or_minus_p(modulus):
+    # p = pi^d * unit in Z[pi] exactly when f(0) = ±p
+    with pytest.raises(RejectedModulus,
+                       match=r"constant term of .* must be ±5$"):
+        make_ring_config({"p": 5, "modulus": modulus})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_residue_mod_pi_power_matches_hnf(p, d):
+    # every Eisenstein modulus with coefficients in p*{-2..2} and constant
+    # term ±p, at N = 1..12: the closed-form residue is the HNF reduction
+    rng = random.Random(p * 10 + d)
+    middles = itertools.product(range(-2 * p, 2 * p + 1, p), repeat=d - 1)
+    for mid, c0 in itertools.product(list(middles), (p, -p)):
+        modulus = [c0, *mid, 1]
+        cfg = make_ring_config({"p": p, "modulus": modulus})
+        assert cfg.e == cfg.d == d
+        for n in range(1, 13):
+            hnf = pi_power_hnf(cfg, n)
+            trunc = cfg.truncated(n)
+            bound = p ** (n // d + 2)
+            for _ in range(3):
+                a = tuple(rng.randint(-bound, bound) for _ in range(d))
+                assert trunc.creduce(a) == hnf_reduce(hnf, a), (modulus, n, a)
+        with pytest.raises(RejectedModulus):
+            make_ring_config({"p": p, "modulus": [2 * c0, *mid, 1]})
 
 
 def test_ramification_index():

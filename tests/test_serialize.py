@@ -10,7 +10,6 @@ from wittlab.rings import make_ring_config
 from wittlab.serialize import (
     _decode_coeff,
     canonical_dumps,
-    decode_config,
     decode_element,
     decode_shifted,
     decode_witt,
@@ -37,7 +36,7 @@ def test_config_roundtrip():
     for cfg in (Z2, RAM5, Z2.truncated(4), RAM5.adjoin(["t"])):
         enc = encode_config(cfg)
         json.dumps(enc)
-        assert decode_config(enc) == cfg
+        assert make_ring_config(enc) == cfg
 
 
 def test_element_roundtrip_int_base():
