@@ -10,7 +10,7 @@ class RejectedModulus(WittlabError):
 
 
 class BadFrobeniusLift(WittlabError):
-    """phi(r) is not congruent to r^q mod pi on a ring generator."""
+    """phi_pi defines no Frobenius lift: malformed, or no root of f."""
 
 
 class NonDivisible(WittlabError):

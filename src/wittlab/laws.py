@@ -195,9 +195,8 @@ def _law_l3(cfg, rng, params):
 
 
 def _div_pi(x):
-    """x = 0 mod pi, checked on its lift to the exact cover."""
-    x = x.cfg.exact_cover().convert(x)
-    return x.is_zero() or x.pi_val() >= 1
+    """x = 0 mod pi, checked on its residue by the truncation's rule."""
+    return x.cfg.truncated(1).convert(x).is_zero()
 
 
 def _law_l4(cfg, rng, params):

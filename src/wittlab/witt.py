@@ -13,6 +13,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import (
+    BadLength,
     BaseMismatch,
     BudgetExceeded,
     ConfigUnsupported,
@@ -95,10 +96,10 @@ class GhostVector:
 # and one triangular solve.  The engine works on unwrapped values of the
 # exact cover of a config: Python ints (d = 1) or coefficient tuples
 # (d > 1) when the config has no adjoined variables, RingElements of the
-# exact cover when it has.  Over B/pi^N without variables, a solve that
-# divides by up to pi^L computes mod pi^(N+L): coordinate i is right mod
-# pi^(N+L-i), and wrapping reduces it to the residue mod pi^N of the exact
-# result.
+# exact cover, or of its truncation R/pi^prec, when it has.  Over B/pi^N,
+# with or without variables, a solve that divides by up to pi^L computes
+# mod pi^(N+L): coordinate i is right mod pi^(N+L-i), and wrapping reduces
+# it to the residue mod pi^N of the exact result.
 #
 # On an exact config a solve's entries are the ghost of its output
 # (w_i = sum_{j<i} pi^j x_j^(q^(i-j)) + pi^i x_i holds exactly), so the
@@ -109,8 +110,9 @@ class GhostVector:
 
 class _Arith:
     """Ring operations on the unwrapped values of one exact config, with
-    ``prec`` modulo p^ceil(prec/e), an ideal inside pi^prec: exact division
-    by pi^i (i < prec) then has the same verdict on every representative."""
+    ``prec`` modulo an ideal inside pi^prec (p^ceil(prec/e), or pi^prec for
+    polynomials): exact division by pi^i (i < prec) then has the same
+    verdict on every representative."""
 
     def __init__(self, cover, prec=0):
         self.cover, self.q = cover, cover.q
@@ -118,12 +120,13 @@ class _Arith:
         self.mul, self.neg, self.pow = operator.mul, operator.neg, pow
         self.reduce = lambda a: a
         mod = cover.p ** -(-prec // cover.e) if prec else 0
-        if cover.nvars:
-            self.zero, self.one = cover.zero(), cover.one()
-            self.pi = cover.pi_elem()
-            self.phi, self.div_pi = RingElement.phi, RingElement.div_pi
-            self.unwrap = lambda e: cover.convert(e)
-            self.wrap = lambda cfg, x: cfg.convert(x)
+        if cover.nvars:     # prec = 0 keeps the cover itself
+            red = cover.truncated(prec)
+            self.zero, self.one, self.pi = red.zero(), red.one(), red.pi_elem()
+            self.phi, self.unwrap = RingElement.phi, red.convert
+            self.reduce, self.wrap = red.convert, lambda cfg, x: cfg.convert(x)
+            self.div_pi = lambda a: red._wrap(
+                {m: cover.cdivpi(c) for m, c in a.terms.items()})
         elif cover.d == 1:
             self.zero, self.one, self.pi = 0, 1, cover.p
             self.phi = lambda a: a
@@ -168,8 +171,8 @@ _ARITH = {}
 
 def _arith(cfg, top=0):
     """The arithmetic of cfg's exact cover for a solve dividing by up to
-    pi^top: modulo pi^(N+top) when cfg is R/pi^N without variables."""
-    prec = cfg.trunc + top if cfg.trunc and not cfg.nvars else 0
+    pi^top: modulo pi^(N+top) when cfg is R/pi^N."""
+    prec = cfg.trunc + top if cfg.trunc else 0
     key = (cfg.base_key, cfg.vars, prec)
     if key not in _ARITH:
         _ARITH[key] = _Arith(cfg.exact_cover(), prec)
@@ -322,6 +325,8 @@ def frobenius_iter(v, k):
 
 def verschiebung(v, times=1):
     """V^times; its ghost is <0, .., 0, pi^times w_0, pi^times w_1, ..>."""
+    if times < 0:
+        raise BadLength(f"Verschiebung needs times >= 0, got {times}")
     cfg = v.cfg
     out = WittVector(cfg, (cfg.zero(),) * times + v.comps)
     if v._ghost is not None:

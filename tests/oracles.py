@@ -1,12 +1,13 @@
 """Reference paths that only the tests call: polynomial evaluation, the
-coordinate path of E_[m], the integrality of a logarithm fraction, and the
-Hermite-normal-form reduction mod pi^N.
+coordinate path of E_[m], the integrality of and arithmetic on logarithm
+fractions, and the Hermite-normal-form reduction mod pi^N.
 
 The library computes these maps on ghost rows; the cross-checks compare
 it with the definitions kept here.
 """
 
 from wittlab.errors import InternalError, NonDivisible, ZeroShift
+from wittlab.rings import Frac
 from wittlab.shifted import ShiftedWittVector
 from wittlab.witt import universal_polynomials
 
@@ -58,6 +59,18 @@ def frac_is_integral(frac):
 
 def frac_as_element(frac):
     return frac.num.div_int(frac.den)
+
+
+def frac_add(a, b):
+    return Frac(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def frac_sub(a, b):
+    return frac_add(a, Frac(-b.num, b.den))
+
+
+def frac_mul(a, b):
+    return Frac(a.num * b.num, a.den * b.den)
 
 
 def shift_E_coords(v):

@@ -29,6 +29,7 @@ library must agree.
 """
 
 import collections
+import itertools
 import random
 from pathlib import Path
 
@@ -57,6 +58,7 @@ from wittlab.kernel import (
     kernel_witt_point,
 )
 from wittlab.rings import make_ring_config
+from wittlab.serialize import encode_element
 from wittlab.shifted import (
     ShiftedWittVector,
     lateral_frobenius,
@@ -410,7 +412,8 @@ KERNEL_LAWS = {
     "gm-jet5": lambda base: _gm_jet(base, 5),
     "gm-jet8": lambda base: _gm_jet(base, 8),
     "tanh-jet8": lambda base: _tanh_jet(base, 8),
-    "pi-gm-jet8": lambda base: _gm_jet(base, 8, [0, 1]),
+    "pi-gm-jet8": lambda base: _gm_jet(base, 8,
+                                       encode_element(base.pi_elem())),
 }
 BASE_NAMES = {Z5: "Z5", RAM5: "RAM5", PHI_NEG: "PHI_NEG"}
 # (base, law, whether every shape resolves).  The per-term shifted
@@ -704,6 +707,50 @@ def test_precision_model_matches_exact_cover(monkeypatch, base, N, top):
             seen.add((name, isinstance(got, tuple)))
     # every operator also produced a value somewhere
     assert all((name, False) in seen for name, _ in seen)
+
+
+# Over (B/pi^N)[t, s] the kernel maps are polynomials in the coordinates.
+# Every group over the rings of the symbolic kernel grid (x^3 - 3 is the
+# cubic order at p = 3), at every shape m <= 2, n <= 3, each shape at one
+# N in 4..8 that turns with the shape and the group, so each group meets
+# every N.  The m = 0, n = 3 shape, where the series degree doubles, runs
+# at N = 4 only, and not for the table on x^3 - 3: the unreduced
+# reference costs 0.15-20 s a map there, and 1.1 s at N = 4 on that table.
+CUB3 = make_ring_config({"p": 3, "modulus": [-3, 0, 0, 1]})
+SYMBOLIC_RINGS = [("Z2", Z2), ("Z3", Z3), ("x^2-5", RAM5), ("x^2-2", RAM2),
+                  ("x^3-3", CUB3)]
+SYMBOLIC_GROUPS = ([(law, name, base) for law in ("gm", "pi-gm-jet8")
+                    for name, base in SYMBOLIC_RINGS]
+                   + [("lt_p2_d16", "Z2", Z2), ("lt_p2_d16", "x^2-2", RAM2),
+                      ("lt_p3_d16", "Z3", Z3), ("lt_p3_d16", "x^3-3", CUB3)])
+
+
+@pytest.mark.parametrize(
+    "turn,group,base", [(k, group, base) for k, (group, _, base)
+                        in enumerate(SYMBOLIC_GROUPS)],
+    ids=[f"{group}-{name}" for group, name, _ in SYMBOLIC_GROUPS])
+def test_precision_model_matches_exact_cover_with_variables(monkeypatch,
+                                                            turn, group,
+                                                            base):
+    law = (KERNEL_LAWS[group](base) if group in KERNEL_LAWS
+           else _one_pass_law(group, base))
+    shapes = itertools.product(range(3), range(1, 4))
+    for k, (m, n) in enumerate(shapes):
+        N = 4 + (k + turn) % 5
+        if (m, n) == (0, 3):
+            if (group, base) == ("lt_p3_d16", CUB3):
+                continue
+            N = 4
+        names = [f"{c}{i}" for c in "ts" for i in range(n)]
+        R = base.adjoin(names)
+        B = R.truncated(N)
+        t, s = (KernelPoint(law, R, B, m, [B.var(f"{c}{i}")
+                                           for i in range(n)])
+                for c in "ts")
+        for op, args in ((kernel_add, (t, s)), (kernel_neg, (t,)),
+                         (difference_character, (t,))):
+            got, want = _with_reference(monkeypatch, op, *args)
+            assert got == want, (op.__name__, N, m, n)
 
 
 # ----------------------------------------------------------------------

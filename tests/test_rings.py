@@ -1,5 +1,6 @@
 """Base ring layer: configs, canonical elements, exact pi-division."""
 
+import collections
 import itertools
 import random
 
@@ -16,8 +17,11 @@ from wittlab.errors import (
 from wittlab.rings import Frac, make_ring_config
 
 from oracles import (
+    frac_add,
     frac_as_element,
     frac_is_integral,
+    frac_mul,
+    frac_sub,
     hnf_reduce,
     pi_power_hnf,
     substitute,
@@ -77,14 +81,20 @@ def test_constant_term_must_be_plus_or_minus_p(modulus):
         make_ring_config({"p": 5, "modulus": modulus})
 
 
+def _accepted_moduli(p, d):
+    """Every Eisenstein modulus of degree d with coefficients in p*{-2..2}
+    and constant term ±p, as (middle coefficients, constant term)."""
+    middles = itertools.product(range(-2 * p, 2 * p + 1, p), repeat=d - 1)
+    return itertools.product(list(middles), (p, -p))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_residue_mod_pi_power_matches_hnf(p, d):
-    # every Eisenstein modulus with coefficients in p*{-2..2} and constant
-    # term ±p, at N = 1..12: the closed-form residue is the HNF reduction
+    # every accepted modulus at N = 1..12: the closed-form residue is the
+    # HNF reduction
     rng = random.Random(p * 10 + d)
-    middles = itertools.product(range(-2 * p, 2 * p + 1, p), repeat=d - 1)
-    for mid, c0 in itertools.product(list(middles), (p, -p)):
+    for mid, c0 in _accepted_moduli(p, d):
         modulus = [c0, *mid, 1]
         cfg = make_ring_config({"p": p, "modulus": modulus})
         assert cfg.e == cfg.d == d
@@ -108,10 +118,36 @@ def test_ramification_index():
 
 
 def test_bad_phi_lift_rejected():
-    # phi(pi) = pi + 1 is not congruent to pi^q mod pi
-    with pytest.raises(BadFrobeniusLift):
+    # phi(pi) = pi + 1 is not congruent to pi^q mod pi, so it is no root
+    with pytest.raises(BadFrobeniusLift, match="not a root"):
         make_ring_config({"p": 5, "modulus": [-5, 0, 1],
                           "phi_pi": [1, 1]})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_phi_off_the_congruence_is_no_root(p, d):
+    # a root y of an Eisenstein f has y^d in p Z[pi], inside the prime
+    # pi Z[pi], so y = 0 = pi^q mod pi: the root check alone rejects every
+    # phi(pi) with p not dividing phi(pi)_0.  At d = 2 every such phi(pi)
+    # with coefficients in -p^2..p^2; at d = 3, 4 (up to 250 * 99^4 lifts)
+    # 20 seeded draws from that box for each modulus.
+    box = range(-p * p, p * p + 1)
+    rng = random.Random(f"phi-box:{p}:{d}")
+    verdicts = collections.Counter()
+    for mid, c0 in _accepted_moduli(p, d):
+        lifts = (itertools.product(box, repeat=d) if d == 2 else
+                 [[rng.choice(box) for _ in range(d)] for _ in range(20)])
+        for y in lifts:
+            if y[0] % p:
+                try:
+                    make_ring_config({"p": p, "modulus": [c0, *mid, 1],
+                                      "phi_pi": list(y)})
+                except BadFrobeniusLift as exc:
+                    verdicts[str(exc)] += 1
+                else:
+                    verdicts["accepted", c0, mid, tuple(y)] += 1
+    assert list(verdicts) == ["phi_pi is not a root of the defining modulus"]
 
 
 def test_valid_phi_lift_accepted():
@@ -444,9 +480,9 @@ def test_frac_normalization():
 def test_frac_arithmetic():
     a = Frac(Z2.from_int(1), 2)
     b = Frac(Z2.from_int(1), 3)
-    assert a + b == Frac(Z2.from_int(5), 6)
-    assert a * b == Frac(Z2.from_int(1), 6)
-    assert (a - a).num.is_zero()
+    assert frac_add(a, b) == Frac(Z2.from_int(5), 6)
+    assert frac_mul(a, b) == Frac(Z2.from_int(1), 6)
+    assert frac_sub(a, a).num.is_zero()
 
 
 def test_frac_valuation():

@@ -233,6 +233,18 @@ def test_verschiebung():
         witt_add(verschiebung(u), verschiebung(w))
 
 
+@pytest.mark.parametrize("rows", [False, True], ids=["plain", "ghost-rows"])
+def test_verschiebung_rejects_negative_times(rows):
+    v = wv(Z2, [3, 1])
+    if rows:    # a solve's output carries its ghost rows
+        v = witt_add(v, witt_zero(Z2, 1))
+        assert v._ghost is not None
+    with pytest.raises(WittlabError, match="times >= 0"):
+        verschiebung(v, -1)
+    assert verschiebung(v, 0) == v
+    assert frobenius(verschiebung(v, 0)) == frobenius(v)
+
+
 def test_mult_pi_values():
     assert ints(mult_pi(wv(Z2, [3, 5]))) == [6, 1]
     assert mult_pi(witt_zero(Z2, 3)) == witt_zero(Z2, 3)
