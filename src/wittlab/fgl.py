@@ -105,26 +105,26 @@ def _validate(law):
                              f"{d + 1}")
 
 
-_BUILTIN_LAWS = {}
+_LAWS = {}
 
 
 def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
     """A builtin name ("ga" / "gm"), a parsed coefficient table, or a path
     to a JSON file {"degree": D, "coeffs": [{"i","j","c"}]}.
 
-    A builtin law is built and validated once per (name, cfg, degree) and
-    that object is returned afterwards; a custom table is validated on
-    every call."""
+    A law is built and validated once per (name, cfg, degree), or (table
+    as canonical JSON, cfg, degree), and that object is returned
+    afterwards; a table that fails validation raises on every call."""
     if source in ("ga", "gm"):
         key = (source, cfg, degree)
-        if key not in _BUILTIN_LAWS:
+        if key not in _LAWS:
             one = cfg.one()
             coeffs = {(1, 0): one, (0, 1): one}
             tag = BUILTIN_ADDITIVE
             if source == "gm":
                 coeffs[(1, 1)], tag = one, BUILTIN_MULTIPLICATIVE
-            _BUILTIN_LAWS[key] = FormalGroupLaw(cfg, degree, coeffs, tag)
-        return _BUILTIN_LAWS[key]
+            _LAWS[key] = FormalGroupLaw(cfg, degree, coeffs, tag)
+        return _LAWS[key]
     if isinstance(source, str):
         try:
             with open(source) as fh:
@@ -145,7 +145,10 @@ def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
             coeffs[(i, j)] = decode_element(cfg, entry["c"])
     except (LookupError, TypeError, ValueError) as exc:
         raise WittlabError(f"malformed group table: {exc!r}") from None
-    return FormalGroupLaw(cfg, d, coeffs, CUSTOM)
+    key = (json.dumps(source, sort_keys=True, default=repr), cfg, d)
+    if key not in _LAWS:
+        _LAWS[key] = FormalGroupLaw(cfg, d, coeffs, CUSTOM)
+    return _LAWS[key]
 
 
 def _check_degree(law, kmax):

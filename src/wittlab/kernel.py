@@ -36,7 +36,9 @@ from .shifted import (
 from .witt import (
     _arith,
     _check_fixed,
+    _pending,
     _phi_chain,
+    _read,
     _solve as _witt_solve,
 )
 
@@ -46,7 +48,7 @@ class KernelPoint:
     zero-head embedding once built, so the embedding's ghost rows are
     computed at most once; equality ignores it."""
 
-    __slots__ = ("law", "rcfg", "bcfg", "m", "coords", "_embed")
+    __slots__ = ("law", "rcfg", "bcfg", "m", "n", "_coords", "_embed")
 
     def __init__(self, law, rcfg, bcfg, m, coords):
         coords = tuple(coords)
@@ -58,13 +60,11 @@ class KernelPoint:
         self.law = law
         self.rcfg = rcfg
         self.bcfg = bcfg
-        self.m = m
-        self.coords = coords
+        self.m, self.n = m, len(coords)
+        self._coords = coords
         self._embed = None
 
-    @property
-    def n(self):
-        return len(self.coords)
+    coords = property(_read)
 
     def __eq__(self, other):
         if not isinstance(other, KernelPoint):
@@ -104,13 +104,15 @@ def _check_pair(t, s):
 
 def _tail_point(t, out, what):
     """The kernel point of t's group carried by the tail of out, a shifted
-    vector that a map of kernels returned; out is its embedding."""
-    for h in out.head:
-        if not h.is_zero():  # pragma: no cover - the maps keep the zero head
+    vector that a map of kernels returned; out is its embedding, and the
+    point's coordinates are read off it on first use."""
+    def coords():
+        if any(not h.is_zero() for h in out.head):  # pragma: no cover
             raise InternalError(f"{what} left the zero-head locus")
-    pt = KernelPoint(t.law, t.rcfg, t.bcfg, out.m, out.tail)
-    pt._embed = out
-    return pt
+        return out.tail
+
+    return _pending(KernelPoint, coords, law=t.law, rcfg=t.rcfg,
+                    bcfg=t.bcfg, m=out.m, n=out.n, _embed=out)
 
 
 def _tail_cutoff(m, length, trunc):

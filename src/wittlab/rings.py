@@ -375,11 +375,6 @@ class RingElement:
         zero_mono = (0,) * self.cfg.nvars
         return self.terms.get(zero_mono, self.cfg.czero())
 
-    def to_int(self):
-        if self.cfg.d != 1 or not self.is_constant():
-            raise WittlabError(f"{self!r} is not an integer constant")
-        return self.const_coeff()[0]
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):

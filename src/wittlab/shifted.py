@@ -22,7 +22,9 @@ from .witt import (
     _check_fixed,
     _ghost_rows,
     _keep,
+    _pending,
     _phi_chain,
+    _read,
     _solve_rows,
 )
 
@@ -32,7 +34,7 @@ class ShiftedWittVector:
     is exact, ``_ghost`` keeps the unwrapped shifted ghost rows once they
     are known, as ``WittVector`` does; equality and hashing ignore it."""
 
-    __slots__ = ("rcfg", "bcfg", "m", "head", "tail", "_ghost")
+    __slots__ = ("rcfg", "bcfg", "m", "n", "_coords", "_ghost")
 
     def __init__(self, rcfg, bcfg, m, head, tail):
         head = tuple(head)
@@ -51,14 +53,12 @@ class ShiftedWittVector:
                 raise BaseMismatch("tail entry outside B")
         self.rcfg = rcfg
         self.bcfg = bcfg
-        self.m = m
-        self.head = head
-        self.tail = tail
+        self.m, self.n = m, len(tail)
+        self._coords = head, tail
         self._ghost = None
 
-    @property
-    def n(self):
-        return len(self.tail)
+    head = property(lambda self: _read(self)[0])
+    tail = property(lambda self: _read(self)[1])
 
     def f(self, r):
         """Structure map R -> B."""
@@ -116,14 +116,20 @@ def _rows(v):
 
 
 def _solve(hl, bl, rcfg, bcfg, entries, head_count, what=None):
-    head = _solve_rows(hl, entries[:head_count], [],
-                       "head ghost entry {} does not solve", what)
-    comps = _solve_rows(bl, entries[head_count:],
-                        _lift_head(hl, bl, rcfg, head),
-                        "tail ghost entry {} does not solve", what)
-    v = ShiftedWittVector(rcfg, bcfg, head_count - 1,
-                          [hl.wrap(rcfg, x) for x in head],
-                          [bl.wrap(bcfg, x) for x in comps[head_count:]])
+    def solve():
+        head = _solve_rows(hl, entries[:head_count], [],
+                           "head ghost entry {} does not solve", what)
+        comps = _solve_rows(bl, entries[head_count:],
+                            _lift_head(hl, bl, rcfg, head),
+                            "tail ghost entry {} does not solve", what)
+        return (tuple(hl.wrap(rcfg, x) for x in head),
+                tuple(bl.wrap(bcfg, x) for x in comps[head_count:]))
+
+    if what and bcfg.torsion_free:
+        return _pending(ShiftedWittVector, solve, rcfg=rcfg, bcfg=bcfg,
+                        m=head_count - 1, n=len(entries) - head_count,
+                        _ghost=tuple(entries))
+    v = ShiftedWittVector(rcfg, bcfg, head_count - 1, *solve())
     _keep(v, bcfg, entries)
     return v
 
@@ -176,11 +182,12 @@ def shifted_neg(u):
 
 def include_I(v):
     """The natural ring map into W_{m+n}(B): push the head through f.  Its
-    ghost is v's shifted ghost, read in B."""
-    out = WittVector(v.bcfg, [v.f(r) for r in v.head] + list(v.tail))
-    if v._ghost is not None and _arith(v.rcfg) is _arith(v.bcfg):
-        out._ghost = v._ghost
-    return out
+    ghost is v's shifted ghost, read in B; when R and B share one
+    arithmetic it keeps v's rows, and reads its components off v's."""
+    if _arith(v.rcfg) is not _arith(v.bcfg):
+        return WittVector(v.bcfg, [v.f(r) for r in v.head] + list(v.tail))
+    return _pending(WittVector, lambda: tuple(map(v.f, v.head)) + v.tail,
+                    cfg=v.bcfg, n=v.m + v.n, _ghost=_rows(v)[2])
 
 
 def restrict_T(v):

@@ -31,12 +31,27 @@ from .serialize import _encode_coeff, decode_element, encode_element
 TERM_BUDGET = 5_000_000
 
 
+def _pending(cls, solve, **slots):
+    """An instance of cls whose coordinates solve() computes on first read."""
+    v = object.__new__(cls)
+    v._coords = solve
+    for name, x in slots.items():
+        setattr(v, name, x)
+    return v
+
+
+def _read(v):
+    if callable(v._coords):     # pending: solved once, on first read
+        v._coords = v._coords()
+    return v._coords
+
+
 class WittVector:
     """Components (x_0 .. x_n) over one base ring.  On an exact config
     ``_ghost`` keeps the unwrapped ghost rows once they are known (see
     the ghost engine); equality and hashing ignore it."""
 
-    __slots__ = ("cfg", "comps", "_ghost")
+    __slots__ = ("cfg", "n", "_coords", "_ghost")
 
     def __init__(self, cfg, comps):
         comps = tuple(comps)
@@ -45,13 +60,11 @@ class WittVector:
         for c in comps:
             if c.cfg != cfg:
                 raise BaseMismatch("component ring differs from vector ring")
-        self.cfg = cfg
-        self.comps = comps
+        self.cfg, self.n = cfg, len(comps) - 1
+        self._coords = comps
         self._ghost = None
 
-    @property
-    def n(self):
-        return len(self.comps) - 1
+    comps = property(_read)
 
     def __eq__(self, other):
         if not isinstance(other, WittVector):
@@ -106,6 +119,9 @@ class GhostVector:
 # output keeps them as its rows, and a vector's ghost is computed at most
 # once.  A truncated solve's entries are not the ghost of the reduced
 # coordinates, and no vector over a truncated config keeps rows.
+# On an exact config a map the theory guarantees (its solve names it
+# ``what``) returns a pending vector, solved on the first read of its
+# coordinates, where its InternalError surfaces; other solves run at once.
 
 
 class _Arith:
@@ -248,10 +264,15 @@ def _rows(ar, v):
 
 
 def _solve(ar, cfg, entries, what=None):
-    comps = _solve_rows(ar, entries, [],
-                        "ghost entry {} is not in the image of the ghost map",
-                        what)
-    v = WittVector(cfg, [ar.wrap(cfg, x) for x in comps])
+    def solve():
+        return tuple(ar.wrap(cfg, x) for x in _solve_rows(
+            ar, entries, [],
+            "ghost entry {} is not in the image of the ghost map", what))
+
+    if what and cfg.torsion_free:
+        return _pending(WittVector, solve, cfg=cfg, n=len(entries) - 1,
+                        _ghost=tuple(entries))
+    v = WittVector(cfg, solve())
     _keep(v, cfg, entries)
     return v
 
@@ -327,8 +348,9 @@ def verschiebung(v, times=1):
     """V^times; its ghost is <0, .., 0, pi^times w_0, pi^times w_1, ..>."""
     if times < 0:
         raise BadLength(f"Verschiebung needs times >= 0, got {times}")
-    cfg = v.cfg
-    out = WittVector(cfg, (cfg.zero(),) * times + v.comps)
+    cfg = v.cfg     # its components are read off v's when they are read
+    out = _pending(WittVector, lambda: (cfg.zero(),) * times + v.comps,
+                   cfg=cfg, n=v.n + times, _ghost=None)
     if v._ghost is not None:
         ar = _arith(cfg)
         scale = ar.pow(ar.pi, times)

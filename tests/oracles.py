@@ -6,10 +6,18 @@ The library computes these maps on ghost rows; the cross-checks compare
 it with the definitions kept here.
 """
 
-from wittlab.errors import InternalError, NonDivisible, ZeroShift
+from wittlab.errors import (InternalError, NonDivisible, WittlabError,
+                             ZeroShift)
 from wittlab.rings import Frac
 from wittlab.shifted import ShiftedWittVector
 from wittlab.witt import universal_polynomials
+
+
+def to_int(elem):
+    """The integer that a constant element of a degree-1 config is."""
+    if elem.cfg.d != 1 or not elem.is_constant():
+        raise WittlabError(f"{elem!r} is not an integer constant")
+    return elem.const_coeff()[0]
 
 
 def total_degree(poly):

@@ -26,6 +26,9 @@ library must agree.
 * The row kernel (a q-th-power table summed by Horner in pi) gives the
   rows, solves and errors of the per-term sum it replaced, and the d = 2
   squaring equals the product of an element with itself.
+* A guaranteed map on an exact base returns a pending vector: the
+  coordinates read from it equal an eager solve of its rows, and a law
+  solves only the vectors it compares.
 """
 
 import collections
@@ -55,12 +58,15 @@ from wittlab.kernel import (
     kernel_embed,
     kernel_lateral_f,
     kernel_neg,
+    kernel_phi,
     kernel_witt_point,
 )
+from wittlab.laws import REGISTRY
 from wittlab.rings import make_ring_config
 from wittlab.serialize import encode_element
 from wittlab.shifted import (
     ShiftedWittVector,
+    include_I,
     lateral_frobenius,
     scalar_shifted,
     shift_E,
@@ -84,6 +90,7 @@ from wittlab.witt import (
     mult_pi,
     scalar_mul,
     universal_polynomials,
+    verschiebung,
     witt_add,
     witt_mul,
     witt_neg,
@@ -618,6 +625,7 @@ def test_kept_chains_never_skip_the_phi_pi_check():
     m, n, N = 1, 2, 6
     for base, calls in ((RAM5, 1), (PHI_NEG, 2)):
         law, B = KERNEL_LAWS["pi-gm-jet8"](base), base.truncated(N)
+        law._chains.clear()     # load_fgl returns one law per table and base
         t, s = (KernelPoint(law, base, B, m, [B.convert(_elem(base, rng))
                                               for _ in range(n)])
                 for _ in range(2))
@@ -919,3 +927,102 @@ def test_csqr_is_cmul_with_itself(cfg):
             assert cfg.csqr(a) == cfg.cmul(a, a)
             for mod in (cfg.p ** 7, 2 ** 61 - 1):
                 assert cfg.csqr(a, mod) == cfg.cmul(a, a, mod)
+
+
+# ----------------------------------------------------------------------
+# pending coordinates: a map the theory guarantees, on an exact base,
+# returns its ghost rows and solves them on the first read
+#
+# The reference is an eager solve of the rows the vector keeps: one
+# _solve_rows pass per arithmetic (head in R, tail in B), or for include_I
+# one pass of all of them in B's arithmetic.
+
+PENDING_BASES = [Z2, Z3, RAM5, PHI_NEG, SYM2]
+
+
+def _pending_elem(cfg, data):
+    """An integer element, or over SYM2 a linear polynomial in x0, x1."""
+    if cfg.nvars:
+        c = [data.draw(st.integers(-3, 3)) for _ in range(3)]
+        return (cfg.from_int(c[0]) + cfg.from_int(c[1]) * cfg.var("x0")
+                + cfg.from_int(c[2]) * cfg.var("x1"))
+    return cfg.from_coeff([data.draw(st.integers(-1000, 1000))
+                           for _ in range(cfg.d)])
+
+
+def _eager(v):
+    """The coordinates an eager solve of v's kept rows gives."""
+    rows = list(v._ghost)
+    if isinstance(v, WittVector):
+        ar = _arith(v.cfg)
+        return tuple(ar.wrap(v.cfg, x)
+                     for x in _solve_rows(ar, rows, [], FAILURE))
+    hl, bl, k = _arith(v.rcfg), _arith(v.bcfg), v.m + 1
+    head = _solve_rows(hl, rows[:k], [], FAILURE)
+    tail = _solve_rows(bl, rows[k:], list(head), FAILURE)[k:]
+    return (tuple(hl.wrap(v.rcfg, x) for x in head),
+            tuple(bl.wrap(v.bcfg, x) for x in tail))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=st.sampled_from(PENDING_BASES), m=st.integers(1, 2),
+       n=st.integers(1, 3), data=st.data())
+def test_pending_coordinates_are_the_eager_solve(cfg, m, n, data):
+    elem = lambda: _pending_elem(cfg, data)   # noqa: E731
+    r = cfg.from_int(data.draw(st.integers(-50, 50)))   # fixed by phi
+    u = WittVector(cfg, [elem() for _ in range(n + 1)])
+    witts = [*(frobenius_iter(u, k) for k in range(1, n + 1)), mult_pi(u),
+             exp_delta(r, n), mult_pi(frobenius(u)),
+             frobenius(mult_pi(u)), verschiebung(mult_pi(u), m)]
+    # phi(pi) = -pi refuses the lateral Frobenius of a nonzero head
+    head = ([cfg.zero()] * (m + 1) if cfg.phi_pi else
+            [elem() for _ in range(m + 1)])
+    v = ShiftedWittVector(cfg, cfg, m, head, [elem() for _ in range(n)])
+    lat = lateral_frobenius(v)
+    shifts = [lat, shift_E(v), shift_E(lat), lateral_frobenius(shift_E(v)),
+              scalar_shifted(cfg, cfg, m, n, r)]
+    images = [include_I(v), include_I(lat), include_I(shift_E(v))]
+    t = KernelPoint(load_fgl("ga", cfg.base_exact()), cfg, cfg, m,
+                    [elem() for _ in range(n + 1)])
+    points = [kernel_lateral_f(t), kernel_phi(t),
+              kernel_phi(kernel_lateral_f(t))]
+    # nothing is solved yet
+    for out in witts + shifts + images + points:
+        assert callable(out._coords), out
+    want = ([_eager(w) for w in witts], [_eager(s) for s in shifts],
+            [_eager(i) for i in images],
+            [_eager(p._embed)[1] for p in points])
+    got = ([w.comps for w in witts], [(s.head, s.tail) for s in shifts],
+           [i.comps for i in images], [p.coords for p in points])
+    assert got == want
+    # each read solved once and kept its result
+    assert all(isinstance(out._coords, tuple)
+               for out in witts + shifts + images + points)
+
+
+def test_laws_solve_only_what_they_compare(monkeypatch):
+    """Per trial on x^2 - 5, the _solve_rows passes (a shifted solve makes
+    two, head and tail) and ghost passes of three laws: only the sides a
+    law compares are solved, never a vector in between, so a change that
+    solves a composite's intermediate vectors again fails here."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def run(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return run
+
+    for name in ("_solve_rows", "_ghost_rows"):
+        fn = counted(name, getattr(witt, name))
+        monkeypatch.setattr(witt, name, fn)
+        monkeypatch.setattr(shifted, name, fn)
+    pinned = {"L6": {"_solve_rows": 2, "_ghost_rows": 2},
+              "L9": {"_solve_rows": 4, "_ghost_rows": 2},
+              "table-iii": {"_solve_rows": 6, "_ghost_rows": 3}}
+    for law, want in pinned.items():
+        for i in range(5):
+            calls.clear()
+            rng = random.Random(f"0:{law}:{i}")
+            assert REGISTRY[law].numeric(RAM5, rng, {}) is None
+            assert calls == want, (law, i)

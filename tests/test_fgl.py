@@ -18,7 +18,10 @@ from wittlab.fgl import (
     formal_log,
     load_fgl,
 )
+from wittlab.kernel import KernelPoint, kernel_add, psi_map
 from wittlab.rings import Frac, make_ring_config
+
+from oracles import to_int
 
 Z2 = make_ring_config({"p": 2})
 Z5 = make_ring_config({"p": 5})
@@ -107,14 +110,14 @@ def test_log_custom_degree_guard():
 def test_inverse_additive():
     ga = load_fgl("ga", Z2)
     b = formal_inverse(ga, 5)
-    assert [c.to_int() for c in b] == [-1, 0, 0, 0, 0]
+    assert [to_int(c) for c in b] == [-1, 0, 0, 0, 0]
 
 
 def test_inverse_multiplicative():
     gm = load_fgl("gm", Z2)
     b = formal_inverse(gm, 5)
     # [-1](X) = (1+X)^{-1} - 1 = -X + X^2 - X^3 + ...
-    assert [c.to_int() for c in b] == [-1, 1, -1, 1, -1]
+    assert [to_int(c) for c in b] == [-1, 1, -1, 1, -1]
 
 
 def test_inverse_is_inverse():
@@ -196,6 +199,34 @@ def test_coefficient_beyond_degree():
 
 # ----------------------------------------------------------------------
 # custom laws from JSON
+
+
+def test_custom_table_loaded_once_per_content(tmp_path):
+    # a table is validated once per (table, cfg, degree): the second load
+    # returns the same law, with the series it kept, and an edited file
+    # reloads
+    Z3 = make_ring_config({"p": 3})
+    path = tmp_path / "law.json"
+    path.write_text((DATA / "lt_p3_d16.json").read_text())
+    law = load_fgl(str(path), Z3)
+    B = Z3.truncated(4)
+    t = KernelPoint(law, Z3, B, 1, [B.from_int(3), B.from_int(-2)])
+    kernel_add(t, t)
+    formal_inverse(law, 6)
+    psi_map(law, 1, B.from_int(3))
+    kept = (dict(law._chains), list(law._inverse), dict(law._psi))
+    assert all(kept)
+    again = load_fgl(str(path), Z3)
+    assert again is law
+    assert (again._chains, again._inverse, again._psi) == kept
+    assert load_fgl(json.loads(path.read_text()), Z3) is law
+    assert load_fgl(str(path), Z2) is not law
+    path.write_text(json.dumps({"degree": 4, "coeffs": [
+        {"i": 1, "j": 0, "c": 1}, {"i": 0, "j": 1, "c": 1},
+        {"i": 1, "j": 1, "c": 1}]}))
+    edited = load_fgl(str(path), Z3)
+    assert edited is not law and edited.degree == 4
+    assert edited.coeff(1, 1) == Z3.one()
 
 
 def test_load_custom_file(tmp_path):

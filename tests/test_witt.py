@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wittlab.errors import (
     BaseMismatch,
     BudgetExceeded,
+    ConfigUnsupported,
     InternalError,
     LengthMismatch,
     NonIntegral,
@@ -40,7 +41,7 @@ from wittlab.witt import (
     witt_zero,
 )
 
-from oracles import substitute
+from oracles import substitute, to_int
 
 Z2 = make_ring_config({"p": 2})
 Z3 = make_ring_config({"p": 3})
@@ -52,7 +53,7 @@ def wv(cfg, comps):
 
 
 def ints(v):
-    return [c.to_int() for c in v.comps]
+    return [to_int(c) for c in v.comps]
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +93,7 @@ def oracle_mul(p, u, v):
 
 
 def test_ghost_values():
-    assert [e.to_int() for e in ghost(wv(Z2, [3, 5])).entries] == [3, 19]
+    assert [to_int(e) for e in ghost(wv(Z2, [3, 5])).entries] == [3, 19]
     sym = Z2.adjoin(["t0", "t1"])
     t0, t1 = sym.var("t0"), sym.var("t1")
     g = ghost(WittVector(sym, [sym.zero(), t0, t1]))
@@ -101,7 +102,7 @@ def test_ghost_values():
 
 def test_ghost_teichmuller():
     v = teichmuller(Z3.from_int(2), 3)
-    assert [e.to_int() for e in ghost(v).entries] == [2, 8, 2 ** 9, 2 ** 27]
+    assert [to_int(e) for e in ghost(v).entries] == [2, 8, 2 ** 9, 2 ** 27]
 
 
 def test_ghost_solve_roundtrip():
@@ -138,15 +139,31 @@ def test_symbolic_solve_failure_names_its_entry(rows, bad):
 
 def test_symbolic_guaranteed_solve_failure_is_internal(monkeypatch):
     # ghost rows <0, 0, x0> scale to <0, 0, 3 x0>, and 3 x0 / 9 is not
-    # integral: the (pi) map, which the theory guarantees, failed to solve
+    # integral: the (pi) map, which the theory guarantees, failed to solve.
+    # Its output is pending, so the failure surfaces when its components
+    # are read
     import wittlab.witt as wmod
     sym = Z3.adjoin(["x0"])
     x0 = sym.var("x0")
     monkeypatch.setattr(wmod, "_rows", lambda ar, v: [ar.zero, ar.zero, x0])
     with pytest.raises(InternalError) as err:
-        mult_pi(WittVector(sym, [x0, x0, x0]))
+        mult_pi(WittVector(sym, [x0, x0, x0])).comps
     assert str(err.value) == ("(pi) map failed to solve: ghost entry 2 is "
                               "not in the image of the ghost map")
+
+
+def test_solves_that_may_fail_raise_at_the_call():
+    # only a map the theory guarantees defers its solve: ghost_solve of a
+    # ghost vector outside the image, and scalar_mul by a scalar phi moves,
+    # raise before anything is read, and a truncated solve keeps no rows
+    with pytest.raises(NonIntegral, match="ghost entry 1 is not in"):
+        ghost_solve(GhostVector([Z2.from_int(1), Z2.from_int(2)]), Z2)
+    neg = make_ring_config({"p": 5, "modulus": [-5, 0, 1], "phi_pi": [0, -1]})
+    with pytest.raises(ConfigUnsupported, match=r"phi\(pi\) = pi"):
+        scalar_mul(neg.pi_elem(), wv(neg, [1, 2, 3]))
+    B = Z2.truncated(5)
+    out = frobenius(wv(B, [3, 5, 7]))
+    assert out._ghost is None and isinstance(out._coords, tuple)
 
 
 def test_ghost_solve_needs_exact_base():
@@ -225,7 +242,7 @@ def test_frobenius_ghost_shift():
 def test_verschiebung():
     v = verschiebung(wv(Z2, [3]))
     assert ints(v) == [0, 3]
-    assert [e.to_int() for e in ghost(v).entries] == [0, 6]
+    assert [to_int(e) for e in ghost(v).entries] == [0, 6]
     assert ints(verschiebung(wv(Z2, [7]), 3)) == [0, 0, 0, 7]
     # additivity
     u, w = wv(Z2, [1, 2]), wv(Z2, [5, -1])
@@ -265,7 +282,7 @@ def test_exp_delta():
 
 
 def test_delta():
-    assert delta(Z2.from_int(3)).to_int() == -3
+    assert to_int(delta(Z2.from_int(3))) == -3
     assert delta(Z2.one()).is_zero()
     pi = RAM5.pi_elem()
     assert delta(pi) == RAM5.one() - pi ** 4
@@ -286,7 +303,7 @@ def test_truncated_arithmetic():
     B = Z2.truncated(4)
     u = WittVector(B, [B.from_int(1), B.from_int(0)])
     s = witt_add(u, u)
-    assert [c.to_int() for c in s.comps] == [2, 15]   # -1 mod 16
+    assert [to_int(c) for c in s.comps] == [2, 15]   # -1 mod 16
 
 
 def test_lift_independence():
@@ -341,7 +358,7 @@ def test_universal_specialization():
     u, v = [4, -2, 7], [1, 3, -5]
     vals = {f"x{i}": Z3.from_int(u[i]) for i in range(3)}
     vals.update({f"y{i}": Z3.from_int(v[i]) for i in range(3)})
-    got = [substitute(poly, vals, Z3).to_int() for poly in polys]
+    got = [to_int(substitute(poly, vals, Z3)) for poly in polys]
     assert got == ints(witt_add(wv(Z3, u), wv(Z3, v)))
 
 
