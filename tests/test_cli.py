@@ -177,6 +177,37 @@ def test_eval_outputs_are_pinned(capsys):
         "74b0011ba614b76dffc6d3e0e8c12eb940885fb1e5efc4d39036046f0b3f283f")
 
 
+# Truncated orders, with lengths past N so that the precision of every
+# solve matters: per ring two Witt vectors of length 5 and an element.
+TRUNCATED_RINGS = [
+    ({"p": 5, "modulus": [-5, 0, 1], "trunc": 3},
+     [[3, 1], [7, -2], [1, 4], [-6, 5], [2, 2]],
+     [[2, 3], [-1, 1], [4, 0], [9, 9], [0, -7]], [3, 2]),
+    ({"p": 5, "modulus": [-5, 0, 0, 1], "trunc": 4},
+     [[3, 1, 2], [7, -2, 1], [1, 4, -3], [-6, 5, 2], [11, 0, 1]],
+     [[2, 3, -1], [-1, 1, 1], [4, 0, 6], [9, 9, 9], [0, -7, 3]], [3, 2, 1]),
+    ({"p": 2, "modulus": [2, 2, 1], "trunc": 5},
+     [[1, 1], [3, -2], [1, 5], [-7, 5], [2, 9]],
+     [[1, 0], [-1, 1], [6, 3], [9, 4], [5, -7]], [1, 3]),
+]
+
+
+def test_truncated_order_eval_outputs_are_pinned(capsys):
+    outputs = []
+    for spec, w, w2, e in TRUNCATED_RINGS:
+        forms = [(op, w, []) for op in WITT_OPS]
+        forms += [(op, {"u": w, "v": w2}, []) for op in ("add", "mul", "sub")]
+        forms += [("teichmuller", e, ["--n", "4"])]
+        for op, x, flags in forms:
+            argv = ["eval", "--ring", json.dumps(spec), "--op", op,
+                    "--in", json.dumps(x), *flags]
+            assert cli.main(argv) == 0, argv
+            outputs.append([argv, capsys.readouterr().out])
+    assert len(outputs) == 30
+    assert hashlib.sha256(canonical_dumps(outputs).encode()).hexdigest() == (
+        "750928319fceac6732a142388763c3cd0f77dc1ea1d12089c96c1062959a2ccc")
+
+
 def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
     # mult_pi's ghost rows <0, 0, 1> scale to <0, 0, 2>, which no integral
     # vector over Z at p = 2 has as its ghost: the engine must report that
