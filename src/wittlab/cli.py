@@ -225,10 +225,15 @@ def _matrix_from_args(args):
     return configs + (default_matrix()[2:] if args.ramified == "true" else [])
 
 
+def _check_prec(prec):
+    """--prec of verify and kernel: unset, or at least 1."""
+    if prec is not None and prec < 1:
+        raise WittlabError(f"prec must be at least 1, got {prec}")
+
+
 def cmd_verify(args):
     configs = _matrix_from_args(args)
-    if args.prec is not None and args.prec < 1:
-        raise WittlabError(f"prec must be at least 1, got {args.prec}")
+    _check_prec(args.prec)
     params = {k: getattr(args, k) for k in ("m_max", "n_max", "prec")
               if getattr(args, k) is not None}
     law_filter = "all" if args.law == "all" else args.law.split(",")
@@ -259,6 +264,7 @@ def cmd_verify(args):
 
 
 def _kernel_checks(args):
+    _check_prec(args.prec)
     cfg = make_ring_config({"p": args.p})
     law = load_fgl(args.group, cfg)
     if (args.check in ("psi", "all") and not law.is_additive

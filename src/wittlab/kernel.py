@@ -327,8 +327,8 @@ def _psi_coeffs(law, m, bcfg, precision):
             raise PrecisionRequired(
                 "psi has unit-denominator coefficients; evaluate over a "
                 "pi-power truncated base")
-        # den is prime to p here, hence a unit mod pi^N
-        dinv = pow(coeff.den, -1, exact.p ** bcfg.trunc) if bcfg.trunc else 1
+        # den is prime to p: inverted mod p^ceil(N/e), inside pi^N
+        dinv = pow(coeff.den, -1, bcfg._mods[0]) if bcfg.trunc else 1
         coeffs.append(bcfg.convert(coeff.num) * bcfg.from_int(dinv))
     return coeffs
 

@@ -76,14 +76,17 @@ class RingConfig:
                 phi_pi = None
         self.phi_pi = phi_pi
         self.torsion_free = self.trunc == 0
+        self._mods = None   # f(phi(pi)) = 0 is checked on the exact order
+        self._validate_phi()
         # p = pi^d * unit, so e = d and, with N = kd + r, pi^N Z[pi] is
-        # p^(k+1) Z^r + p^k Z^(d-r) in the power basis: one modulus a slot
+        # p^(k+1) Z^r + p^k Z^(d-r) in the power basis: one modulus a slot,
+        # by which truncated products reduce.  A residue mod pi^(N+L) decides
+        # division by pi^i, i <= L (Caruso, arXiv:1701.06794)
         self.e = self.d
         k, r = divmod(trunc, self.d)
         self._mods = (tuple(p ** (k + 1) if i < r else p ** k
                             for i in range(self.d)) if trunc else None)
         self.psi_integral = self.e <= p - 2
-        self._validate_phi()
         self.key = (self.p, self.modulus, self.phi_pi, self.trunc, self.vars)
         self.base_key = (self.p, self.modulus, self.phi_pi)
 
@@ -128,17 +131,17 @@ class RingConfig:
     def cneg(self, a):
         return tuple(map(neg, a))
 
-    def cmul(self, a, b, mod=0):
-        """a * b, entrywise mod ``mod`` if given; for d = 2, f = x^2 + m1 x
-        + m0, the closed form (a0b0 - m0a1b1, a0b1 + a1b0 - m1a1b1)."""
-        d = self.d
+    def cmul(self, a, b):
+        """a * b, reduced mod pi^N on a truncation; for d = 2, f = x^2 +
+        m1 x + m0, the closed form (a0b0 - m0a1b1, a0b1 + a1b0 - m1a1b1)."""
+        d, mods = self.d, self._mods
         if d == 1:
-            return (a[0] * b[0] % mod,) if mod else (a[0] * b[0],)
+            return (a[0] * b[0] % mods[0],) if mods else (a[0] * b[0],)
         if d == 2:
             (a0, a1), (b0, b1), t = a, b, a[1] * b[1]
             c0 = a0 * b0 - self.modulus[0] * t
             c1 = a0 * b1 + a1 * b0 - self.modulus[1] * t
-            return (c0 % mod, c1 % mod) if mod else (c0, c1)
+            return (c0 % mods[0], c1 % mods[1]) if mods else (c0, c1)
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
@@ -147,24 +150,24 @@ class RingConfig:
             t, conv[k] = conv[k], 0
             for j in range(d):
                 conv[k - d + j] -= t * self.modulus[j]
-        return tuple(c % mod for c in conv[:d]) if mod else tuple(conv[:d])
+        return self.creduce(tuple(conv[:d]))
 
-    def csqr(self, a, mod=0):
+    def csqr(self, a):
         """a * a; for d = 2 the closed form (a0^2 - m0a1^2, 2a0a1 - m1a1^2):
         three bigint products, two of them squarings."""
         if self.d != 2:
-            return self.cmul(a, a, mod)
-        (a0, a1), t = a, a[1] * a[1]
+            return self.cmul(a, a)
+        (a0, a1), t, mods = a, a[1] * a[1], self._mods
         c0 = a0 * a0 - self.modulus[0] * t
         c1 = (a0 * a1 << 1) - self.modulus[1] * t
-        return (c0 % mod, c1 % mod) if mod else (c0, c1)
+        return (c0 % mods[0], c1 % mods[1]) if mods else (c0, c1)
 
-    def cpow(self, a, e, mod=0):
+    def cpow(self, a, e):
         """a^e by square-and-multiply through ``csqr`` and ``cmul``."""
         if e <= 1:
             return a if e else self.cone()
-        half = self.cpow(self.csqr(a, mod), e >> 1, mod)
-        return self.cmul(half, a, mod) if e & 1 else half
+        half = self.cpow(self.csqr(a), e >> 1)
+        return self.cmul(half, a) if e & 1 else half
 
     def cphi(self, a):
         return a if self.phi_pi is None else self._at_phi_pi(a)

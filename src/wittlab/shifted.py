@@ -7,6 +7,7 @@ the head-dropping ring map implemented by the plain Frobenius polynomials).
 from __future__ import annotations
 
 from .errors import (
+    BadLength,
     BaseMismatch,
     ConfigUnsupported,
     LengthMismatch,
@@ -82,6 +83,8 @@ class ShiftedWittVector:
 
 
 def shifted_zero(rcfg, bcfg, m, n):
+    if n < 0:
+        raise BadLength(f"tail length must be >= 0, got {n}")
     return ShiftedWittVector(rcfg, bcfg, m,
                              (rcfg.zero(),) * (m + 1),
                              (bcfg.zero(),) * n)
@@ -148,8 +151,10 @@ def shifted_ghost_solve(g, rcfg, bcfg):
         raise WittlabError("ghost vector is not in shifted form")
     if not bcfg.torsion_free:
         raise TorsionBase("shifted ghost solve needs exact torsion-free B")
-    hl, bl = _arith(rcfg), _arith(bcfg)
     k = g.head_count
+    if not 1 <= k <= len(g.entries):
+        raise LengthMismatch(f"head_count {k} not in 1..{len(g.entries)}")
+    hl, bl = _arith(rcfg), _arith(bcfg)
     entries = ([hl.unwrap(rcfg.convert(e)) for e in g.entries[:k]]
                + [bl.unwrap(bcfg.convert(e)) for e in g.entries[k:]])
     return _solve(hl, bl, rcfg, bcfg, entries, k)
@@ -202,10 +207,11 @@ def lateral_frobenius(v):
     power of its input coordinate mod pi."""
     if v.n < 1:
         raise ZeroTail("lateral Frobenius needs a nonempty tail")
-    if v.rcfg.phi_pi is not None and any(not r.is_zero() for r in v.head):
+    hl, bl, rows = _rows(v)     # R is exact: zero head rows, zero head
+    if v.rcfg.phi_pi is not None and any(w != hl.zero
+                                         for w in rows[:v.m + 1]):
         raise ConfigUnsupported(
             "lateral Frobenius with a nonzero head needs phi(pi) = pi")
-    hl, bl, rows = _rows(v)
     entries = [*map(hl.phi, rows[:v.m + 1]), *rows[v.m + 2:]]
     return _solve(hl, bl, v.rcfg, v.bcfg, entries, v.m + 1,
                   "lateral Frobenius")

@@ -106,13 +106,12 @@ class GhostVector:
 # the ghost engine
 #
 # Every operator is one ghost map, an entrywise rule on ghost coordinates
-# and one triangular solve.  The engine works on unwrapped values of the
-# exact cover of a config: Python ints (d = 1) or coefficient tuples
-# (d > 1) when the config has no adjoined variables, RingElements of the
-# exact cover, or of its truncation R/pi^prec, when it has.  Over B/pi^N,
-# with or without variables, a solve that divides by up to pi^L computes
-# mod pi^(N+L): coordinate i is right mod pi^(N+L-i), and wrapping reduces
-# it to the residue mod pi^N of the exact result.
+# and one triangular solve.  The engine works on unwrapped values (Python
+# ints for d = 1, coefficient tuples for d > 1, RingElements when the
+# config has adjoined variables) of an exact config or, over B/pi^N, of
+# B/pi^(N+L) for a solve that divides by up to pi^L: by RingConfig's
+# residue rule coordinate i is then right mod pi^(N+L-i), and wrapping
+# reduces it to the residue mod pi^N of the exact result.
 #
 # On an exact config a solve's entries are the ghost of its output
 # (w_i = sum_{j<i} pi^j x_j^(q^(i-j)) + pi^i x_i holds exactly), so the
@@ -125,19 +124,17 @@ class GhostVector:
 
 
 class _Arith:
-    """Ring operations on the unwrapped values of one exact config, with
-    ``prec`` modulo an ideal inside pi^prec (p^ceil(prec/e), or pi^prec for
-    polynomials): exact division by pi^i (i < prec) then has the same
-    verdict on every representative."""
+    """Ring operations on the unwrapped values of ``red``, an exact config
+    or a truncation R/pi^prec whose products reduce by its pi^prec lattice;
+    division by pi runs on ``cover``, red's exact cover."""
 
-    def __init__(self, cover, prec=0):
-        self.cover, self.q = cover, cover.q
+    def __init__(self, red):
+        self.cover = cover = red.exact_cover()
+        self.q = cover.q
         self.add, self.sub = operator.add, operator.sub
         self.mul, self.neg, self.pow = operator.mul, operator.neg, pow
         self.reduce = lambda a: a
-        mod = cover.p ** -(-prec // cover.e) if prec else 0
-        if cover.nvars:     # prec = 0 keeps the cover itself
-            red = cover.truncated(prec)
+        if red.nvars:
             self.zero, self.one, self.pi = red.zero(), red.one(), red.pi_elem()
             self.phi, self.unwrap = RingElement.phi, red.convert
             self.reduce, self.wrap = red.convert, lambda cfg, x: cfg.convert(x)
@@ -148,24 +145,23 @@ class _Arith:
             self.phi = lambda a: a
             self.unwrap = lambda e: e.terms.get((), (0,))[0]
             self.wrap = lambda cfg, x: cfg._wrap({(): (x,)} if x else {})
-            if mod:
+            if red.trunc:
+                mod = red._mods[0]
                 self.mul = lambda a, b: a * b % mod
                 self.pow = lambda a, e: pow(a, e, mod)
                 self.reduce = lambda a: a % mod
                 self.unwrap = lambda e: e.terms.get((), (0,))[0] % mod
         else:
-            self.zero, self.one = cover.czero(), cover.cone()
-            self.pi = cover._pi_coeff()
-            self.add, self.sub = cover.cadd, cover.csub
-            self.mul, self.neg, self.pow = cover.cmul, cover.cneg, cover.cpow
-            self.phi, self.div_pi = cover.cphi, cover.cdivpi
+            self.zero, self.one = red.czero(), red.cone()
+            self.pi = red._pi_coeff()
+            self.add, self.sub = red.cadd, red.csub
+            self.mul, self.neg, self.pow = red.cmul, red.cneg, red.cpow
+            self.phi, self.div_pi = red.cphi, cover.cdivpi
             self.unwrap = lambda e: e.terms.get((), self.zero)
             self.wrap = lambda cfg, x: cfg._wrap({(): x} if any(x) else {})
-            if mod:
-                self.mul = lambda a, b: cover.cmul(a, b, mod)
-                self.pow = lambda a, e: cover.cpow(a, e, mod)
-                self.reduce = lambda a: tuple(c % mod for c in a)
-                self.unwrap = lambda e: self.reduce(e.terms.get((), self.zero))
+            if red.trunc:
+                self.reduce = red.creduce
+                self.unwrap = lambda e: red.creduce(e.terms.get((), self.zero))
 
     def div_pi_power(self, a, k):
         """a / pi^k; NonDivisible when it is not exact.  For d = 1, pi = p
@@ -186,12 +182,12 @@ _ARITH = {}
 
 
 def _arith(cfg, top=0):
-    """The arithmetic of cfg's exact cover for a solve dividing by up to
-    pi^top: modulo pi^(N+top) when cfg is R/pi^N."""
+    """The arithmetic of red for a solve over cfg dividing by up to pi^top,
+    kept per red: cfg when it is exact, R/pi^(N+top) when cfg is R/pi^N."""
     prec = cfg.trunc + top if cfg.trunc else 0
     key = (cfg.base_key, cfg.vars, prec)
     if key not in _ARITH:
-        _ARITH[key] = _Arith(cfg.exact_cover(), prec)
+        _ARITH[key] = _Arith(cfg.truncated(prec))
     return _ARITH[key]
 
 
@@ -360,6 +356,8 @@ def verschiebung(v, times=1):
 
 
 def teichmuller(b, n):
+    if n < 0:
+        raise BadLength(f"Teichmuller lift needs n >= 0, got {n}")
     cfg = b.cfg
     return WittVector(cfg, (b,) + (cfg.zero(),) * n)
 
@@ -400,6 +398,8 @@ def scalar_mul(r, v):
 
 def exp_delta(r, n):
     """The unique vector with ghost <r, phi(r), ..., phi^n(r)>."""
+    if n < 0:
+        raise BadLength(f"exp_delta needs n >= 0, got {n}")
     cfg = r.cfg
     if not cfg.torsion_free:
         raise TorsionBase("exp_delta needs an exact base")

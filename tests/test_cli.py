@@ -269,6 +269,12 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
     ["eval", "--ring", '{"p":2,"vars":[1]}', "--op", "neg", "--in", "[1]"],
     ["eval", "--ring", '{"p":5,"modulus":[-10,0,1]}', "--op", "ghost",
      "--in", "[1]"],
+    ["eval", "--ring", '{"p":3}', "--op", "teichmuller", "--in", "2",
+     "--n", "-1"],
+    ["eval", "--ring", '{"p":3}', "--op", "exp_delta", "--in", "2",
+     "--n", "-1"],
+    ["kernel", "--group", "ga", "--p", "3", "--prec", "0"],
+    ["kernel", "--group", "ga", "--p", "3", "--prec", "-2", "--check", "all"],
 ], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
         "verify-trials-negative", "kernel-trials-zero", "verify-prec-zero",
         "verify-prec-negative",
@@ -281,7 +287,9 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
         "ring-trunc-float", "ring-trunc-boolean", "shifted-m-boolean",
         "shifted-n-float", "head-count-boolean", "verify-ramified-no",
         "verify-ramified-zero", "ring-vars-string", "ring-vars-int",
-        "ring-constant-term-not-plus-minus-p"])
+        "ring-constant-term-not-plus-minus-p", "teichmuller-negative-n",
+        "exp-delta-negative-n", "kernel-prec-zero",
+        "kernel-prec-negative"])
 def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     # None stands for a file that does not exist
     argv = [a if a is not None else str(tmp_path / "missing.json")

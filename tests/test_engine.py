@@ -804,9 +804,9 @@ def test_kernel_series_with_a_coefficient_phi_moves_is_unsupported(m, n, N):
 # the row kernel against the per-term sum
 #
 # The reference builds every pi^j x_j^(q^(i-j)) of every row from scratch,
-# as the engine once did.  Over B/pi^N both run mod p^c, where a value is
-# only a representative: ghost rows are compared after reduction mod p^c,
-# solved coordinates after wrapping into B.
+# as the engine once did.  Over B/pi^N both run in B/pi^(N+n), where a
+# value is only a representative: ghost rows are compared after reduction
+# by that lattice, solved coordinates after wrapping into B.
 
 
 def _ref_fold(ar, op, acc, xs, i, stop):
@@ -925,8 +925,9 @@ def test_csqr_is_cmul_with_itself(cfg):
             a = tuple(rng.randint(-2 ** bits, 2 ** bits)
                       for _ in range(cfg.d))
             assert cfg.csqr(a) == cfg.cmul(a, a)
-            for mod in (cfg.p ** 7, 2 ** 61 - 1):
-                assert cfg.csqr(a, mod) == cfg.cmul(a, a, mod)
+            for trunc in map(cfg.truncated, (1, 7, 61)):
+                assert (trunc.csqr(a) == trunc.cmul(a, a)
+                        == trunc.creduce(cfg.cmul(a, a)))
 
 
 # ----------------------------------------------------------------------
@@ -1026,3 +1027,35 @@ def test_laws_solve_only_what_they_compare(monkeypatch):
             rng = random.Random(f"0:{law}:{i}")
             assert REGISTRY[law].numeric(RAM5, rng, {}) is None
             assert calls == want, (law, i)
+
+
+def test_lateral_frobenius_tests_head_rows_not_the_head(monkeypatch):
+    """When phi(pi) != pi the lateral Frobenius refuses a nonzero head by
+    its ghost rows, which R keeps exactly, so a pending input is not solved
+    for the test: kernel_lateral_f(kernel_phi(t)) runs no _solve_rows pass
+    before its result is read, where reading the head would run two (head
+    and tail).  A nonzero head, pending or not, is still refused."""
+    calls = collections.Counter()
+
+    def counted(*args, **kw):
+        calls["_solve_rows"] += 1
+        return _solve_rows(*args, **kw)
+
+    monkeypatch.setattr(witt, "_solve_rows", counted)
+    monkeypatch.setattr(shifted, "_solve_rows", counted)
+    rng = random.Random("lateral-head-rows")
+    for base in (PHI_NEG, RAM5):
+        law = load_fgl("ga", base)
+        t = KernelPoint(law, base, base, 2, [_elem(base, rng)
+                                             for _ in range(3)])
+        calls.clear()
+        out = kernel_lateral_f(kernel_phi(t))
+        assert calls["_solve_rows"] == 0, base
+        ref = kernel_lateral_f(KernelPoint(law, base, base, 1,
+                                           kernel_phi(t).coords))
+        assert out == ref
+    v = _shifted(PHI_NEG, 2, 2, rng)
+    for head in (v, shift_E(v)):
+        with pytest.raises(ConfigUnsupported,
+                           match=r"nonzero head needs phi\(pi\) = pi"):
+            lateral_frobenius(head)

@@ -124,6 +124,15 @@ def test_bad_phi_lift_rejected():
                           "phi_pi": [1, 1]})
 
 
+@pytest.mark.parametrize("trunc", [1, 2, 3, 4])
+def test_phi_lift_is_checked_on_the_exact_order(trunc):
+    # f(5 + pi) = 25 + 10 pi on x^2 - 5: not a root, though its residue mod
+    # pi^3 is (0, 0), so a truncation must not check it by its own products
+    with pytest.raises(BadFrobeniusLift, match="not a root"):
+        make_ring_config({"p": 5, "modulus": [-5, 0, 1], "phi_pi": [5, 1],
+                          "trunc": trunc})
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_phi_off_the_congruence_is_no_root(p, d):
@@ -200,9 +209,8 @@ def test_cmul_closed_form_matches_convolution(modulus, p):
                 for _ in range(2))
         want = _convolution(cfg, a, b)
         assert cfg.cmul(tuple(a), tuple(b)) == want
-        mod = p ** rng.randint(1, 12)
-        assert cfg.cmul(tuple(a), tuple(b), mod) == tuple(c % mod
-                                                         for c in want)
+        trunc = cfg.truncated(rng.randint(1, 12))
+        assert trunc.cmul(tuple(a), tuple(b)) == trunc.creduce(want)
 
 
 def test_exact_div_pi():
@@ -442,12 +450,12 @@ def test_cpow_matches_repeated_cmul(name):
     rng = random.Random(f"cpow:{name}")
     for _ in range(20):
         a = tuple(rng.randint(-50, 50) for _ in range(cfg.d))
-        mod = 5 ** rng.randint(1, 9)
+        trunc = cfg.truncated(rng.randint(1, 9))
+        residue = trunc.creduce(a)
         want = cfg.cone()
         for e in range(30):
             assert cfg.cpow(a, e) == want
-            assert tuple(c % mod for c in cfg.cpow(a, e, mod)) == \
-                tuple(c % mod for c in want)
+            assert trunc.cpow(residue, e) == trunc.creduce(want)
             want = cfg.cmul(want, a)
 
 

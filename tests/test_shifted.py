@@ -6,6 +6,7 @@ import random
 import pytest
 
 from wittlab.errors import (
+    BadLength,
     LengthMismatch,
     NonIntegral,
     TorsionBase,
@@ -85,6 +86,23 @@ def test_shifted_ghost_solve_errors():
     g2 = GhostVector([B.from_int(1)], head_count=1)
     with pytest.raises(TorsionBase):
         shifted_ghost_solve(g2, Z2, B)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 3, 5])
+def test_shifted_ghost_solve_rejects_a_head_count_off_the_entries(k):
+    # unchecked, -1 would solve entries[:-1] as the head, and 5 on two
+    # entries would report a head entry that does not solve
+    g = GhostVector([Z2.from_int(1), Z2.from_int(3)], head_count=k)
+    with pytest.raises(LengthMismatch, match=f"head_count {k} not in 1..2"):
+        shifted_ghost_solve(g, Z2, Z2)
+    g = GhostVector(g.entries, head_count=2)     # the whole vector a head
+    assert shifted_ghost_solve(g, Z2, Z2) == sv(Z2, 1, [1, 1], [])
+
+
+def test_shifted_zero_rejects_a_negative_tail_length():
+    with pytest.raises(BadLength, match="tail length must be >= 0"):
+        shifted_zero(Z2, Z2, 1, -1)
+    assert shifted_zero(Z2, Z2, 1, 0).tail == ()
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittlab.errors import (
+    BadLength,
     BaseMismatch,
     BudgetExceeded,
     ConfigUnsupported,
@@ -260,6 +261,14 @@ def test_verschiebung_rejects_negative_times(rows):
         verschiebung(v, -1)
     assert verschiebung(v, 0) == v
     assert frobenius(verschiebung(v, 0)) == frobenius(v)
+
+
+@pytest.mark.parametrize("op", [teichmuller, exp_delta])
+def test_lengths_below_zero_are_rejected(op):
+    # unchecked, n = -1 would give a length-1 vector, as n = 0 does
+    with pytest.raises(BadLength, match="n >= 0, got -1"):
+        op(Z3.from_int(2), -1)
+    assert op(Z3.from_int(2), 0).n == 0
 
 
 def test_mult_pi_values():
