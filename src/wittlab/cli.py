@@ -265,6 +265,9 @@ def cmd_verify(args):
 
 def _kernel_checks(args):
     _check_prec(args.prec)
+    if args.m < 0 or args.n < 1:
+        raise WittlabError(
+            f"kernel needs m >= 0 and n >= 1, got m={args.m}, n={args.n}")
     cfg = make_ring_config({"p": args.p})
     law = load_fgl(args.group, cfg)
     if (args.check in ("psi", "all") and not law.is_additive

@@ -632,14 +632,17 @@ def run_law(law_id, cfg, trials=None, seed=0, **params):
     if trials is None:
         trials = spec.trials
     start = time.perf_counter()
+    # the config records the options that shaped the draw, when given
+    config = dict(encode_config(cfg), **{k: params[k] for k in (
+        "prec", "m_max", "n_max") if k in params})
     reason = spec.hypothesis(cfg, params) if spec.hypothesis else ""
     if reason and trials > 0:   # trials below 1 raise in run_trials
-        return TrialReport(law_id, encode_config(cfg), seed, 0, "skipped",
+        return TrialReport(law_id, config, seed, 0, "skipped",
                            None, (time.perf_counter() - start) * 1000,
                            reason=reason)
     ran, ce = run_trials(lambda rng: _guarded(spec.numeric, cfg, rng, params),
                          law_id, trials, seed)
-    return TrialReport(law_id, encode_config(cfg), seed, ran,
+    return TrialReport(law_id, config, seed, ran,
                        "pass" if ce is None else "fail", ce,
                        (time.perf_counter() - start) * 1000)
 

@@ -81,6 +81,10 @@ class ShiftedWittVector:
         ts = ", ".join(repr(b) for b in self.tail)
         return f"W[{self.m}]({hs}; {ts})"
 
+    def __reduce__(self):   # the coordinates (solved if pending), no rows
+        return ShiftedWittVector, (self.rcfg, self.bcfg, self.m, self.head,
+                                   self.tail)
+
 
 def shifted_zero(rcfg, bcfg, m, n):
     if n < 0:

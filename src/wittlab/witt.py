@@ -77,6 +77,9 @@ class WittVector:
     def __repr__(self):
         return "W(" + ", ".join(repr(c) for c in self.comps) + ")"
 
+    def __reduce__(self):   # the coordinates (solved if pending), no rows
+        return WittVector, (self.cfg, self.comps)
+
 
 class GhostVector:
     """Ghost coordinates <w_0 .. w_n>; ``head_count`` is None for the plain
@@ -124,9 +127,9 @@ class GhostVector:
 
 
 class _Arith:
-    """Ring operations on the unwrapped values of ``red``, an exact config
-    or a truncation R/pi^prec whose products reduce by its pi^prec lattice;
-    division by pi runs on ``cover``, red's exact cover."""
+    """Ring operations and row kernels on the unwrapped values of ``red``,
+    an exact config or a truncation R/pi^prec whose products reduce by its
+    pi^prec lattice; division by pi runs on ``cover``, red's exact cover."""
 
     def __init__(self, red):
         self.cover = cover = red.exact_cover()
@@ -138,8 +141,9 @@ class _Arith:
             self.zero, self.one, self.pi = red.zero(), red.one(), red.pi_elem()
             self.phi, self.unwrap = RingElement.phi, red.convert
             self.reduce, self.wrap = red.convert, lambda cfg, x: cfg.convert(x)
-            self.div_pi = lambda a: red._wrap(
-                {m: cover.cdivpi(c) for m, c in a.terms.items()})
+            self.coeff = _Arith(red.base_exact().truncated(red.trunc))
+            self.row = self.term_row    # chosen once: polynomial rows
+            self.solve_row = lambda *a: self.term_row(*a, div=True)
         elif cover.d == 1:
             self.zero, self.one, self.pi = 0, 1, cover.p
             self.phi = lambda a: a
@@ -170,12 +174,55 @@ class _Arith:
             for _ in range(k):
                 a = self.div_pi(a)
             return a
-        if self.cover.nvars:
-            return a.div_int(self.cover.p ** k)
         a, rem = divmod(a, self.pi ** k)
         if rem:
             raise NonDivisible(f"integer not divisible by {self.pi}^{k}")
         return a
+
+    def table(self, xs):
+        """The power table of the row after xs: x_j^(q^(len(xs)-1-j))."""
+        k = len(xs) - 1
+        return [self.pow(x, self.q ** (k - j)) for j, x in enumerate(xs)]
+
+    def row(self, pows, x=None, keep=True):
+        """Row i from the table pows[j] = x_j^(q^(i-1-j)), j < i, of row
+        i-1: sum_{j<i} pi^j x_j^(q^(i-j)) (+ pi^i x), summed by Horner in pi
+        from the top, so no pi^j is formed.  Each entry is raised to its
+        q-th power once; ``keep`` stores the powers back as the table of
+        row i, otherwise they are dropped as they are summed (a last row:
+        its powers are the largest values of the whole computation)."""
+        add, mul, pw, pi, q = self.add, self.mul, self.pow, self.pi, self.q
+        acc = x
+        for j in range(len(pows) - 1, -1, -1):
+            y = pw(pows[j], q)
+            if keep:
+                pows[j] = y
+            acc = y if acc is None else add(y, mul(pi, acc))
+        return acc
+
+    def solve_row(self, pows, w, keep):
+        """(w - row i) / pi^i, row i summed by ``row``."""
+        s = self.row(pows, keep=keep)
+        return self.div_pi_power(w if s is None else self.sub(w, s), len(pows))
+
+    def term_row(self, pows, x, keep, div=False):
+        """``row`` of polynomials, or ``solve_row`` with ``div`` (x is w):
+        the terms of pi^j y_j (pi^j an int for d = 1, a tuple of ``coeff``
+        for d > 1) go into one term dict as each q-th power y_j is raised,
+        and one final pass divides the dict by pi^i and wraps it."""
+        ca, i, acc, d1 = self.coeff, len(pows), {}, self.cover.d == 1
+        get, add, mul, zero = acc.get, ca.add, ca.mul, ca.zero
+        sign = ca.neg(ca.one) if div else ca.one
+        for j in range(i, -1, -1):      # j = i: pi^i x, or w itself
+            if j < i:
+                x = self.pow(pows[j], self.q)
+                pows[j] = x if keep else None
+            s = ca.one if div and j == i else mul(sign, ca.pow(ca.pi, j))
+            for m, c in x.terms.items():
+                acc[m] = add(get(m, zero), mul(s, c[0] if d1 else c))
+        k, red = i if div else 0, self.one.cfg
+        out = {m: ca.div_pi_power(c, k) for m, c in acc.items() if c != zero}
+        return red._wrap({m: (c,) for m, c in out.items()} if d1 else out)
 
 
 _ARITH = {}
@@ -191,35 +238,12 @@ def _arith(cfg, top=0):
     return _ARITH[key]
 
 
-def _table(ar, xs):
-    """The power table of the row after xs: x_j^(q^(len(xs)-1-j))."""
-    k = len(xs) - 1
-    return [ar.pow(x, ar.q ** (k - j)) for j, x in enumerate(xs)]
-
-
-def _row(ar, pows, x=None, keep=True):
-    """Row i from the table pows[j] = x_j^(q^(i-1-j)), j < i, of row i-1:
-    sum_{j<i} pi^j x_j^(q^(i-j)) (+ pi^i x), summed by Horner in pi from
-    the top, so no pi^j is formed.  Each entry is raised to its q-th power
-    once; ``keep`` stores the powers back as the table of row i, otherwise
-    they are dropped as they are summed (a last row: its powers are the
-    largest values of the whole computation)."""
-    add, mul, pw, pi, q = ar.add, ar.mul, ar.pow, ar.pi, ar.q
-    acc = x
-    for j in range(len(pows) - 1, -1, -1):
-        y = pw(pows[j], q)
-        if keep:
-            pows[j] = y
-        acc = y if acc is None else add(y, mul(pi, acc))
-    return acc
-
-
 def _ghost_rows(ar, xs, start=0):
     """Ghost entries start..len(xs)-1 of the unwrapped coordinates xs:
     w_i = sum_j pi^j x_j^(q^(i-j))."""
-    pows, rows, last = _table(ar, xs[:start]), [], len(xs) - 1
+    pows, rows, last = ar.table(xs[:start]), [], len(xs) - 1
     for i in range(start, len(xs)):
-        rows.append(_row(ar, pows, xs[i], i < last))
+        rows.append(ar.row(pows, xs[i], i < last))
         pows.append(xs[i])
     return rows
 
@@ -230,12 +254,11 @@ def _solve_rows(ar, entries, comps, failure, what=None):
     entry i when the division is not exact.  That raises NonIntegral, or
     InternalError when ``what`` names a map the theory guarantees to be
     integral.  This is the library's one triangular solver."""
-    pows, last = _table(ar, comps), len(comps) + len(entries) - 1
+    pows, last = ar.table(comps), len(comps) + len(entries) - 1
     for w in entries:
         i = len(comps)
-        s = _row(ar, pows, keep=i < last)
         try:
-            x = ar.div_pi_power(w if s is None else ar.sub(w, s), i)
+            x = ar.solve_row(pows, w, i < last)
         except NonDivisible:
             if what:
                 raise InternalError(

@@ -275,6 +275,10 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
      "--n", "-1"],
     ["kernel", "--group", "ga", "--p", "3", "--prec", "0"],
     ["kernel", "--group", "ga", "--p", "3", "--prec", "-2", "--check", "all"],
+    ["kernel", "--group", "gm", "--p", "3", "--m", "-2", "--check", "psi",
+     "--trials", "1"],
+    ["kernel", "--group", "gm", "--p", "3", "--m", "-1", "--check", "diff"],
+    ["kernel", "--group", "ga", "--p", "2", "--n", "0", "--check", "phi"],
 ], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
         "verify-trials-negative", "kernel-trials-zero", "verify-prec-zero",
         "verify-prec-negative",
@@ -289,7 +293,8 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
         "verify-ramified-zero", "ring-vars-string", "ring-vars-int",
         "ring-constant-term-not-plus-minus-p", "teichmuller-negative-n",
         "exp-delta-negative-n", "kernel-prec-zero",
-        "kernel-prec-negative"])
+        "kernel-prec-negative", "kernel-psi-m-negative",
+        "kernel-diff-m-negative", "kernel-n-zero"])
 def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     # None stands for a file that does not exist
     argv = [a if a is not None else str(tmp_path / "missing.json")

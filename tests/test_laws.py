@@ -209,6 +209,23 @@ def test_run_suite_small():
         jsonschema.validate(r.to_json(), REPORT_SCHEMA)
 
 
+def test_reports_record_the_options_that_shaped_the_draw(tmp_path):
+    """--prec, --m-max and --n-max, when given, are in the report's config
+    under those names; a report without them has none of the keys."""
+    base = {"p": 2, "modulus": None, "phi_pi": "pi", "trunc": 0, "vars": []}
+    for flags, extra in [([], {}),
+                         (["--prec", "4", "--m-max", "1"],
+                          {"prec": 4, "m_max": 1}),
+                         (["--n-max", "3"], {"n_max": 3})]:
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--law", "L16", "--p", "2", "--ramified",
+                         "false", "--trials", "2", *flags,
+                         "--report", str(out)]) == 0
+        (doc,) = json.loads(out.read_text())
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        assert doc["config"] == dict(base, **extra)
+
+
 def test_run_suite_filter_and_configs():
     reports, summary = run_suite(law_filter=["L1", "L2"],
                                  configs=[Z2], trials=4, seed=0)

@@ -5,11 +5,15 @@
 * universal polynomials over ramified orders (x^2 - 5, x^2 - 2, x^3 - 3);
 * the symbolic kernel sum of two points over (x^3 - 3)/pi^6 in
   t_0..t_2, s_0..s_2, the CI check of a truncated symbolic base.
+
+A polynomial row is summed in one term dict: no one-term product forms
+pi^j y_j and no merge copies the row.
 """
 
+import collections
 import hashlib
 
-from wittlab import cli, witt
+from wittlab import cli, rings, witt
 from wittlab.fgl import load_fgl
 from wittlab.kernel import KernelPoint, kernel_add
 from wittlab.rings import make_ring_config
@@ -67,3 +71,36 @@ def test_truncated_symbolic_kernel_sum_is_pinned():
     assert sum(len(c.terms) for c in coords) == 162
     assert _digest([encode_element(c) for c in coords]) == (
         "51df05fded887f6453088fe8169b16ac86d912bb46c2aadd510f428a8c51f115")
+
+
+def test_symbolic_rows_build_no_intermediate_rows(monkeypatch, tmp_path):
+    """Inside the row kernel, the universal sum at n = 4, p = 2 makes no
+    one-term product (pi times a row) and no merge (a row plus a power)."""
+    _cold(monkeypatch, tmp_path)
+    calls, depth = collections.Counter(), [0]
+
+    def inside(fn):
+        def run(*args, **kw):
+            depth[0] += 1
+            try:
+                return fn(*args, **kw)
+            finally:
+                depth[0] -= 1
+        return run
+
+    def counted(name, fn, one_term=lambda *args: True):
+        def run(*args, **kw):
+            if depth[0] and one_term(*args):
+                calls[name] += 1
+            return fn(*args, **kw)
+        return run
+
+    for name in ("_solve_rows", "_ghost_rows"):
+        monkeypatch.setattr(witt, name, inside(getattr(witt, name)))
+    monkeypatch.setattr(rings, "_product", counted(
+        "_product", rings._product, lambda cfg, a, b: min(len(a), len(b)) == 1))
+    monkeypatch.setattr(rings.RingElement, "_merge",
+                        counted("_merge", rings.RingElement._merge))
+    polys = witt.universal_polynomials("sum", 4, p=2)
+    assert sum(len(f.terms) for f in polys) == 507
+    assert calls == {}
