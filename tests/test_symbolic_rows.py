@@ -18,6 +18,7 @@ from wittlab.fgl import load_fgl
 from wittlab.kernel import KernelPoint, kernel_add
 from wittlab.rings import make_ring_config
 from wittlab.serialize import canonical_dumps, encode_element
+from wittlab.shifted import ShiftedWittVector, shifted_ghost
 
 POLY_SHAPES = (("sum", 3, 2), ("prod", 3, 2), ("sum", 4, 2), ("prod", 4, 2),
                ("sum", 3, 3), ("prod", 3, 3), ("frobenius", 4, 2),
@@ -104,3 +105,24 @@ def test_symbolic_rows_build_no_intermediate_rows(monkeypatch, tmp_path):
     polys = witt.universal_polynomials("sum", 4, p=2)
     assert sum(len(f.terms) for f in polys) == 507
     assert calls == {}
+
+
+def test_truncated_polynomial_rows_are_canonical():
+    """A ghost row over a truncated base with variables is the residue of
+    the exact row: the term dict is reduced when it is wrapped."""
+    for spec in ({"p": 2, "trunc": 3}, {"p": 5, "modulus": [-5, 0, 1],
+                                         "trunc": 3}):
+        B = make_ring_config(dict(spec, vars=["a", "b"]))
+        R = B.exact_cover()
+        a, b = R.var("a"), R.var("b")
+        coords = [a * 3 + 1, a * b + 5, b * 7 - a, a * a * 11 + 9]
+        exact = witt.WittVector(R, coords)
+        v = witt.WittVector(B, list(map(B.convert, coords)))
+        assert witt.ghost(v).entries == tuple(
+            map(B.convert, witt.ghost(exact).entries))
+        sv = ShiftedWittVector(R, B, 1, coords[:2],
+                               list(map(B.convert, coords[2:])))
+        se = ShiftedWittVector(R, R, 1, coords[:2], coords[2:])
+        got, want = shifted_ghost(sv).entries, shifted_ghost(se).entries
+        assert got[:2] == want[:2]      # the head rows, in R
+        assert got[2:] == tuple(map(B.convert, want[2:]))
