@@ -31,16 +31,18 @@ class FormalGroupLaw:
     """Coefficients c_{ij} (constants of one base config) with i+j <= D.
     The inverse and logarithm series are kept once computed, and extended
     when a longer prefix is asked for, and so are the Psi coefficients and
-    the kernel series' coefficient chains."""
+    the kernel series' coefficient chains.  ``source`` holds the
+    ``load_fgl`` arguments of a loaded law, which it pickles as."""
 
-    __slots__ = ("cfg", "degree", "coeffs", "tag", "_inverse", "_log_units",
-                 "_psi", "_chains")
+    __slots__ = ("cfg", "degree", "coeffs", "tag", "source", "_inverse",
+                 "_log_units", "_psi", "_chains")
 
-    def __init__(self, cfg, degree, coeffs, tag=CUSTOM):
+    def __init__(self, cfg, degree, coeffs, tag=CUSTOM, source=None):
         self.cfg = cfg
         self.degree = degree
         self.coeffs = dict(coeffs)
         self.tag = tag
+        self.source = source
         self._inverse, self._log_units = None, [cfg.one()]
         self._psi, self._chains = {}, {}
         _validate(self)
@@ -77,6 +79,10 @@ class FormalGroupLaw:
 
     def __repr__(self):
         return f"FormalGroupLaw({self.tag}, D={self.degree})"
+
+    def __reduce__(self):   # a loaded law loads as the one load_fgl keeps
+        return (load_fgl, self.source) if self.source else (
+            FormalGroupLaw, (self.cfg, self.degree, self.coeffs, self.tag))
 
 
 def _validate(law):
@@ -123,7 +129,7 @@ def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
             tag = BUILTIN_ADDITIVE
             if source == "gm":
                 coeffs[(1, 1)], tag = one, BUILTIN_MULTIPLICATIVE
-            _LAWS[key] = FormalGroupLaw(cfg, degree, coeffs, tag)
+            _LAWS[key] = FormalGroupLaw(cfg, degree, coeffs, tag, key)
         return _LAWS[key]
     if isinstance(source, str):
         try:
@@ -147,7 +153,8 @@ def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
         raise WittlabError(f"malformed group table: {exc!r}") from None
     key = (json.dumps(source, sort_keys=True, default=repr), cfg, d)
     if key not in _LAWS:
-        _LAWS[key] = FormalGroupLaw(cfg, d, coeffs, CUSTOM)
+        _LAWS[key] = FormalGroupLaw(cfg, d, coeffs, CUSTOM,
+                                    (source, cfg, d))
     return _LAWS[key]
 
 

@@ -76,6 +76,10 @@ class KernelPoint:
         cs = ", ".join(repr(c) for c in self.coords)
         return f"N[{self.m}]{self.n}({cs})"
 
+    def __reduce__(self):   # the coordinates (solved if pending), no _embed
+        return KernelPoint, (self.law, self.rcfg, self.bcfg, self.m,
+                             self.coords)
+
 
 def kernel_zero(law, rcfg, bcfg, m, n):
     return KernelPoint(law, rcfg, bcfg, m, (bcfg.zero(),) * n)

@@ -5,6 +5,7 @@ of the universal structure polynomials (with a disk cache)."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import operator
@@ -166,6 +167,8 @@ class _Arith:
             if red.trunc:
                 self.reduce = red.creduce
                 self.unwrap = lambda e: red.creduce(e.terms.get((), self.zero))
+            else:   # equal (value, exponent) pairs recur across solves
+                self.pow = functools.lru_cache(maxsize=32)(red.cpow)
 
     def div_pi_power(self, a, k):
         """a / pi^k; NonDivisible when it is not exact.  For d = 1, pi = p

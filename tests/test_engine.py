@@ -29,6 +29,10 @@ library must agree.
 * A guaranteed map on an exact base returns a pending vector: the
   coordinates read from it equal an eager solve of its rows, and a law
   solves only the vectors it compares.
+* An exact order computes each distinct q-th power once per law trial,
+  in a bounded memo that no other arithmetic has.
+* Pending and solved vectors and kernel points pickle as their
+  coordinates and load equal to them.
 """
 
 import collections
@@ -50,7 +54,7 @@ from wittlab.errors import (
     ZeroLength,
     ZeroTail,
 )
-from wittlab.fgl import formal_inverse, load_fgl
+from wittlab.fgl import FormalGroupLaw, formal_inverse, load_fgl
 from wittlab.kernel import (
     KernelPoint,
     _tail_cutoff,
@@ -63,7 +67,7 @@ from wittlab.kernel import (
     kernel_witt_point,
 )
 from wittlab.laws import REGISTRY
-from wittlab.rings import make_ring_config
+from wittlab.rings import RingConfig, make_ring_config
 from wittlab.serialize import encode_element
 from wittlab.shifted import (
     ShiftedWittVector,
@@ -1029,6 +1033,57 @@ def test_pending_vectors_pickle_as_their_coordinates(cfg):
         back = pickle.loads(pickle.dumps(out))
         assert type(back) is type(out) and back._ghost is None
         assert back == out and hash(back) == hash(out)
+
+
+@pytest.mark.parametrize("group", ["gm", "lt_p3_d16"])
+def test_kernel_points_pickle_as_their_coordinates(group):
+    """A pending and a solved kernel point on Z/3^6 load equal to
+    themselves: the law reloads through load_fgl, which returns the same
+    law object, and a pending point pickles as its solved coordinates."""
+    law = load_fgl(group if group == "gm" else str(DATA / f"{group}.json"),
+                   Z3)
+    B, rng = Z3.truncated(6), random.Random(f"pickle:{group}")
+    t = KernelPoint(law, Z3, B, 1, [_elem(B, rng, 99) for _ in range(3)])
+    pending = kernel_phi(t)
+    assert callable(pending._coords)
+    for point in (pending, t):
+        back = pickle.loads(pickle.dumps(point))
+        assert back.law is law and back._embed is None
+        assert back == point
+    jet = FormalGroupLaw(Z3, 4, load_fgl("gm", Z3).coeffs)
+    back = pickle.loads(pickle.dumps(jet))      # built directly, not loaded
+    assert (back.degree, back.coeffs) == (jet.degree, jet.coeffs)
+
+
+def test_exact_order_powers_are_computed_once(monkeypatch):
+    """On an exact order (d > 1, no variables) the engine's pow is a
+    bounded LRU memo of RingConfig.cpow: per L7 and L8 trial on x^2 - 5
+    no (value, exponent) pair is computed twice, and the memo holds at
+    most its bound.  Truncated, d = 1 and polynomial arithmetics keep a
+    plain pow."""
+    calls, depth, cpow = collections.Counter(), [0], RingConfig.cpow
+
+    def counted(self, a, e):        # outer calls only: cpow recurses
+        if not depth[0]:
+            calls[a, e] += 1
+        depth[0] += 1
+        try:
+            return cpow(self, a, e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(RingConfig, "cpow", counted)
+    monkeypatch.setattr(witt, "_ARITH", {})     # rebuilt on counted cpow
+    for law in ("L7", "L8"):
+        for i in range(REGISTRY[law].trials):
+            calls.clear()
+            rng = random.Random(f"0:{law}:{i}")
+            assert REGISTRY[law].numeric(RAM5, rng, {}) is None
+            assert calls and max(calls.values()) == 1, (law, i)
+    info = _arith(RAM5).pow.cache_info()
+    assert info.hits and 0 < info.currsize <= info.maxsize
+    for cfg in (RAM5.truncated(8), Z5, Z5.truncated(6), RAM5.adjoin(["x0"])):
+        assert not hasattr(_arith(cfg).pow, "cache_info"), cfg
 
 
 def test_laws_solve_only_what_they_compare(monkeypatch):
