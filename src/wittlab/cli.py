@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigUnsupported, InternalError, UnknownLaw, WittlabError
+from .errors import ConfigUnsupported, InternalError, WittlabError
 from .fgl import load_fgl
 from .kernel import difference_character
 from .laws import (
@@ -370,7 +370,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UnknownLaw, ConfigUnsupported, WittlabError) as exc:
+    except WittlabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:

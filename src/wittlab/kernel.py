@@ -36,47 +36,42 @@ from .shifted import (
 from .witt import (
     _arith,
     _check_fixed,
-    _pending,
     _phi_chain,
-    _read,
     _solve as _witt_solve,
 )
 
 
 class KernelPoint:
-    """A point of N^[m]n G in tail coordinates.  ``_embed`` keeps its
-    zero-head embedding once built, so the embedding's ghost rows are
-    computed at most once; equality ignores it."""
+    """A point of N^[m]n G: its law and its zero-head embedding in
+    W_[m]n(B), whose tail holds the point's coordinates.  Equality ignores
+    the ghost rows the embedding keeps."""
 
-    __slots__ = ("law", "rcfg", "bcfg", "m", "n", "_coords", "_embed")
+    __slots__ = ("law", "_embed")
 
     def __init__(self, law, rcfg, bcfg, m, coords):
         coords = tuple(coords)
         if m < 0 or not coords:
             raise LengthMismatch("kernel point needs m >= 0 and n >= 1")
-        for c in coords:
-            if c.cfg != bcfg:
-                raise BaseMismatch("coordinate outside B")
         self.law = law
-        self.rcfg = rcfg
-        self.bcfg = bcfg
-        self.m, self.n = m, len(coords)
-        self._coords = coords
-        self._embed = None
+        self._embed = ShiftedWittVector(rcfg, bcfg, m,
+                                        (rcfg.zero(),) * (m + 1), coords)
 
-    coords = property(_read)
+    rcfg = property(lambda self: self._embed.rcfg)
+    bcfg = property(lambda self: self._embed.bcfg)
+    m = property(lambda self: self._embed.m)
+    n = property(lambda self: self._embed.n)
+    coords = property(lambda self: self._embed.tail)
 
     def __eq__(self, other):
         if not isinstance(other, KernelPoint):
             return NotImplemented
-        return (self.m == other.m and self.coords == other.coords
-                and self.law is other.law and self.bcfg == other.bcfg)
+        return self.law is other.law and self._embed == other._embed
 
     def __repr__(self):
         cs = ", ".join(repr(c) for c in self.coords)
         return f"N[{self.m}]{self.n}({cs})"
 
-    def __reduce__(self):   # the coordinates (solved if pending), no _embed
+    def __reduce__(self):   # the coordinates (solved if pending), no rows
         return KernelPoint, (self.law, self.rcfg, self.bcfg, self.m,
                              self.coords)
 
@@ -87,9 +82,6 @@ def kernel_zero(law, rcfg, bcfg, m, n):
 
 def kernel_embed(t):
     """The zero-head shifted Witt vector carrying t."""
-    if t._embed is None:
-        t._embed = ShiftedWittVector(t.rcfg, t.bcfg, t.m,
-                                     (t.rcfg.zero(),) * (t.m + 1), t.coords)
     return t._embed
 
 
@@ -107,16 +99,16 @@ def _check_pair(t, s):
 
 
 def _tail_point(t, out, what):
-    """The kernel point of t's group carried by the tail of out, a shifted
-    vector that a map of kernels returned; out is its embedding, and the
-    point's coordinates are read off it on first use."""
-    def coords():
-        if any(not h.is_zero() for h in out.head):  # pragma: no cover
-            raise InternalError(f"{what} left the zero-head locus")
-        return out.tail
-
-    return _pending(KernelPoint, coords, law=t.law, rcfg=t.rcfg,
-                    bcfg=t.bcfg, m=out.m, n=out.n, _embed=out)
+    """The kernel point of t's group whose embedding is out, a map's output.
+    Its head must be zero, checked without a solve: on the head ghost rows
+    out carries (R is torsion-free), else on the head of a truncated out."""
+    hl, rows = _arith(out.rcfg), out._ghost
+    head = map(hl.unwrap, out.head) if rows is None else rows[:out.m + 1]
+    if any(w != hl.zero for w in head):  # pragma: no cover
+        raise InternalError(f"{what} left the zero-head locus")
+    p = object.__new__(KernelPoint)
+    p.law, p._embed = t.law, out
+    return p
 
 
 def _tail_cutoff(m, length, trunc):

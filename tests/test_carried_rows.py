@@ -133,14 +133,25 @@ def test_shifted_outputs_carry_their_ghost(cfg, m, n, data):
 @given(cfg=st.sampled_from(EXACT), m=st.integers(1, 2), n=st.integers(2, 3),
        data=st.data())
 def test_kernel_maps_carry_their_embedding_ghost(cfg, m, n, data):
-    t = KernelPoint(load_fgl("ga", cfg.base_exact()), cfg, cfg, m,
-                    [_elem(data, cfg) for _ in range(n)])
-    assert kernel_embed(t) is kernel_embed(t)   # built once per point
-    for out in (kernel_lateral_f(t), kernel_phi(t),
-                kernel_phi(kernel_lateral_f(t))):
+    """A map's output point is the shifted vector the map solved: its
+    coordinates are that vector's tail, and it carries that vector's rows.
+    On Ga the group law is shifted Witt addition of the embeddings."""
+    law = load_fgl("ga", cfg.base_exact())
+    t, s = (KernelPoint(law, cfg, cfg, m, [_elem(data, cfg)
+                                           for _ in range(n)])
+            for _ in range(2))
+    u, v = kernel_embed(t), kernel_embed(s)
+    assert u is kernel_embed(t)   # the point's own embedding
+    lat = kernel_lateral_f(t)
+    for out, solved in ((lat, lateral_frobenius(u)),
+                        (kernel_phi(t), shift_E(u)),
+                        (kernel_phi(lat), shift_E(kernel_embed(lat))),
+                        (kernel_add(t, s), shifted_add(u, v))):
+        assert kernel_embed(out) == solved
+        assert kernel_embed(out).tail == out.coords
         _carries_fresh_rows(kernel_embed(out))
         _carries_fresh_rows(kernel_witt_point(out))
-    _carries_fresh_rows(kernel_embed(t))
+    _carries_fresh_rows(u)
 
 
 def _no_rows(*vs):

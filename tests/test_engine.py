@@ -1002,18 +1002,18 @@ def test_pending_coordinates_are_the_eager_solve(cfg, m, n, data):
                     [elem() for _ in range(n + 1)])
     points = [kernel_lateral_f(t), kernel_phi(t),
               kernel_phi(kernel_lateral_f(t))]
+    embeds = [kernel_embed(p) for p in points]
     # nothing is solved yet
-    for out in witts + shifts + images + points:
+    for out in witts + shifts + images + embeds:
         assert callable(out._coords), out
     want = ([_eager(w) for w in witts], [_eager(s) for s in shifts],
-            [_eager(i) for i in images],
-            [_eager(p._embed)[1] for p in points])
+            [_eager(i) for i in images], [_eager(e)[1] for e in embeds])
     got = ([w.comps for w in witts], [(s.head, s.tail) for s in shifts],
            [i.comps for i in images], [p.coords for p in points])
     assert got == want
     # each read solved once and kept its result
     assert all(isinstance(out._coords, tuple)
-               for out in witts + shifts + images + points)
+               for out in witts + shifts + images + embeds)
 
 
 @pytest.mark.parametrize("cfg", PENDING_BASES,
@@ -1037,18 +1037,20 @@ def test_pending_vectors_pickle_as_their_coordinates(cfg):
 
 @pytest.mark.parametrize("group", ["gm", "lt_p3_d16"])
 def test_kernel_points_pickle_as_their_coordinates(group):
-    """A pending and a solved kernel point on Z/3^6 load equal to
-    themselves: the law reloads through load_fgl, which returns the same
-    law object, and a pending point pickles as its solved coordinates."""
+    """A pending kernel point on Z3, and a built and a mapped one on Z/3^6,
+    load equal to themselves without their embedding's rows: the law
+    reloads through load_fgl, which returns the same law object, and a
+    pending point pickles as its solved coordinates."""
     law = load_fgl(group if group == "gm" else str(DATA / f"{group}.json"),
                    Z3)
     B, rng = Z3.truncated(6), random.Random(f"pickle:{group}")
     t = KernelPoint(law, Z3, B, 1, [_elem(B, rng, 99) for _ in range(3)])
-    pending = kernel_phi(t)
-    assert callable(pending._coords)
-    for point in (pending, t):
+    pending = kernel_phi(KernelPoint(law, Z3, Z3, 1,
+                                     [_elem(Z3, rng, 99) for _ in range(3)]))
+    assert callable(kernel_embed(pending)._coords)
+    for point in (pending, kernel_phi(t), t):
         back = pickle.loads(pickle.dumps(point))
-        assert back.law is law and back._embed is None
+        assert back.law is law and kernel_embed(back)._ghost is None
         assert back == point
     jet = FormalGroupLaw(Z3, 4, load_fgl("gm", Z3).coeffs)
     back = pickle.loads(pickle.dumps(jet))      # built directly, not loaded

@@ -9,8 +9,12 @@ import pytest
 
 from wittlab.errors import (
     BadLength,
+    BaseMismatch,
+    InternalError,
+    LengthMismatch,
     NonIntegralPsi,
     PrecisionRequired,
+    WittlabError,
     ZeroShift,
     ZeroTail,
 )
@@ -19,6 +23,7 @@ from wittlab.kernel import (
     KernelPoint,
     _psi_coeffs,
     _psi_series_bound,
+    _tail_point,
     difference_character,
     kernel_add,
     kernel_embed,
@@ -32,7 +37,7 @@ from wittlab.kernel import (
     psi_map,
 )
 from wittlab.rings import Frac, make_ring_config
-from wittlab.shifted import shifted_ghost
+from wittlab.shifted import ShiftedWittVector, shift_E, shifted_ghost
 from wittlab.witt import WittVector, ghost, verschiebung, witt_add
 
 from oracles import to_int
@@ -64,6 +69,32 @@ def test_embed_ghost():
     t = kp(GA2, Z2, 1, [5])
     g = shifted_ghost(kernel_embed(t))
     assert [to_int(e) for e in g.entries] == [0, 0, 20]
+
+
+def test_constructor_rejects_malformed_points():
+    with pytest.raises(LengthMismatch, match="m >= 0 and n >= 1"):
+        kp(GA2, Z2, -1, [5])
+    with pytest.raises(LengthMismatch, match="m >= 0 and n >= 1"):
+        kp(GA2, Z2, 1, [])
+    with pytest.raises(BaseMismatch):
+        KernelPoint(GA2, Z2, Z2, 1, [Z2.from_int(5), Z3.from_int(5)])
+    with pytest.raises(WittlabError, match="must be exact"):
+        kp(GA2, Z2.truncated(4), 1, [5])
+
+
+@pytest.mark.parametrize("trunc", [0, 6])
+def test_a_nonzero_head_is_refused_at_the_call(trunc):
+    """A map output with a nonzero head is no kernel point: over an exact
+    B the check reads the pending output's head rows and solves nothing."""
+    B = Z3.truncated(trunc) if trunc else Z3
+    t = kp(load_fgl("ga", Z3), Z3, 1, [4, 7], B)
+    v = ShiftedWittVector(Z3, B, 1, [Z3.zero(), Z3.from_int(2)],
+                          t.coords)
+    out = shift_E(v)
+    with pytest.raises(InternalError, match="Phi left the zero-head"):
+        _tail_point(t, out, "Phi")
+    assert callable(out._coords) == (not trunc)
+    assert callable(kernel_embed(kernel_phi(t))._coords) == (not trunc)
 
 
 def test_witt_point_is_iterated_verschiebung():
