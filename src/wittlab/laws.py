@@ -214,14 +214,14 @@ def _law_l5(cfg, rng, params):
     x, y = _rand_elem(cfg, rng), _rand_elem(cfg, rng)
     if not delta(cfg.one()).is_zero():
         return {"axiom": 1}
+    dx, dy = delta(x), delta(y)
     lhs = delta(x + y)
-    rhs = delta(x) + delta(y) + c_pi(x, y)
+    rhs = dx + dy + c_pi(x, y)
     if lhs != rhs:
         return _mismatch({"x": x, "y": y}, lhs, rhs)
     q = cfg.q
     lhs = delta(x * y)
-    rhs = (x ** q * delta(y) + y ** q * delta(x)
-           + cfg.pi_elem() * delta(x) * delta(y))
+    rhs = x ** q * dy + y ** q * dx + cfg.pi_elem() * dx * dy
     if lhs != rhs:
         return _mismatch({"x": x, "y": y}, lhs, rhs)
     return None

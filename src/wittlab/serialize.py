@@ -62,24 +62,23 @@ def decode_element(cfg, enc):
     try:
         if isinstance(enc, (int, float, list)):
             return cfg.from_coeff(_decode_coeff(cfg, enc))
-        if isinstance(enc, dict) and "terms" in enc:
-            slots = {name: i for i, name in enumerate(cfg.vars)}
-            terms = {}
-            for term in enc["terms"]:
-                coeff = _decode_coeff(cfg, term["coeff"])
-                mono = [0] * cfg.nvars
-                for name, exp in term.get("monomial", {}).items():
-                    if name not in slots:
-                        raise WittlabError(f"unknown variable {name!r}")
-                    mono[slots[name]] = _json_int(exp, "an exponent")
-                if min(mono, default=0) < 0:
-                    raise WittlabError(
-                        "exponent must be a nonnegative integer")
-                mono = tuple(mono)
-                terms[mono] = cfg.cadd(terms.get(mono, cfg.czero()), coeff)
-            return cfg._make(terms)
+        slots = {name: i for i, name in enumerate(cfg.vars)}
+        d1, nvars, cadd, terms = cfg.d == 1, cfg.nvars, cfg.cadd, {}
+        for term in enc["terms"]:   # a good d = 1 term calls no helper
+            c, mono = term["coeff"], [0] * nvars
+            coeff = (c,) if d1 and type(c) is int else _decode_coeff(cfg, c)
+            for name, exp in term.get("monomial", {}).items():
+                if name not in slots:
+                    raise WittlabError(f"unknown variable {name!r}")
+                if type(exp) is not int or exp < 0:
+                    _json_int(exp, "an exponent")   # raises on a bool, float
+                    raise WittlabError("exponent must be a nonnegative integer")
+                mono[slots[name]] = exp
+            mono = tuple(mono)
+            terms[mono] = cadd(terms[mono], coeff) if mono in terms else coeff
+        return cfg._make(terms)
     except (AttributeError, LookupError, TypeError, ValueError):
-        pass    # a malformed term, coefficient or exponent
+        pass    # not a constant or {"terms": [...]}, or a malformed term
     raise WittlabError(f"cannot decode element from {enc!r}")
 
 

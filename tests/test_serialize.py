@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wittlab import witt
 from wittlab.errors import WittlabError
 from wittlab.rings import make_ring_config
 from wittlab.serialize import (
@@ -20,7 +21,7 @@ from wittlab.serialize import (
     encode_witt,
 )
 from wittlab.shifted import ShiftedWittVector
-from wittlab.witt import WittVector, ghost
+from wittlab.witt import WittVector, ghost, universal_polynomials
 
 Z2 = make_ring_config({"p": 2})
 RAM5 = make_ring_config({"p": 5, "modulus": [-5, 0, 1]})
@@ -149,3 +150,72 @@ def test_decode_bad_monomial(monomial):
     with pytest.raises(WittlabError):
         decode_element(Z2.adjoin(["x"]),
                        {"terms": [{"coeff": 1, "monomial": monomial}]})
+
+
+# the sets the benchmark reads back from its cache, and one set whose
+# coefficients are d = 2 lists
+CACHED_SETS = [("sum", 3, {"p": 2}), ("prod", 3, {"p": 2}),
+               ("sum", 4, {"p": 2}), ("prod", 4, {"p": 2}),
+               ("sum", 3, {"p": 3}), ("prod", 3, {"p": 3}),
+               ("frobenius", 4, {"p": 2}), ("mult_pi", 4, {"p": 2}),
+               ("frobenius", 2, {"p": 5, "modulus": [-5, 0, 1]})]
+
+
+@pytest.mark.parametrize("op,n,spec", CACHED_SETS, ids=[
+    f"{op}-n{n}-" + ("x^2-5" if "modulus" in spec else f"p{spec['p']}")
+    for op, n, spec in CACHED_SETS])
+def test_cached_sets_decode_term_by_term(tmp_path, monkeypatch, op, n, spec):
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(witt, "_MEMO", {})
+    polys = universal_polynomials(op, n, cfg=make_ring_config(spec))
+    (path,) = tmp_path.glob("*.json")
+    sym = polys[0].cfg
+    for enc, poly in zip(json.loads(path.read_text())["polys"], polys):
+        terms = enc if isinstance(enc, dict) else {"terms": [{"coeff": enc}]}
+        assert decode_element(sym, enc) == _decode_term_by_term(sym, terms)
+        assert _decode_term_by_term(sym, terms) == poly
+
+
+# one faulty term, and the message the decoder gives for it
+FAULTS = [
+    ({"coeff": 1, "monomial": {"w": 1}}, "unknown variable 'w'"),
+    ({"coeff": 1, "monomial": {"x": -1}},
+     "exponent must be a nonnegative integer"),
+    ({"coeff": 1, "monomial": {"x": 1.0}},
+     "an exponent must be an integer, got 1.0"),
+    ({"coeff": 1, "monomial": {"x": True}},
+     "an exponent must be an integer, got True"),
+    ({"coeff": 1, "monomial": {"x": "two"}},
+     "an exponent must be an integer, got 'two'"),
+    ({"coeff": 1.5, "monomial": {}},
+     "a coefficient must be an integer, got 1.5"),
+    ({"coeff": False}, "a coefficient must be an integer, got False"),
+    ({"coeff": [1, 0], "monomial": {"x": 1}},
+     "coefficient [1, 0] needs 1 coordinates"),
+]
+
+
+@pytest.mark.parametrize("fault,message", FAULTS,
+                         ids=["unknown-variable", "negative-exponent",
+                              "float-exponent", "boolean-exponent",
+                              "string-exponent", "float-coeff",
+                              "boolean-coeff", "width-2-coeff"])
+def test_one_faulty_term_keeps_its_message(fault, message):
+    cfg, rng = Z2.adjoin(["x", "y"]), random.Random(message)
+    for _ in range(10):
+        terms = [{"coeff": rng.randint(-9, 9),
+                  "monomial": {v: rng.randrange(3) for v in "xy"}}
+                 for _ in range(rng.randrange(6))]
+        terms.insert(rng.randrange(len(terms) + 1), fault)
+        with pytest.raises(WittlabError) as err:
+            decode_element(cfg, {"terms": terms})
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("enc", [{}, {"term": []}, {"terms": 5},
+                                 {"terms": [7]}, {"terms": [{}]},
+                                 {"terms": [{"coeff": 1, "monomial": [1]}]},
+                                 "x", None])
+def test_malformed_elements_cannot_be_decoded(enc):
+    with pytest.raises(WittlabError, match="cannot decode element from"):
+        decode_element(Z2.adjoin(["x"]), enc)

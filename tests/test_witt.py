@@ -385,6 +385,35 @@ def test_universal_cache_roundtrip(tmp_path, monkeypatch):
     assert first[1] == 2 * sym.var("x1") - sym.var("x0") ** 2
 
 
+# one term of sum n=2 at p=2, before and after its corruption
+TERM = '{"coeff": -2, "monomial": {"x0": 2, "y0": 2}}'
+
+
+@pytest.mark.parametrize("bad", [
+    TERM.replace("-2", "true"),
+    TERM.replace('"x0": 2', '"x0": 2.0'),
+    TERM.replace('"x0": 2', '"x0": "2"'),
+    TERM.replace('"x0": 2', '"x0": -2'),
+    TERM.replace('"x0"', '"z0"'),
+    TERM.replace("-2", "[-2, 0]"),
+], ids=["boolean-coeff", "float-exponent", "string-exponent",
+        "negative-exponent", "unknown-variable", "width-2-coeff"])
+def test_cache_file_with_one_corrupt_term_is_a_miss(tmp_path, monkeypatch,
+                                                    bad):
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    import wittlab.witt as wmod
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    cold = universal_polynomials("sum", 2, p=2)
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_bytes()
+    assert good.count(TERM.encode()) == 1
+    path.write_bytes(good.replace(TERM.encode(), bad.encode()))
+    wmod._MEMO.clear()
+    assert universal_polynomials("sum", 2, p=2) == cold
+    assert path.read_bytes() == good
+    assert list(tmp_path.iterdir()) == [path]       # no temporary left
+
+
 def _reference_cache_text(op, n, cfg, polys):
     """The cache file as a single json.dump of the whole document."""
     import io
