@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import operator
 import os
@@ -27,7 +28,6 @@ from .errors import (
     ZeroLength,
 )
 from .rings import RingElement, make_ring_config
-from .serialize import _encode_coeff, decode_element, encode_element
 
 TERM_BUDGET = 5_000_000
 
@@ -461,31 +461,82 @@ def _cache_key(op, n, cfg):
     return payload, hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _budget_check(polys):
-    total = sum(len(p.terms) for p in polys)
+def _budget_check(total):
     if total > TERM_BUDGET:
         raise BudgetExceeded(
             f"symbolic expansion hit {total} terms (budget {TERM_BUDGET})")
 
 
+def _write_ints(write, ints):
+    """json.dumps(list(ints)) for an iterator of ints, written 4096 ints at
+    a time through the C encoder, so no list or string of the whole forms
+    (json.dump would run the pure-Python encoder)."""
+    write("[")
+    sep = ""
+    while chunk := list(itertools.islice(ints, 4096)):
+        write(sep + json.dumps(chunk)[1:-1])
+        sep = ", "
+    write("]")
+
+
 def _write_cache(out, payload, polys):
-    """The bytes of json.dump(payload + {"polys": encoded polys}, out,
-    sort_keys=True), one polynomial at a time: a constant by the encoder,
-    terms from the sorted term dict, names in json's key order (x10, x2)."""
-    dumps, write = json.JSONEncoder(sort_keys=True).encode, out.write
-    write(dumps(dict(payload, polys=[]))[:-2])  # "polys" is the last key
+    """The bytes of json.dumps(dict(payload, polys=[[exps, coeffs], ..]),
+    sort_keys=True): exps chains a polynomial's exponent tuples in term
+    dict order, coeffs its coefficient tuples in the same order."""
+    write, chain = out.write, itertools.chain.from_iterable
+    # the request and '"polys": [', as "polys" sorts after its keys
+    write(json.dumps(dict(payload, polys=[]), sort_keys=True)[:-2])
     for i, poly in enumerate(polys):
-        cfg, sep = poly.cfg, ", " if i else ""
-        if poly.is_constant():
-            write(sep + dumps(encode_element(poly)))
-            continue
-        names = sorted((v, k, dumps(v) + ": ") for k, v in enumerate(cfg.vars))
-        write(sep + '{"terms": [' + ", ".join(
-            '{"coeff": %s, "monomial": {%s}}' % (   # str() of ints is json
-                _encode_coeff(cfg, c),
-                ", ".join(name + str(m[k]) for _, k, name in names if m[k]))
-            for m, c in sorted(poly.terms.items())) + "]}")
+        write(", [" if i else "[")
+        _write_ints(write, chain(poly.terms))
+        write(", ")
+        _write_ints(write, chain(poly.terms.values()))
+        write("]")
     write("]}")
+
+
+def _read_cache(path, payload, count, sym):
+    """The polynomials a cache file holds for this request, or None (a
+    miss) when it is missing, corrupt or stores another request.  A set
+    above TERM_BUDGET raises before any term dict is built."""
+    nv, d, zero = sym.nvars, sym.d, sym.czero()
+    try:
+        data = json.loads(path.read_text())
+        encs, polys = data["polys"], []
+        if data != dict(payload, polys=encs) or len(encs) != count:
+            return None
+        _budget_check(sum(len(coeffs) for _, coeffs in encs) // d)
+        for exps, coeffs in encs:
+            terms = dict(zip(zip(*[iter(exps)] * nv),
+                             zip(*[iter(coeffs)] * d)))
+            k = len(terms)  # zip drops a ragged tail, dict a repeated key
+            if not (len(exps) == nv * k and len(coeffs) == d * k
+                    and type(exps) is type(coeffs) is list
+                    and {*map(type, exps), *map(type, coeffs)} <= {int}
+                    and min(exps, default=0) >= 0
+                    and zero not in terms.values()):
+                return None
+            polys.append(sym._wrap(terms))
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        return None
+    return polys
+
+
+def _store(path, payload, polys):
+    """Write the cache file atomically.  A write that fails (an OSError)
+    leaves no temporary file and is a miss next time, not an error."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.NamedTemporaryFile("w", dir=path.parent, delete=False,
+                                         suffix=".tmp") as tmp:
+            _write_cache(tmp, payload, polys)
+        os.replace(tmp.name, path)
+    except OSError:
+        pass
+    finally:
+        if tmp is not None and os.path.exists(tmp.name):
+            os.unlink(tmp.name)
 
 
 _UNIVERSAL = {"sum": witt_add, "prod": witt_mul, "frobenius": frobenius,
@@ -518,31 +569,12 @@ def universal_polynomials(op, n, p=None, cfg=None):
     sym = base.adjoin(xs + ys)
 
     path = _cache_dir() / f"{op}-n{n}-p{base.p}-{digest[:16]}.json"
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-            encs = data["polys"]
-            if (data == dict(payload, polys=encs)
-                    and len(encs) == n + (op != "frobenius")):
-                polys = [decode_element(sym, enc) for enc in encs]
-                _MEMO[memo_key] = polys
-                return polys
-        except (OSError, ValueError, LookupError, TypeError, WittlabError):
-            pass    # a corrupt cache file is a miss: recompute, rewrite
-
-    vecs = [WittVector(sym, [sym.var(v) for v in vs]) for vs in (xs, ys) if vs]
-    polys = list(_UNIVERSAL[op](*vecs).comps)
-    _budget_check(polys)
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = tempfile.NamedTemporaryFile("w", dir=path.parent, delete=False,
-                                      suffix=".tmp")
-    try:
-        _write_cache(tmp, payload, polys)
-        tmp.close()
-        os.replace(tmp.name, path)
-    finally:
-        if os.path.exists(tmp.name):
-            os.unlink(tmp.name)
+    polys = _read_cache(path, payload, n + (op != "frobenius"), sym)
+    if polys is None:
+        vecs = [WittVector(sym, [sym.var(v) for v in vs])
+                for vs in (xs, ys) if vs]
+        polys = list(_UNIVERSAL[op](*vecs).comps)
+        _budget_check(sum(len(poly.terms) for poly in polys))
+        _store(path, payload, polys)
     _MEMO[memo_key] = polys
     return polys

@@ -317,10 +317,12 @@ SAME_OP = OTHER_OP.replace('"prod"', '"sum"')
                                      "5", '{"polys": [7]}',
                                      OTHER_OP + '"polys": [0]}',
                                      OTHER_OP + '"polys": [0, 0]}',
-                                     SAME_OP + '"polys": [0]}'],
+                                     SAME_OP + '"polys": [0]}',
+                                     "[" * 200_000],
                          ids=["truncated", "no-polys", "not-an-object",
                               "bad-terms", "scalar", "polys-only", "other-op",
-                              "other-op-same-count", "too-few-polys"])
+                              "other-op-same-count", "too-few-polys",
+                              "nested-too-deep"])
 def test_poly_corrupt_cache_file_is_a_miss(tmp_path, garbage):
     argv = ["poly", "--op", "sum", "--n", "1", "--p", "2"]
     first = run_cli(argv, tmp_path)
@@ -332,6 +334,19 @@ def test_poly_corrupt_cache_file_is_a_miss(tmp_path, garbage):
     assert again.stdout == first.stdout
     assert path.read_bytes() == good
     assert list(path.parent.iterdir()) == [path]     # no temporary left
+
+
+def test_poly_with_a_file_for_cache_dir_prints_the_polynomials(tmp_path):
+    """A cache that cannot be written is not an error: poly prints what a
+    run with a good cache dir prints and exits 0."""
+    argv = ["poly", "--op", "sum", "--n", "1", "--p", "2"]
+    good = run_cli(argv, tmp_path / "good")
+    (tmp_path / "cache").write_text("")
+    r = run_cli(argv, tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == good.stdout
+    assert (tmp_path / "cache").read_text() == ""
 
 
 # ----------------------------------------------------------------------

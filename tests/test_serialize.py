@@ -161,19 +161,36 @@ CACHED_SETS = [("sum", 3, {"p": 2}), ("prod", 3, {"p": 2}),
                ("frobenius", 2, {"p": 5, "modulus": [-5, 0, 1]})]
 
 
+def _columns_as_terms(sym, exps, coeffs):
+    """A cached [exps, coeffs] pair as {"coeff", "monomial"} terms, read
+    off position by position."""
+    nv, d = sym.nvars, sym.d
+    return {"terms": [
+        {"coeff": coeffs[k * d:(k + 1) * d],
+         "monomial": dict(zip(sym.vars, exps[k * nv:(k + 1) * nv]))}
+        for k in range(len(coeffs) // d)]}
+
+
 @pytest.mark.parametrize("op,n,spec", CACHED_SETS, ids=[
     f"{op}-n{n}-" + ("x^2-5" if "modulus" in spec else f"p{spec['p']}")
     for op, n, spec in CACHED_SETS])
 def test_cached_sets_decode_term_by_term(tmp_path, monkeypatch, op, n, spec):
+    """A hit reads back the cold polynomials, term dicts in the same
+    order, and each equals a term-by-term decode of its two arrays."""
     monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(witt, "_MEMO", {})
-    polys = universal_polynomials(op, n, cfg=make_ring_config(spec))
+    cfg = make_ring_config(spec)
+    cold = universal_polynomials(op, n, cfg=cfg)
     (path,) = tmp_path.glob("*.json")
+    witt._MEMO.clear()
+    monkeypatch.setitem(witt._UNIVERSAL, op, None)  # a miss would fail
+    polys = universal_polynomials(op, n, cfg=cfg)
     sym = polys[0].cfg
-    for enc, poly in zip(json.loads(path.read_text())["polys"], polys):
-        terms = enc if isinstance(enc, dict) else {"terms": [{"coeff": enc}]}
-        assert decode_element(sym, enc) == _decode_term_by_term(sym, terms)
-        assert _decode_term_by_term(sym, terms) == poly
+    assert polys == cold
+    for enc, poly, cold_poly in zip(json.loads(path.read_text())["polys"],
+                                    polys, cold):
+        assert list(poly.terms.items()) == list(cold_poly.terms.items())
+        assert _decode_term_by_term(sym, _columns_as_terms(sym, *enc)) == poly
 
 
 # one faulty term, and the message the decoder gives for it

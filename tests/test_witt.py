@@ -2,6 +2,7 @@
 polynomials.  The ghost-side oracle below recomputes everything with
 plain Fractions over the integers, independent of the library's solver."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -385,47 +386,102 @@ def test_universal_cache_roundtrip(tmp_path, monkeypatch):
     assert first[1] == 2 * sym.var("x1") - sym.var("x0") ** 2
 
 
-# one term of sum n=2 at p=2, before and after its corruption
-TERM = '{"coeff": -2, "monomial": {"x0": 2, "y0": 2}}'
+def _reference_cache_text(op, n, cfg, polys):
+    """The cache file as one json.dumps of the whole columnar document:
+    per polynomial, its exponent tuples and its coefficient tuples, each
+    chained in term-dict order."""
+    import itertools
+    chain = itertools.chain.from_iterable
+    data = {"op": op, "n": n, "p": cfg.p,
+            "modulus": list(cfg.modulus) if cfg.modulus else None,
+            "phi_pi": list(cfg.phi_pi) if cfg.phi_pi else None,
+            "polys": [[list(chain(pe.terms)), list(chain(pe.terms.values()))]
+                      for pe in polys]}
+    return json.dumps(data, sort_keys=True)
 
 
-@pytest.mark.parametrize("bad", [
-    TERM.replace("-2", "true"),
-    TERM.replace('"x0": 2', '"x0": 2.0'),
-    TERM.replace('"x0": 2', '"x0": "2"'),
-    TERM.replace('"x0": 2', '"x0": -2'),
-    TERM.replace('"x0"', '"z0"'),
-    TERM.replace("-2", "[-2, 0]"),
+def _set(which, index, value):
+    """Set entry ``index`` of the exponent (0) or coefficient (1) array."""
+    def corrupt(enc):
+        enc[which][index] = value
+    return corrupt
+
+
+def _width_2_coeff(enc):            # the last coefficient c as [c, 0]
+    enc[1].append(0)
+
+
+def _extra_exponent(enc):           # an exponent with no variable
+    enc[0].append(1)
+
+
+def _repeat_monomial(enc):
+    enc[0][6:12] = enc[0][0:6]
+
+
+def _empty_strings(enc):            # no terms, but not arrays either
+    enc[:] = ["", ""]
+
+
+# sum n=2 at p=2 is over x0..x2, y0..y2 (six exponents a term); the last
+# polynomial's sixth term is -2 x0^2 y0^2, whose x0 exponent is entry 30
+@pytest.mark.parametrize("corrupt", [
+    _set(1, 0, True),
+    _set(0, 30, 2.0),
+    _set(0, 30, "2"),
+    _set(0, 30, -2),
+    _extra_exponent,
+    _width_2_coeff,
+    _set(1, 0, 0),
+    _repeat_monomial,
+    _empty_strings,
 ], ids=["boolean-coeff", "float-exponent", "string-exponent",
-        "negative-exponent", "unknown-variable", "width-2-coeff"])
+        "negative-exponent", "unknown-variable", "width-2-coeff",
+        "zero-coeff", "repeated-monomial", "strings-for-arrays"])
 def test_cache_file_with_one_corrupt_term_is_a_miss(tmp_path, monkeypatch,
-                                                    bad):
+                                                    corrupt):
     monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
     import wittlab.witt as wmod
     monkeypatch.setattr(wmod, "_MEMO", {})
     cold = universal_polynomials("sum", 2, p=2)
     (path,) = tmp_path.glob("*.json")
     good = path.read_bytes()
-    assert good.count(TERM.encode()) == 1
-    path.write_bytes(good.replace(TERM.encode(), bad.encode()))
+    data = json.loads(good)
+    enc = data["polys"][-1]
+    assert enc[0][30:36] == [2, 0, 0, 2, 0, 0] and enc[1][5] == -2
+    corrupt(enc)
+    path.write_text(json.dumps(data, sort_keys=True))
     wmod._MEMO.clear()
     assert universal_polynomials("sum", 2, p=2) == cold
     assert path.read_bytes() == good
     assert list(tmp_path.iterdir()) == [path]       # no temporary left
 
 
-def _reference_cache_text(op, n, cfg, polys):
-    """The cache file as a single json.dump of the whole document."""
-    import io
-    import json
+@pytest.mark.parametrize("op,n,spec", [
+    ("sum", 2, {"p": 2}),
+    ("frobenius", 2, {"p": 5, "modulus": [-5, 0, 1]}),
+], ids=["sum-n2-p2", "frobenius-x^2-5"])
+def test_cache_file_in_term_object_format_is_rewritten(tmp_path, monkeypatch,
+                                                       op, n, spec):
+    """A file holding one {"coeff", "monomial"} object per term (one
+    json.dump of encode_element per polynomial) is a miss and is
+    rewritten in the columnar format."""
     from wittlab.serialize import encode_element
-    data = {"op": op, "n": n, "p": cfg.p,
-            "modulus": list(cfg.modulus) if cfg.modulus else None,
-            "phi_pi": list(cfg.phi_pi) if cfg.phi_pi else None,
-            "polys": [encode_element(pe) for pe in polys]}
-    buf = io.StringIO()
-    json.dump(data, buf, sort_keys=True)
-    return buf.getvalue()
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    import wittlab.witt as wmod
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    cfg = make_ring_config(spec)
+    cold = universal_polynomials(op, n, cfg=cfg)
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_bytes()
+    payload, _ = wmod._cache_key(op, n, cfg)
+    with open(path, "w") as fh:
+        json.dump(dict(payload, polys=[encode_element(pe) for pe in cold]),
+                  fh, sort_keys=True)
+    wmod._MEMO.clear()
+    assert universal_polynomials(op, n, cfg=cfg) == cold
+    assert path.read_bytes() == good
+    assert list(tmp_path.iterdir()) == [path]
 
 
 RAM5_SPEC = {"p": 5, "modulus": [-5, 0, 1]}
@@ -438,7 +494,7 @@ RAM5_SPEC = {"p": 5, "modulus": [-5, 0, 1]}
     ("frobenius", 2, RAM5_SPEC),
 ], ids=["sum-n3-p2", "prod-n2-p3", "frobenius-n3-p2", "frobenius-x^2-5"])
 def test_universal_cache_bytes(tmp_path, monkeypatch, op, n, spec):
-    """The streamed cache write gives the bytes of one json.dump."""
+    """The sliced cache write gives the bytes of one json.dumps."""
     monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
     import wittlab.witt as wmod
     wmod._MEMO.clear()
@@ -459,12 +515,15 @@ def test_cache_write_constants():
                "phi_pi": None}
     buf = io.StringIO()
     wmod._write_cache(buf, payload, polys)
-    assert buf.getvalue() == _reference_cache_text("sum", 1, cfg, polys)
+    text = buf.getvalue()
+    assert text == _reference_cache_text("sum", 1, cfg, polys)
+    assert '"polys": [[[], []], [[0, 0], [3, -1]], ' in text
 
 
 @pytest.mark.parametrize("spec", [{"p": 2}, RAM5_SPEC], ids=["Z-p2", "x^2-5"])
 def test_cache_write_two_digit_names(spec):
-    """Over x0..x11 json orders the names "x10", "x11" before "x2"; terms
+    """Over x0..x11 a term's exponents are its twelve slots in order, so
+    x10 comes after x2 (a name-keyed format sorts "x10" first); terms
     with negative coefficients, a zero polynomial and constants."""
     import io
     import wittlab.witt as wmod
@@ -480,7 +539,86 @@ def test_cache_write_two_digit_names(spec):
     wmod._write_cache(buf, payload, polys)
     text = buf.getvalue()
     assert text == _reference_cache_text("sum", 5, cfg, polys)
-    assert '{"x10": 1, "x2": 3}' in text
+    exps = json.loads(text)["polys"][0][0]
+    assert len(exps) == 12 * len(polys[0].terms)
+    assert [0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0] in [
+        exps[i:i + 12] for i in range(0, len(exps), 12)]
+
+
+def test_write_ints_in_slices():
+    """Arrays of one slice, of several and a partial last slice give the
+    bytes of one json.dumps of the array."""
+    import io
+    import wittlab.witt as wmod
+    for length in (0, 1, 4095, 4096, 4097, 9000):
+        ints = [(-3) ** (k % 50) for k in range(length)]
+        buf = io.StringIO()
+        wmod._write_ints(buf.write, iter(ints))
+        assert buf.getvalue() == json.dumps(ints)
+
+
+def test_cache_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Terms go out in term-dict order, not sorted: two cold runs under
+    different string-hash seeds write the same bytes."""
+    import os
+    import subprocess
+    import sys
+    code = ("from wittlab.rings import make_ring_config\n"
+            "from wittlab.witt import universal_polynomials as u\n"
+            "u('sum', 3, p=2); u('prod', 2, p=3)\n"
+            "u('frobenius', 2, cfg=make_ring_config("
+            "{'p': 5, 'modulus': [-5, 0, 1]}))\n")
+    texts = []
+    for seed in ("1", "2"):
+        cache = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   WITTLAB_CACHE_DIR=str(cache))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        texts.append({f.name: f.read_bytes() for f in cache.iterdir()})
+    assert len(texts[0]) == 3
+    assert texts[0] == texts[1]
+
+
+def test_unwritable_cache_returns_the_polynomials(tmp_path, monkeypatch):
+    """A write that fails part way leaves no temporary file; the computed
+    polynomials are returned and the next call computes them again."""
+    import errno
+    import wittlab.witt as wmod
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    cold = universal_polynomials("sum", 2, p=2)
+    (path,) = tmp_path.glob("*.json")
+    path.unlink()
+    wmod._MEMO.clear()
+
+    def full_disk(out, payload, polys):
+        out.write('{"modulus": null')
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(wmod, "_write_cache", full_disk)
+    assert universal_polynomials("sum", 2, p=2) == cold
+    assert not list(tmp_path.iterdir())
+
+
+def test_cached_set_above_budget_raises(tmp_path, monkeypatch, capsys):
+    """A hit is held to TERM_BUDGET before its term dicts are built."""
+    import wittlab.witt as wmod
+    from wittlab import cli
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    universal_polynomials("sum", 2, p=2)
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_bytes()
+    monkeypatch.setattr(wmod, "TERM_BUDGET", 5)
+    monkeypatch.setitem(wmod._UNIVERSAL, "sum", None)  # a miss would fail
+    wmod._MEMO.clear()
+    with pytest.raises(BudgetExceeded, match="hit 13 terms"):
+        universal_polynomials("sum", 2, p=2)
+    assert cli.main(["poly", "--op", "sum", "--n", "2", "--p", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded: ")
+    assert len(err.splitlines()) == 1
+    assert path.read_bytes() == good
 
 
 def test_universal_unknown_op():
