@@ -11,7 +11,12 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigUnsupported, InternalError, WittlabError
+from .errors import (
+    BudgetExceeded,
+    ConfigUnsupported,
+    InternalError,
+    WittlabError,
+)
 from .fgl import load_fgl
 from .kernel import difference_character
 from .laws import (
@@ -86,7 +91,12 @@ def _load_json(arg):
 
 
 def _emit(obj, out=None):
-    text = canonical_dumps(obj)
+    try:
+        text = canonical_dumps(obj)
+    except ValueError:  # an int past CPython's int-to-str digit limit
+        raise BudgetExceeded(
+            "result has an integer over the limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing") from None
     if not out:
         sys.stdout.write(text)
         return

@@ -10,11 +10,13 @@ equality is a representation comparison.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from operator import add, lshift, mod as mod_, mul as mul_, neg, sub
 
 from .errors import (
     BadFrobeniusLift,
     BaseMismatch,
+    BudgetExceeded,
     DuplicateName,
     InternalError,
     NonDivisible,
@@ -509,43 +511,94 @@ class RingElement:
         return " + ".join(bits)
 
 
-def _product(cfg, a, b):
-    """The product of two term dicts.  A one-term factor shifts the other's
-    monomials; otherwise exponent tuples are packed into ints with fields of
-    (max exp of a + max exp of b).bit_length() bits, which no sum carries
-    across (Monagan & Pearce, CASC 2007).  Squares take the half-loop."""
+def _packing(n, top):
+    """(width, pack, unpack): pack maps monomials of n exponents up to top
+    to ints in fields of top.bit_length() bits (Monagan & Pearce, CASC
+    2007), whole bytes through bytes(), and unpack maps them back."""
+    width = top.bit_length()
+    if width <= 8:
+        return (8, lambda ms: map(int.from_bytes, map(bytes, ms),
+                                  repeat("little")),
+                lambda ks: map(tuple, map(int.to_bytes, ks, repeat(n),
+                                          repeat("little"))))
+    shifts, mask = range(0, width * n, width), (1 << width) - 1
+    return (width, lambda ms: (sum(map(lshift, m, shifts)) for m in ms),
+            lambda ks: (tuple(k >> s & mask for s in shifts) for k in ks))
+
+
+ORBIT_MIN = 64     # smaller squares lose more to orbit bookkeeping (README)
+
+
+def _mul_into(cfg, out, a, b, scale, packing, budget=INFINITY):
+    """Add scale * a * b (term dicts; scale None is 1) into out, keyed by
+    monomials packed by ``packing``, holding len(out) to ``budget`` once
+    per outer step.  A square takes the half-loop, or, when its factor
+    has ORBIT_MIN terms or more and is invariant under swapping the two
+    halves of the variables (S_i(x, y) = S_i(y, x) is), one pair per
+    orbit of {swap, commutation}: each term a < swap(a), followed by its
+    mirror, pairs with itself, the mirror and all after it into ``half``,
+    added at k and at swap(k); a fixed term with the fixed terms after
+    it, into out."""
     if len(a) > len(b):
         a, b = b, a
-    d1, n, terms = cfg.d == 1, cfg.nvars, {}
+    width, pack, _ = packing
+    d1, sq, hw, half = cfg.d == 1, a is b, cfg.nvars // 2 * width, {}
     mul, plus, zero = ((mul_, add, 0) if d1
                        else (cfg.cmul, cfg.cadd, cfg.czero()))
+    coeffs = (lambda t: [c for c, in t.values()]) if d1 else dict.values
+    pa = [*zip(pack(a), coeffs(a))]
+    pb = pa if sq else [*zip(pack(b), coeffs(b))]
+    steps = ((ka, ca, pb[i + 1:] if sq else pb, out, None)
+             for i, (ka, ca) in enumerate(pa))
+    swap = lambda k: k >> hw | (k & (1 << hw) - 1) << hw    # noqa: E731
+    find = (dict(pa).get if sq and not cfg.nvars & 1 and len(pa) >= ORBIT_MIN
+            else None)
+    if find and all(find(swap(k)) == c for k, c in pa):
+        fixed = [t for t in pa if t[0] == swap(t[0])]
+        pb = [t for k, c in pa if k < swap(k)
+              for t in ((k, c), (swap(k), c))] + fixed
+        r = len(pb) - len(fixed)
+        steps = chain(((*pb[i], pb[i + 2:], half, pb[i + 1][0])
+                       for i in range(0, r, 2)),
+                      ((*pb[i], pb[i + 1:], out, None)
+                       for i in range(r, len(pb))))
+    for ka, ca, inner, tgt, kc in steps:
+        if len(tgt) > budget:
+            raise BudgetExceeded(f"symbolic expansion hit {len(tgt)} terms "
+                                 f"(budget {budget})")
+        get, sa = tgt.get, ca if scale is None else mul(scale, ca)
+        if sq:
+            for k in (ka + ka,) if kc is None else (ka + ka, ka + kc):
+                tgt[k] = plus(get(k, zero), mul(sa, ca))
+            sa = plus(sa, sa)
+        for kb, cb in inner:
+            k = ka + kb
+            tgt[k] = plus(get(k, zero), mul(sa, cb))
+    get, low = out.get, (1 << hw) - 1
+    for k, c in half.items():
+        out[k] = plus(get(k, zero), c)
+        k = k >> hw | (k & low) << hw
+        out[k] = plus(get(k, zero), c)
+
+
+def _product(cfg, a, b):
+    """The product of two term dicts.  A one-term factor shifts the other's
+    monomials; otherwise _mul_into fills a fresh dict, unpacked once."""
+    if len(a) > len(b):
+        a, b = b, a
+    d1, terms = cfg.d == 1, {}
     if len(a) == 1:
         (ma, ca), = a.items()
         monos = [tuple(map(add, ma, mb)) for mb in b] if any(ma) else b
         terms = dict(zip(monos, [(ca[0] * cb[0],) for cb in b.values()]
-                         if d1 else [mul(ca, cb) for cb in b.values()]))
+                         if d1 else [cfg.cmul(ca, cb) for cb in b.values()]))
     elif a:
-        width = (max(map(max, a)) + max(map(max, b))).bit_length()
-        shifts, mask = range(0, width * n, width), (1 << width) - 1
-        if width <= 8:      # whole bytes: bytes() packs, to_bytes() unpacks
-            pack, unpack = (lambda m: int.from_bytes(bytes(m), "little"),
-                            lambda k: tuple(k.to_bytes(n, "little")))
-        else:
-            pack, unpack = (lambda m: sum(map(lshift, m, shifts)),
-                            lambda k: tuple(k >> s & mask for s in shifts))
-        pa, pb = ([(pack(m), c[0] if d1 else c) for m, c in t.items()]
-                  for t in (a, b))
+        packing = _packing(cfg.nvars, max(map(max, a)) + max(map(max, b)))
         out = {}
-        get = out.get
-        for i, (ka, ca) in enumerate(pa):
-            if a is b:
-                out[ka + ka] = plus(get(ka + ka, zero), mul(ca, ca))
-                ca = plus(ca, ca)
-            for kb, cb in pb[i + 1:] if a is b else pb:
-                k = ka + kb
-                out[k] = plus(get(k, zero), mul(ca, cb))
-        terms = {unpack(k): (c,) if d1 else c
-                 for k, c in out.items() if c != zero}
+        _mul_into(cfg, out, a, b, None, packing)
+        terms = {m: (c,) if d1 else c for m, c in zip(packing[2](out),
+                                                      out.values())
+                 if (c if d1 else any(c))}
     return cfg._wrap(terms)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     WittlabError,
     ZeroLength,
 )
-from .rings import RingElement, make_ring_config
+from .rings import RingElement, _mul_into, _packing, make_ring_config
 
 TERM_BUDGET = 5_000_000
 
@@ -209,23 +209,39 @@ class _Arith:
         return self.div_pi_power(w if s is None else self.sub(w, s), len(pows))
 
     def term_row(self, pows, x, keep, div=False):
-        """``row`` of polynomials, or ``solve_row`` with ``div`` (x is w):
-        the terms of pi^j y_j (pi^j an int for d = 1, a tuple of ``coeff``
-        for d > 1) go into one term dict as each q-th power y_j is raised,
-        and one final pass divides the dict by pi^i and wraps it."""
-        ca, i, acc, d1 = self.coeff, len(pows), {}, self.cover.d == 1
-        get, add, mul, zero = acc.get, ca.add, ca.mul, ca.zero
-        sign = ca.neg(ca.one) if div else ca.one
+        """``row`` of polynomials, or ``solve_row`` with ``div`` (x is w),
+        summed into one dict of packed monomials: s_j y_j (s_j = pi^j, or
+        -pi^j and 1 for w; an int for d = 1, a tuple of ``coeff`` for
+        d > 1) goes in term by term for x, w and each kept (or one-term)
+        q-th power y_j, and through _mul_into as s_j y^(q-1) y in a last
+        row (a square for q = 2, as y ** 1 is y), so its largest powers
+        never exist as elements.  One pass unpacks, divides by pi^i and
+        drops zeros."""
+        ca, i, q, red = self.coeff, len(pows), self.q, self.one.cfg
+        _, pack, unpack = packing = _packing(red.nvars, max(
+            [max(map(max, x.terms), default=0)]
+            + [q * max(map(max, y.terms), default=0) for y in pows]))
+        acc, d1, add, mul = {}, self.cover.d == 1, ca.add, ca.mul
+        get, zero, sign = acc.get, ca.zero, ca.neg(ca.one) if div else ca.one
         for j in range(i, -1, -1):      # j = i: pi^i x, or w itself
-            if j < i:
-                x = self.pow(pows[j], self.q)
-                pows[j] = x if keep else None
             s = ca.one if div and j == i else mul(sign, ca.pow(ca.pi, j))
-            for m, c in x.terms.items():
+            if j < i and (keep or len(pows[j].terms) < 2):
+                x = pows[j] = self.pow(pows[j], q)
+            elif j < i:
+                y = pows[j]
+                _mul_into(red, acc, (y ** (q - 1)).terms, y.terms, s, packing,
+                          TERM_BUDGET)
+                continue
+            for m, c in zip(pack(x.terms), x.terms.values()):
                 acc[m] = add(get(m, zero), mul(s, c[0] if d1 else c))
-        k, red = i if div else 0, self.one.cfg
-        out = {m: ca.div_pi_power(c, k) for m, c in acc.items() if c != zero}
-        return red._wrap({m: (c,) for m, c in out.items()} if d1 else out)
+        k, terms = i if div else 0, zip(unpack(acc), acc.values())
+        if not d1:
+            return red._wrap({m: ca.div_pi_power(c, k)
+                              for m, c in terms if c != zero})
+        pk = ca.pi ** k     # one division a term, into the wrapped tuple
+        if k and any(c % pk for c in acc.values()):
+            raise NonDivisible(f"integer not divisible by {pk}")
+        return red._wrap({m: (c // pk,) for m, c in terms if c})
 
 
 _ARITH = {}
@@ -467,14 +483,23 @@ def _budget_check(total):
             f"symbolic expansion hit {total} terms (budget {TERM_BUDGET})")
 
 
+_BYTE_TEXT = [str(i) for i in range(256)]
+
+
 def _write_ints(write, ints):
     """json.dumps(list(ints)) for an iterator of ints, written 4096 ints at
-    a time through the C encoder, so no list or string of the whole forms
-    (json.dump would run the pure-Python encoder)."""
+    a time, so no list or string of the whole forms (json.dump would run
+    the pure-Python encoder): a chunk that bytes() takes (ints in 0..255,
+    as exponents are) joins strings from a table, any other goes through
+    the C encoder."""
     write("[")
     sep = ""
     while chunk := list(itertools.islice(ints, 4096)):
-        write(sep + json.dumps(chunk)[1:-1])
+        try:
+            text = ", ".join(map(_BYTE_TEXT.__getitem__, bytes(chunk)))
+        except ValueError:
+            text = json.dumps(chunk)[1:-1]
+        write(sep + text)
         sep = ", "
     write("]")
 
@@ -530,6 +555,9 @@ def _store(path, payload, polys):
         path.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.NamedTemporaryFile("w", dir=path.parent, delete=False,
                                          suffix=".tmp") as tmp:
+            mask = os.umask(0o077)      # read the umask: open(path, "w")
+            os.umask(mask)              # gives 0o666 & ~umask, not 0o600
+            os.fchmod(tmp.fileno(), 0o666 & ~mask)
             _write_cache(tmp, payload, polys)
         os.replace(tmp.name, path)
     except OSError:

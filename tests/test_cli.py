@@ -307,6 +307,24 @@ def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     assert len(r.stderr.splitlines()) == 1
 
 
+def test_eval_result_over_the_digit_limit_is_a_usage_error(tmp_path):
+    """A result with an integer past CPython's int-to-str limit exits 2
+    with one error line naming the limit; one coordinate less prints."""
+    u, v = list(range(1000, 1012)), [3, 10, 20, 30, 40, 50, 60, 70, 80, 80,
+                                     80, 80]
+    r = run_cli(["eval", "--ring", '{"p":2}', "--op", "add", "--in",
+                 json.dumps({"u": u, "v": v})], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: BudgetExceeded: ")
+    assert f"{sys.get_int_max_str_digits()} digits" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    r = run_cli(["eval", "--ring", '{"p":2}', "--op", "add", "--in",
+                 json.dumps({"u": u[:11], "v": v[:11]})], tmp_path)
+    assert r.returncode == 0 and len(r.stdout) == 6146
+
+
 # a cache file's stored request, up to its "polys" field
 OTHER_OP = '{"modulus": null, "n": 1, "op": "prod", "p": 2, "phi_pi": null, '
 SAME_OP = OTHER_OP.replace('"prod"', '"sum"')

@@ -413,6 +413,86 @@ def test_coefficient_ops_match_generator_forms(name):
         assert cfg.csub(a, a) == cfg.cadd(a, cfg.cneg(a)) == cfg.czero()
 
 
+def _swapped(elem):
+    """elem with the two halves of its variables swapped."""
+    h = elem.cfg.nvars // 2
+    return elem.cfg._make({m[h:] + m[:h]: c for m, c in elem.terms.items()})
+
+
+def _kernel_cases(cfg, rng):
+    """(a, b) factor pairs for _mul_into: squares of swap-invariant
+    polynomials with and without fixed monomials (x-half equal to y-half),
+    other squares and products, one-term factors."""
+    h = cfg.nvars // 2
+    f, g = (_random_poly(cfg, rng, rng.choice((2, 6, 30)),
+                         rng.choice((1, 3, 300))) for _ in range(2))
+    mono = _random_poly(cfg, rng, 1, 9)
+    fixed = cfg._make({m[:h] * 2 + m[2 * h:]: c for m, c in g.terms.items()})
+    sym, both = f + _swapped(f), f + _swapped(f) + fixed
+    return [(sym, sym), (both, both), (fixed, fixed), (f, f), (f, g),
+            (mono, mono), (mono, f), (f, mono), (f, cfg.one())]
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CONFIGS))
+def test_mul_into_adds_scaled_products_to_a_packed_dict(name, monkeypatch):
+    """scale * a * b goes into a dict that already holds terms, against the
+    tuple loop; a product added with scale and then with -scale leaves
+    exactly the terms that were there.  Every swap-invariant square takes
+    orbits here, whatever its size."""
+    import wittlab.rings as rmod
+    from wittlab.rings import _mul_into, _packing
+    monkeypatch.setattr(rmod, "ORBIT_MIN", 0)
+    rng = random.Random(f"mul-into:{name}")
+    base = make_ring_config(KERNEL_CONFIGS[name])
+    d1 = base.d == 1
+    for nvars in (2, 3, 6, 7):
+        cfg = base.adjoin([f"v{i}" for i in range(nvars)])
+        for _ in range(5):
+            for a, b in _kernel_cases(cfg, rng):
+                top = max(map(max, [*a.terms, *b.terms]), default=0)
+                top = 2 * top + rng.choice((0, 5, 300))
+                _, pack, unpack = packing = _packing(nvars, top)
+                prior = _random_poly(cfg, rng, rng.choice((0, 6)), top // 2)
+                scale = tuple(rng.randint(-9, 9) for _ in range(cfg.d))
+                out = dict(zip(pack(prior.terms),
+                               [c[0] if d1 else c
+                                for c in prior.terms.values()]))
+                s = scale[0] if d1 else scale
+                _mul_into(cfg, out, a.terms, b.terms, s, packing)
+                got = cfg._make({m: (c,) if d1 else c
+                                 for m, c in zip(unpack(out), out.values())})
+                want = prior + cfg.from_coeff(scale) * _reference_mul(a, b)
+                assert got == want
+                _mul_into(cfg, out, a.terms, b.terms,
+                          -s if d1 else cfg.cneg(s), packing)
+                got = cfg._make({m: (c,) if d1 else c
+                                 for m, c in zip(unpack(out), out.values())})
+                assert got == prior
+
+
+def test_mul_into_takes_one_pair_per_mirror_orbit(monkeypatch):
+    """The square of a swap-invariant polynomial makes about half the
+    products of the half-loop; any other square makes all of them."""
+    import wittlab.rings as rmod
+    calls = collections.Counter()
+
+    def counted(x, y):
+        calls["mul"] += 1
+        return x * y
+    monkeypatch.setattr(rmod, "mul_", counted)
+    rng = random.Random("orbit-count")
+    cfg = Z2.adjoin([f"v{i}" for i in range(6)])
+    f = _random_poly(cfg, rng, 200, 4)
+    f = f + _swapped(f)
+    g = f + cfg.var("v0")
+    t, u = len(f.terms), len(g.terms)
+    assert f * f == _reference_mul(f, f)
+    assert 0.45 < calls["mul"] / (t * (t + 1) / 2) < 0.55
+    calls.clear()
+    assert g * g == _reference_mul(g, g)
+    assert calls["mul"] == u * (u + 1) / 2
+
+
 def test_product_kernel_field_width_edges():
     cfg = Z2.adjoin([f"v{i}" for i in range(13)])
     x, y, z = cfg.var("v0"), cfg.var("v6"), cfg.var("v12")

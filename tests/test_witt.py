@@ -401,35 +401,37 @@ def _reference_cache_text(op, n, cfg, polys):
 
 
 def _set(which, index, value):
-    """Set entry ``index`` of the exponent (0) or coefficient (1) array."""
-    def corrupt(enc):
-        enc[which][index] = value
+    """Set entry ``index`` of the exponent (0) or coefficient (1) array;
+    index None is the x0 exponent of term t, the term -2 x0^2 y0^2."""
+    def corrupt(enc, t):
+        enc[which][6 * t if index is None else index] = value
     return corrupt
 
 
-def _width_2_coeff(enc):            # the last coefficient c as [c, 0]
+def _width_2_coeff(enc, t):         # the last coefficient c as [c, 0]
     enc[1].append(0)
 
 
-def _extra_exponent(enc):           # an exponent with no variable
+def _extra_exponent(enc, t):        # an exponent with no variable
     enc[0].append(1)
 
 
-def _repeat_monomial(enc):
+def _repeat_monomial(enc, t):
     enc[0][6:12] = enc[0][0:6]
 
 
-def _empty_strings(enc):            # no terms, but not arrays either
+def _empty_strings(enc, t):         # no terms, but not arrays either
     enc[:] = ["", ""]
 
 
 # sum n=2 at p=2 is over x0..x2, y0..y2 (six exponents a term); the last
-# polynomial's sixth term is -2 x0^2 y0^2, whose x0 exponent is entry 30
+# polynomial has the term -2 x0^2 y0^2, found by content, since the term
+# order is the row accumulator's
 @pytest.mark.parametrize("corrupt", [
     _set(1, 0, True),
-    _set(0, 30, 2.0),
-    _set(0, 30, "2"),
-    _set(0, 30, -2),
+    _set(0, None, 2.0),
+    _set(0, None, "2"),
+    _set(0, None, -2),
     _extra_exponent,
     _width_2_coeff,
     _set(1, 0, 0),
@@ -448,8 +450,10 @@ def test_cache_file_with_one_corrupt_term_is_a_miss(tmp_path, monkeypatch,
     good = path.read_bytes()
     data = json.loads(good)
     enc = data["polys"][-1]
-    assert enc[0][30:36] == [2, 0, 0, 2, 0, 0] and enc[1][5] == -2
-    corrupt(enc)
+    t = [enc[0][k:k + 6] for k in range(0, len(enc[0]), 6)].index(
+        [2, 0, 0, 2, 0, 0])
+    assert enc[1][t] == -2
+    corrupt(enc, t)
     path.write_text(json.dumps(data, sort_keys=True))
     wmod._MEMO.clear()
     assert universal_polynomials("sum", 2, p=2) == cold
@@ -557,6 +561,18 @@ def test_write_ints_in_slices():
         assert buf.getvalue() == json.dumps(ints)
 
 
+def test_write_ints_of_bytes_matches_json():
+    """Chunks of ints in 0..255 go through the string table, a chunk with
+    256, -1 or a bigint through json.dumps: the bytes are the same."""
+    import io
+    import wittlab.witt as wmod
+    for tail in ([], [255], [256], [-1], [0, 2 ** 70]):
+        ints = [k * 37 % 256 for k in range(9000)] + tail
+        buf = io.StringIO()
+        wmod._write_ints(buf.write, iter(ints))
+        assert buf.getvalue() == json.dumps(ints)
+
+
 def test_cache_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     """Terms go out in term-dict order, not sorted: two cold runs under
     different string-hash seeds write the same bytes."""
@@ -619,6 +635,49 @@ def test_cached_set_above_budget_raises(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: BudgetExceeded: ")
     assert len(err.splitlines()) == 1
     assert path.read_bytes() == good
+
+
+def test_cold_expansion_stops_at_the_budget_while_it_accumulates(
+        tmp_path, monkeypatch, capsys):
+    """A cold sum at n = 5, p = 2 (12 576 terms in S_5) under a budget of
+    5 000 raises from inside the row kernel, not on the finished set, and
+    writes no cache file; on the command line it is a usage error."""
+    import wittlab.witt as wmod
+    from wittlab import cli
+    monkeypatch.setattr(wmod, "TERM_BUDGET", 5000)
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    with pytest.raises(BudgetExceeded, match=r"\(budget 5000\)") as info:
+        universal_polynomials("sum", 5, p=2)
+    assert "_mul_into" in [entry.name for entry in info.traceback]
+    assert not list(tmp_path.rglob("*"))
+    assert cli.main(["poly", "--op", "sum", "--n", "5", "--p", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: BudgetExceeded: ")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_cache_file_gets_the_mode_of_the_umask(tmp_path, monkeypatch, umask,
+                                               mode):
+    """A cache file is readable as open(path, "w") would leave it, so a
+    cache directory shared under a 022 umask serves every user."""
+    import os
+    import stat
+    import wittlab.witt as wmod
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    saved = os.umask(umask)
+    try:
+        cold = universal_polynomials("sum", 2, p=2)
+    finally:
+        os.umask(saved)
+    (path,) = tmp_path.iterdir()        # no temporary file is left
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    wmod._MEMO.clear()
+    assert universal_polynomials("sum", 2, p=2) == cold
 
 
 def test_universal_unknown_op():
