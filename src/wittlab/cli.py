@@ -87,16 +87,21 @@ def _load_json(arg):
     except OSError as exc:
         raise WittlabError(f"cannot read {arg!r}: {exc.strerror}") from None
     except ValueError as exc:   # invalid JSON or text encoding
+        if type(exc) is ValueError:     # an int past the digit limit
+            raise _over_limit("input") from None
         raise WittlabError(f"invalid JSON in {arg!r}: {exc}") from None
+
+
+def _over_limit(what, tail=""):   # CPython's int-to-str digit limit
+    return BudgetExceeded(f"{what} has an integer over the limit of "
+                          f"{sys.get_int_max_str_digits()} digits{tail}")
 
 
 def _emit(obj, out=None):
     try:
         text = canonical_dumps(obj)
-    except ValueError:  # an int past CPython's int-to-str digit limit
-        raise BudgetExceeded(
-            "result has an integer over the limit of "
-            f"{sys.get_int_max_str_digits()} digits for printing") from None
+    except ValueError:
+        raise _over_limit("result", " for printing") from None
     if not out:
         sys.stdout.write(text)
         return

@@ -11,7 +11,7 @@ import itertools
 import json
 import operator
 import os
-import tempfile
+import struct
 from pathlib import Path
 
 from .errors import (
@@ -463,10 +463,8 @@ _MEMO = {}
 
 
 def _cache_dir():
-    root = os.environ.get("WITTLAB_CACHE_DIR")
-    if root:
-        return Path(root)
-    return Path.home() / ".cache" / "wittlab"
+    return Path(os.environ.get("WITTLAB_CACHE_DIR")
+                or Path.home() / ".cache" / "wittlab")
 
 
 def _cache_key(op, n, cfg):
@@ -483,40 +481,36 @@ def _budget_check(total):
             f"symbolic expansion hit {total} terms (budget {TERM_BUDGET})")
 
 
-_BYTE_TEXT = [str(i) for i in range(256)]
-
-
-def _write_ints(write, ints):
-    """json.dumps(list(ints)) for an iterator of ints, written 4096 ints at
-    a time, so no list or string of the whole forms (json.dump would run
-    the pure-Python encoder): a chunk that bytes() takes (ints in 0..255,
-    as exponents are) joins strings from a table, any other goes through
-    the C encoder."""
-    write("[")
-    sep = ""
-    while chunk := list(itertools.islice(ints, 4096)):
-        try:
-            text = ", ".join(map(_BYTE_TEXT.__getitem__, bytes(chunk)))
-        except ValueError:
-            text = json.dumps(chunk)[1:-1]
-        write(sep + text)
-        sep = ", "
-    write("]")
+def _write_slices(write, tuples, encode, sep=""):
+    """write(encode(s)) for s each 4096 tuples chained into one iterator,
+    sep between them, so no list or string of all of them ever forms."""
+    it = iter(tuples)
+    for k in range(0, len(tuples), 4096):
+        write((sep if k else "") + encode(
+            itertools.chain.from_iterable(itertools.islice(it, 4096))))
 
 
 def _write_cache(out, payload, polys):
     """The bytes of json.dumps(dict(payload, polys=[[exps, coeffs], ..]),
-    sort_keys=True): exps chains a polynomial's exponent tuples in term
-    dict order, coeffs its coefficient tuples in the same order."""
-    write, chain = out.write, itertools.chain.from_iterable
+    sort_keys=True): exps is the hex of a polynomial's exponent tuples in
+    term dict order, one byte an exponent (8 little-endian bytes each if
+    one exceeds 255), coeffs its coefficient tuples in that order."""
+    write = out.write
     # the request and '"polys": [', as "polys" sorts after its keys
     write(json.dumps(dict(payload, polys=[]), sort_keys=True)[:-2])
     for i, poly in enumerate(polys):
-        write(", [" if i else "[")
-        _write_ints(write, chain(poly.terms))
-        write(", ")
-        _write_ints(write, chain(poly.terms.values()))
-        write("]")
+        write(', ["' if i else '["')
+        start = out.tell()
+        try:
+            _write_slices(write, poly.terms, lambda s: bytes(s).hex())
+        except ValueError:      # bytes() refused an exponent above 255
+            out.truncate(out.seek(start))
+            _write_slices(write, poly.terms, lambda s: b"".join(
+                e.to_bytes(8, "little") for e in s).hex())
+        write('", [')
+        _write_slices(write, poly.terms.values(),
+                      lambda s: json.dumps(list(s))[1:-1], ", ")
+        write("]]")
     write("]}")
 
 
@@ -532,39 +526,40 @@ def _read_cache(path, payload, count, sym):
             return None
         _budget_check(sum(len(coeffs) for _, coeffs in encs) // d)
         for exps, coeffs in encs:
-            terms = dict(zip(zip(*[iter(exps)] * nv),
-                             zip(*[iter(coeffs)] * d)))
-            k = len(terms)  # zip drops a ragged tail, dict a repeated key
-            if not (len(exps) == nv * k and len(coeffs) == d * k
-                    and type(exps) is type(coeffs) is list
-                    and {*map(type, exps), *map(type, coeffs)} <= {int}
-                    and min(exps, default=0) >= 0
+            k = len(coeffs) // d    # the width follows from the hex length
+            if len(exps) not in (2 * nv * k, 16 * nv * k):
+                return None
+            raw = bytes.fromhex(exps)
+            if len(exps) > 2 * nv * k:      # 8 little-endian bytes each
+                raw = struct.unpack(f"<{nv * k}Q", raw)
+            terms = dict(zip(zip(*[iter(raw)] * nv),   # zip drops a short
+                             zip(*[iter(coeffs)] * d)))  # tail, dict a repeat
+            if not (len(terms) == k and len(coeffs) == d * k
+                    and type(coeffs) is list and {*map(type, coeffs)} <= {int}
                     and zero not in terms.values()):
                 return None
             polys.append(sym._wrap(terms))
-    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+    except (OSError, ValueError, LookupError, TypeError, RecursionError,
+            struct.error):
         return None
     return polys
 
 
 def _store(path, payload, polys):
-    """Write the cache file atomically.  A write that fails (an OSError)
-    leaves no temporary file and is a miss next time, not an error."""
-    tmp = None
+    """Write the cache file atomically, through a temporary file that only
+    this writer names, opened as open(path, "w") is (0o666 less the umask).
+    A failed write (an OSError) leaves no temporary file and is a miss."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(8).hex()}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile("w", dir=path.parent, delete=False,
-                                         suffix=".tmp") as tmp:
-            mask = os.umask(0o077)      # read the umask: open(path, "w")
-            os.umask(mask)              # gives 0o666 & ~umask, not 0o600
-            os.fchmod(tmp.fileno(), 0o666 & ~mask)
-            _write_cache(tmp, payload, polys)
-        os.replace(tmp.name, path)
+        with open(tmp, "x") as out:
+            _write_cache(out, payload, polys)
+        os.replace(tmp, path)
     except OSError:
         pass
     finally:
-        if tmp is not None and os.path.exists(tmp.name):
-            os.unlink(tmp.name)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 _UNIVERSAL = {"sum": witt_add, "prod": witt_mul, "frobenius": frobenius,

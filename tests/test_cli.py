@@ -325,6 +325,24 @@ def test_eval_result_over_the_digit_limit_is_a_usage_error(tmp_path):
     assert r.returncode == 0 and len(r.stdout) == 6146
 
 
+def test_eval_input_over_the_digit_limit_is_a_budget_error(tmp_path):
+    """An input integer past CPython's int-to-str limit exits 2 with one
+    BudgetExceeded line naming the limit, not "invalid JSON"; a JSON
+    syntax error keeps its message."""
+    limit = sys.get_int_max_str_digits()
+    r = run_cli(["eval", "--ring", '{"p":2}', "--op", "neg", "--in",
+                 f"[{'7' * (limit + 700)}, 1]"], tmp_path)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("error: BudgetExceeded: input has an integer over "
+                        f"the limit of {limit} digits\n")
+    r = run_cli(["eval", "--ring", '{"p":2}', "--op", "neg", "--in",
+                 f"[{'7' * limit}, 1"], tmp_path)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: WittlabError: invalid JSON in ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 # a cache file's stored request, up to its "polys" field
 OTHER_OP = '{"modulus": null, "n": 1, "op": "prod", "p": 2, "phi_pi": null, '
 SAME_OP = OTHER_OP.replace('"prod"', '"sum"')

@@ -152,19 +152,26 @@ def test_decode_bad_monomial(monomial):
                        {"terms": [{"coeff": 1, "monomial": monomial}]})
 
 
-# the sets the benchmark reads back from its cache, and one set whose
-# coefficients are d = 2 lists
+# the sets the benchmark reads back from its cache, one set whose
+# coefficients are d = 2 lists and one whose exponents take 8 bytes
 CACHED_SETS = [("sum", 3, {"p": 2}), ("prod", 3, {"p": 2}),
                ("sum", 4, {"p": 2}), ("prod", 4, {"p": 2}),
                ("sum", 3, {"p": 3}), ("prod", 3, {"p": 3}),
                ("frobenius", 4, {"p": 2}), ("mult_pi", 4, {"p": 2}),
-               ("frobenius", 2, {"p": 5, "modulus": [-5, 0, 1]})]
+               ("frobenius", 2, {"p": 5, "modulus": [-5, 0, 1]}),
+               ("sum", 2, {"p": 17})]
 
 
-def _columns_as_terms(sym, exps, coeffs):
+def _columns_as_terms(sym, hexps, coeffs):
     """A cached [exps, coeffs] pair as {"coeff", "monomial"} terms, read
-    off position by position."""
+    off position by position; exps is the hex of one byte an exponent or
+    of 8 little-endian bytes each, told apart by its length."""
     nv, d = sym.nvars, sym.d
+    raw, k = bytes.fromhex(hexps), len(coeffs) // d
+    width = len(raw) // (nv * k) if k else 1
+    assert width in (1, 8) and len(raw) == width * nv * k
+    exps = [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
     return {"terms": [
         {"coeff": coeffs[k * d:(k + 1) * d],
          "monomial": dict(zip(sym.vars, exps[k * nv:(k + 1) * nv]))}

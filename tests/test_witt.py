@@ -386,60 +386,101 @@ def test_universal_cache_roundtrip(tmp_path, monkeypatch):
     assert first[1] == 2 * sym.var("x1") - sym.var("x0") ** 2
 
 
-def _reference_cache_text(op, n, cfg, polys):
-    """The cache file as one json.dumps of the whole columnar document:
-    per polynomial, its exponent tuples and its coefficient tuples, each
-    chained in term-dict order."""
+def _hex(exps):
+    """The hex of a list of exponents: one byte each when all are below
+    256, else 8 little-endian bytes each."""
+    width = 1 if max(exps, default=0) < 256 else 8
+    return b"".join(e.to_bytes(width, "little") for e in exps).hex()
+
+
+def _columns(polys, exps=_hex):
+    """Per polynomial, exps() of its exponent tuples and the list of its
+    coefficient tuples, each chained in term-dict order."""
     import itertools
     chain = itertools.chain.from_iterable
+    return [[exps(list(chain(pe.terms))), list(chain(pe.terms.values()))]
+            for pe in polys]
+
+
+def _reference_cache_text(op, n, cfg, polys):
+    """The cache file as one json.dumps of the whole columnar document:
+    per polynomial, the hex of its exponents and its coefficients."""
     data = {"op": op, "n": n, "p": cfg.p,
             "modulus": list(cfg.modulus) if cfg.modulus else None,
             "phi_pi": list(cfg.phi_pi) if cfg.phi_pi else None,
-            "polys": [[list(chain(pe.terms)), list(chain(pe.terms.values()))]
-                      for pe in polys]}
+            "polys": _columns(polys)}
     return json.dumps(data, sort_keys=True)
 
 
-def _set(which, index, value):
-    """Set entry ``index`` of the exponent (0) or coefficient (1) array;
-    index None is the x0 exponent of term t, the term -2 x0^2 y0^2."""
+def _same_text(got, want):
+    """got == want for texts of up to megabytes: a mismatch names the first
+    offset that differs instead of diffing the texts."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ "
+                    f"from offset {at}: {got[at:at + 40]!r} != "
+                    f"{want[at:at + 40]!r}")
+
+
+def _set_coeff(value):              # the first coefficient
     def corrupt(enc, t):
-        enc[which][6 * t if index is None else index] = value
+        enc[1][0] = value
     return corrupt
+
+
+def _set_x0(text):
+    """The two hex digits of the x0 exponent of term t, the term
+    -2 x0^2 y0^2, replaced by text."""
+    def corrupt(enc, t):
+        enc[0] = enc[0][:12 * t] + text + enc[0][12 * t + 2:]
+    return corrupt
+
+
+def _int_list_exponents(enc, t):    # a list where the hex string belongs
+    enc[0] = list(bytes.fromhex(enc[0]))
 
 
 def _width_2_coeff(enc, t):         # the last coefficient c as [c, 0]
     enc[1].append(0)
 
 
-def _extra_exponent(enc, t):        # an exponent with no variable
-    enc[0].append(1)
+def _extra_exponent(enc, t):        # one byte too many: no variable
+    enc[0] += "01"
 
 
-def _repeat_monomial(enc, t):
-    enc[0][6:12] = enc[0][0:6]
+def _missing_exponent(enc, t):      # one byte too few
+    enc[0] = enc[0][:-2]
+
+
+def _repeat_monomial(enc, t):       # term 0's six bytes over term 1's
+    enc[0] = enc[0][:12] * 2 + enc[0][24:]
 
 
 def _empty_strings(enc, t):         # no terms, but not arrays either
     enc[:] = ["", ""]
 
 
-# sum n=2 at p=2 is over x0..x2, y0..y2 (six exponents a term); the last
-# polynomial has the term -2 x0^2 y0^2, found by content, since the term
-# order is the row accumulator's
+# sum n=2 at p=2 is over x0..x2, y0..y2 (six exponent bytes a term); the
+# last polynomial has the term -2 x0^2 y0^2, found by content, since the
+# term order is the row accumulator's.  The exponent ids name hex
+# corruptions: a non-hex character ("2."), a list of ints for the
+# string, an odd length ("-02"), one byte too many and one too few.
 @pytest.mark.parametrize("corrupt", [
-    _set(1, 0, True),
-    _set(0, None, 2.0),
-    _set(0, None, "2"),
-    _set(0, None, -2),
+    _set_coeff(True),
+    _set_x0("2."),
+    _int_list_exponents,
+    _set_x0("-02"),
     _extra_exponent,
+    _missing_exponent,
     _width_2_coeff,
-    _set(1, 0, 0),
+    _set_coeff(0),
     _repeat_monomial,
     _empty_strings,
 ], ids=["boolean-coeff", "float-exponent", "string-exponent",
-        "negative-exponent", "unknown-variable", "width-2-coeff",
-        "zero-coeff", "repeated-monomial", "strings-for-arrays"])
+        "negative-exponent", "unknown-variable", "missing-exponent",
+        "width-2-coeff", "zero-coeff", "repeated-monomial",
+        "strings-for-arrays"])
 def test_cache_file_with_one_corrupt_term_is_a_miss(tmp_path, monkeypatch,
                                                     corrupt):
     monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
@@ -450,8 +491,8 @@ def test_cache_file_with_one_corrupt_term_is_a_miss(tmp_path, monkeypatch,
     good = path.read_bytes()
     data = json.loads(good)
     enc = data["polys"][-1]
-    t = [enc[0][k:k + 6] for k in range(0, len(enc[0]), 6)].index(
-        [2, 0, 0, 2, 0, 0])
+    t = [enc[0][k:k + 12] for k in range(0, len(enc[0]), 12)].index(
+        "020000020000")
     assert enc[1][t] == -2
     corrupt(enc, t)
     path.write_text(json.dumps(data, sort_keys=True))
@@ -488,6 +529,47 @@ def test_cache_file_in_term_object_format_is_rewritten(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_cache_file_in_int_array_format_is_rewritten(tmp_path, monkeypatch):
+    """A file storing each polynomial's exponents as a JSON int array
+    (the format before hex strings) is a miss and is rewritten."""
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    import wittlab.witt as wmod
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    cfg = make_ring_config({"p": 2})
+    cold = universal_polynomials("sum", 2, cfg=cfg)
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_bytes()
+    payload, _ = wmod._cache_key("sum", 2, cfg)
+    path.write_text(json.dumps(dict(payload, polys=_columns(cold, list)),
+                               sort_keys=True))
+    wmod._MEMO.clear()
+    assert universal_polynomials("sum", 2, cfg=cfg) == cold
+    assert path.read_bytes() == good
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_wide_cache_set_round_trips(tmp_path, monkeypatch):
+    """sum n = 2 at p = 17 has exponents up to 288: the polynomial that
+    has one above 255 takes 8 bytes an exponent, the others one byte."""
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    import wittlab.witt as wmod
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    cfg = make_ring_config({"p": 17})
+    cold = universal_polynomials("sum", 2, cfg=cfg)
+    (path,) = tmp_path.glob("*.json")
+    _same_text(path.read_text(), _reference_cache_text("sum", 2, cfg, cold))
+    assert max(max(m) for m in cold[2].terms) == 288
+    widths = [len(exps) // (6 * len(pe.terms))
+              for (exps, _), pe in zip(json.loads(path.read_text())["polys"],
+                                       cold)]
+    assert widths == [2, 2, 16]
+    wmod._MEMO.clear()
+    monkeypatch.setitem(wmod._UNIVERSAL, "sum", None)  # a miss would fail
+    hit = universal_polynomials("sum", 2, cfg=cfg)
+    assert hit == cold
+    assert [list(pe.terms) for pe in hit] == [list(pe.terms) for pe in cold]
+
+
 RAM5_SPEC = {"p": 5, "modulus": [-5, 0, 1]}
 
 
@@ -521,7 +603,7 @@ def test_cache_write_constants():
     wmod._write_cache(buf, payload, polys)
     text = buf.getvalue()
     assert text == _reference_cache_text("sum", 1, cfg, polys)
-    assert '"polys": [[[], []], [[0, 0], [3, -1]], ' in text
+    assert '"polys": [["", []], ["0000", [3, -1]], ' in text
 
 
 @pytest.mark.parametrize("spec", [{"p": 2}, RAM5_SPEC], ids=["Z-p2", "x^2-5"])
@@ -543,34 +625,41 @@ def test_cache_write_two_digit_names(spec):
     wmod._write_cache(buf, payload, polys)
     text = buf.getvalue()
     assert text == _reference_cache_text("sum", 5, cfg, polys)
-    exps = json.loads(text)["polys"][0][0]
+    exps = bytes.fromhex(json.loads(text)["polys"][0][0])
     assert len(exps) == 12 * len(polys[0].terms)
-    assert [0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0] in [
+    assert bytes([0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0]) in [
         exps[i:i + 12] for i in range(0, len(exps), 12)]
 
 
-def test_write_ints_in_slices():
-    """Arrays of one slice, of several and a partial last slice give the
-    bytes of one json.dumps of the array."""
-    import io
-    import wittlab.witt as wmod
-    for length in (0, 1, 4095, 4096, 4097, 9000):
-        ints = [(-3) ** (k % 50) for k in range(length)]
-        buf = io.StringIO()
-        wmod._write_ints(buf.write, iter(ints))
-        assert buf.getvalue() == json.dumps(ints)
+# terms a polynomial has: none, one slice, several, a partial last slice
+SLICE_TERMS = (0, 1, 4095, 4096, 4097, 9000)
 
 
-def test_write_ints_of_bytes_matches_json():
-    """Chunks of ints in 0..255 go through the string table, a chunk with
-    256, -1 or a bigint through json.dumps: the bytes are the same."""
+@pytest.mark.parametrize("last", [107, 256, 2 ** 40],
+                         ids=["narrow", "wide-last-term", "wide-2^40"])
+def test_cache_write_in_slices(tmp_path, last):
+    """Polynomials written 4096 terms at a time give the bytes of one
+    json.dumps, to a string and to a file; an exponent above 255 in the
+    last term alone makes the whole polynomial 8 bytes an exponent, after
+    its earlier slices went out at one byte.  The last term's x1 exponent
+    is ``last``, every other x1 exponent is below 100."""
     import io
     import wittlab.witt as wmod
-    for tail in ([], [255], [256], [-1], [0, 2 ** 70]):
-        ints = [k * 37 % 256 for k in range(9000)] + tail
-        buf = io.StringIO()
-        wmod._write_ints(buf.write, iter(ints))
-        assert buf.getvalue() == json.dumps(ints)
+    cfg = make_ring_config({"p": 2})
+    sym = cfg.adjoin(["x0", "x1"])
+    polys = [sym._wrap({(k // 100, k % 100 if k < length - 1 else last):
+                        ((-3) ** (k % 50) * (1 + (k % 7 == 0) * 2 ** 70),)
+                        for k in range(length)})
+             for length in SLICE_TERMS]
+    assert [len(pe.terms) for pe in polys] == list(SLICE_TERMS)
+    payload, _ = wmod._cache_key("sum", 0, cfg)
+    want = _reference_cache_text("sum", 0, cfg, polys)
+    buf = io.StringIO()
+    wmod._write_cache(buf, payload, polys)
+    _same_text(buf.getvalue(), want)
+    with open(tmp_path / "set.json", "w") as out:
+        wmod._write_cache(out, payload, polys)
+    _same_text((tmp_path / "set.json").read_text(), want)
 
 
 def test_cache_bytes_do_not_depend_on_the_hash_seed(tmp_path):
@@ -593,6 +682,8 @@ def test_cache_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         texts.append({f.name: f.read_bytes() for f in cache.iterdir()})
     assert len(texts[0]) == 3
     assert texts[0] == texts[1]
+    for text in texts[0].values():  # each polynomial: [hex, coefficients]
+        assert {type(exps) for exps, _ in json.loads(text)["polys"]} == {str}
 
 
 def test_unwritable_cache_returns_the_polynomials(tmp_path, monkeypatch):
@@ -678,6 +769,33 @@ def test_cache_file_gets_the_mode_of_the_umask(tmp_path, monkeypatch, umask,
     assert stat.S_IMODE(path.stat().st_mode) == mode
     wmod._MEMO.clear()
     assert universal_polynomials("sum", 2, p=2) == cold
+
+
+def test_cache_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    """The umask is process-wide, so a cache write never sets it, not
+    even to read it: with os.umask raising, the file is still written,
+    and a write that fails part way still leaves no temporary file."""
+    import errno
+    import os
+    import wittlab.witt as wmod
+
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+    monkeypatch.setattr(os, "umask", no_umask)
+    monkeypatch.setattr(wmod, "_MEMO", {})
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    cold = universal_polynomials("sum", 2, p=2)
+    (path,) = tmp_path.iterdir()
+    good = path.read_bytes()
+    path.unlink()
+    wmod._MEMO.clear()
+
+    def full_disk(out, payload, polys):
+        out.write(good[:100].decode())
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(wmod, "_write_cache", full_disk)
+    assert universal_polynomials("sum", 2, p=2) == cold
+    assert not list(tmp_path.iterdir())
 
 
 def test_universal_unknown_op():
