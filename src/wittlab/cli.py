@@ -21,8 +21,8 @@ from .fgl import load_fgl
 from .kernel import difference_character
 from .laws import (
     _bases,
+    _law,
     _point,
-    _seeded,
     default_matrix,
     l13_check,
     l16_check,
@@ -290,26 +290,22 @@ def _kernel_checks(args):
         raise ConfigUnsupported(
             f"e <= p-2 violated for p={args.p}: the psi series is not "
             "integral")
-    bases = _bases(law, cfg, args.prec)
-    m, n = max(args.m, 1), max(args.n, 2)
-
-    def draw(rng, shift, length):
-        return _point(law, *bases, shift, length, _seeded(rng))
-
-    checks = {
-        "psi": lambda rng: psi_check(draw(rng, m, 1), draw(rng, m, 1),
-                                     args.prec),
-        "phi": lambda rng: l13_check(draw(rng, m, args.n)),
-        "diff": lambda rng: l16_check(draw(rng, args.m, n)),
+    m, n, params = max(args.m, 1), max(args.n, 2), {"prec": args.prec}
+    parts = {
+        "psi": (lambda t, s: psi_check(t, s, args.prec), args.group, m, 1, 2),
+        "phi": (l13_check, args.group, m, args.n),
+        "diff": (l16_check, args.group, args.m, n),
     }
     results = []
-    for check in checks if args.check == "all" else [args.check]:
-        ran, ce = run_trials(checks[check], check, args.trials, args.seed)
+    for check in parts if args.check == "all" else [args.check]:
+        trial = _law(parts[check])["numeric"]
+        ran, ce = run_trials(lambda rng: trial(cfg, rng, params), check,
+                             args.trials, args.seed)
         entry = {"check": check, "status": "pass" if ce is None else "fail",
                  "trials": ran,
                  "detail": None if ce is None else {"trial": ce["trial"]}}
         if check == "diff" and ce is None:
-            sample = _point(law, *bases, args.m, n,
+            sample = _point(law, *_bases(law, cfg, args.prec), args.m, n,
                             lambda c, i: c.zero() if i else c.one())
             entry["sample"] = encode_witt(difference_character(sample))
         results.append(entry)

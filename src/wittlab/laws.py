@@ -86,11 +86,6 @@ def _rand_witt(cfg, n, rng):
     return WittVector(cfg, [_rand_elem(cfg, rng) for _ in range(n + 1)])
 
 
-def _seeded(rng):
-    """The element source of a seeded trial: every coordinate a fresh draw."""
-    return lambda cfg, i: _rand_elem(cfg, rng)
-
-
 def _shifted(R, B, m, n, elem):
     """The vector of W_[m]n(B) with head elem(R, 0..m) and tail
     elem(B, m+1..m+n)."""
@@ -227,32 +222,49 @@ def _law_l5(cfg, rng, params):
     return None
 
 
-def _law(check, m_range, n_range, group):
-    """The numeric trial (m, n from the ranges, capped by m_max and n_max)
-    and the symbolic case of a check on a shifted vector over (cfg's exact
-    cover, cfg), or with a load_fgl name on a point over ``_bases``."""
+def _law(*parts):
+    """The numeric trial of a law made of parts, run in turn on one stream
+    up to the first counterexample, and the symbolic case of part 0 (each
+    point on the same variables).  A part is a trial (cfg, rng, params) or
+    (check, group, m, n[, points]): an int m or n is fixed, a (lo, hi)
+    range is picked under m_max or n_max, and check(*values) runs on
+    ``points`` values (default 1) drawn one after another, each a shifted
+    vector over (cfg's exact cover, cfg) for group None, else a point of
+    load_fgl(group) over ``_bases``."""
+    loaded = {}     # a group table's file is read once, not every trial
 
-    def build(cfg, m, n, elem, prec):
+    def run(cfg, part, elem, m, n, prec):
+        check, group, _, _, points = (*part, 1)[:5]
         if group is None:
-            return _shifted(cfg.exact_cover(), cfg, m, n, elem)
-        law = load_fgl(group, cfg.base_exact())
-        return _point(law, *_bases(law, cfg, prec), m, n, elem)
+            make, R, B = _shifted, cfg.exact_cover(), cfg
+        else:
+            key = (group, cfg.base_exact())
+            law = loaded[key] = loaded.get(key) or load_fgl(*key)
+            make, (R, B) = (lambda *a: _point(law, *a)), _bases(law, cfg, prec)
+        return check(*(make(R, B, m, n, elem) for _ in range(points)))
 
     def numeric(cfg, rng, params):
-        m = _pick(rng, *m_range, params.get("m_max"))
-        n = _pick(rng, *n_range, params.get("n_max"))
-        return check(build(cfg, m, n, _seeded(rng), params.get("prec", 6)))
+        for part in parts:
+            ce = part(cfg, rng, params) if callable(part) else run(
+                cfg, part, lambda c, i: _rand_elem(c, rng),
+                *(k if type(k) is int else _pick(rng, *k, params.get(cap))
+                  for k, cap in zip(part[2:4], ("m_max", "n_max"))),
+                params.get("prec", 6))
+            if ce:
+                return ce
+        return None
 
     def symbolic(case):
         m, n = case["m"], case["n"]
-        prefix, count = ("x", m + n + 1) if group is None else ("t", n)
+        prefix, count = ("x", m + n + 1) if parts[0][1] is None else ("t", n)
         sym = make_ring_config({"p": case["p"]}).adjoin(
             [f"{prefix}{i}" for i in range(count)])
-        return check(build(sym, m, n, lambda cfg, i: cfg.var(f"{prefix}{i}"),
-                           6))
+        return run(sym, parts[0], lambda c, i: c.var(f"{prefix}{i}"), m, n, 6)
 
-    return {"numeric": numeric, "symbolic": symbolic,
-            "min_shape": (m_range[0], n_range[0])}
+    if callable(parts[0]):
+        return {"numeric": numeric}
+    return {"numeric": numeric, "symbolic": symbolic, "min_shape": tuple(
+        k if type(k) is int else k[0] for k in parts[0][2:4])}
 
 
 def _l6_check(v, lateral=lateral_frobenius):
@@ -367,21 +379,20 @@ def psi_check(t, s, prec):
     return None
 
 
-def _law_l15(cfg, rng, params):
-    prec = params.get("prec", 6)
-    base, elem = cfg.base_exact(), _seeded(rng)
-    gm = load_fgl("gm", base)
-    bases = _bases(gm, cfg, prec)
-    ce = psi_check(_point(gm, *bases, 1, 1, elem),
-                   _point(gm, *bases, 1, 1, elem), prec)
-    if ce:
-        return ce
-    # additive degeneration: Psi = id and Phi = pi
-    ga = load_fgl("ga", base)
-    a = _point(ga, *_bases(ga, cfg, prec), 1, 1, elem)
-    if psi_map(ga, 1, a.coords[0], precision=prec) != a.coords[0]:
+def _psi_id_check(a, prec):
+    """The additive degeneration at a point a of N^[1]1 Ga: Psi = id, then
+    Phi = pi as L13."""
+    if psi_map(a.law, 1, a.coords[0], precision=prec) != a.coords[0]:
         return {"part": "psi_ga", "inputs": {"a": _enc(a)}}
     return l13_check(a)
+
+
+def _at_prec(check, *shape):
+    """The part (check, *shape) whose check takes the trial's precision
+    after its points."""
+    return lambda cfg, rng, params: _law(
+        (lambda *v: check(*v, params.get("prec", 6)), *shape)
+    )["numeric"](cfg, rng, params)
 
 
 def l16_check(t):
@@ -394,52 +405,38 @@ def l16_check(t):
     return None
 
 
-def _in_turn(*trials):
-    """One trial: the given trials in turn on its stream, up to the first
-    counterexample."""
-    def numeric(cfg, rng, params):
-        for trial in trials:
-            ce = trial(cfg, rng, params)
-            if ce:
-                return ce
-        return None
-    return numeric
-
-
 def _table_i_l3(cfg, rng, params):
     m = _pick(rng, 1, 3, params.get("m_max"))
     return _l3_check(
         _rand_witt(cfg, _pick(rng, 0, 2, params.get("n_max")), rng), m)
 
 
-def _law_table_ii(cfg, rng, params):
-    m = _pick(rng, 0, 2, params.get("m_max"))
-    n = _pick(rng, 2, 3, params.get("n_max"))
-    t = _rand_witt(cfg, n - 1, rng)
-    lhs = frobenius_iter(verschiebung(t, m + 1), m + n)
-    rhs = frobenius_iter(verschiebung(frobenius(t), m + 1), m + n - 1)
+def _table_ii_check(t, s):
+    """F^(m+n) V^(m+1) = F^(m+n-1) V^(m+1) F on t's coordinates as a Witt
+    vector, then L14 at j = n on s."""
+    w, m, n = WittVector(t.bcfg, t.coords), t.m, t.n
+    lhs = frobenius_iter(verschiebung(w, m + 1), m + n)
+    rhs = frobenius_iter(verschiebung(frobenius(w), m + 1), m + n - 1)
     if lhs != rhs:
-        return _mismatch({"t": t, "m": m}, lhs, rhs)
-    ga = load_fgl("ga", cfg.base_exact())
-    return _l14_check(_point(ga, *_bases(ga, cfg, params.get("prec", 6)), m,
-                             n, _seeded(rng)), (n,))
+        return _mismatch({"t": w, "m": m}, lhs, rhs)
+    return _l14_check(s, (n,))
 
 
-def _law_table_iii(cfg, rng, params):
+def _table_iii_witt(cfg, rng, params):
     v = _rand_witt(cfg, rng.randrange(1, 4), rng)
     lhs = mult_pi(frobenius(v))
     rhs = frobenius(mult_pi(v))
     if lhs != rhs:
         return _mismatch({"v": v}, lhs, rhs)
-    m = _pick(rng, 1, 2, params.get("m_max"))
-    n = _pick(rng, 2, 3, params.get("n_max"))
-    ga = load_fgl("ga", cfg.base_exact())
-    pt = _point(ga, *_bases(ga, cfg, params.get("prec", 6)), m, n,
-                _seeded(rng))
-    lhs = kernel_phi(kernel_lateral_f(pt))
-    rhs = kernel_lateral_f(kernel_phi(pt))
+    return None
+
+
+def _phi_f_check(t):
+    """Phi f = f Phi at the kernel point t."""
+    lhs = kernel_phi(kernel_lateral_f(t))
+    rhs = kernel_lateral_f(kernel_phi(t))
     if lhs != rhs:
-        return _mismatch({"t": pt}, lhs, rhs)
+        return _mismatch({"t": t}, lhs, rhs)
     return None
 
 
@@ -528,69 +525,65 @@ def _case(p, m, n):
     return {"p": p, "m": m, "n": n}
 
 
-REGISTRY = {}
-
-
-def _register(spec):
-    REGISTRY[spec.id] = spec
-
-
-_register(LawSpec("L1", "ghost is a ring homomorphism", _law_l1, 200))
-_register(LawSpec("L2", "ghost_solve inverts ghost", _law_l2, 200,
-                  hypothesis=_hyp_exact))
-_register(LawSpec("L3", "F(V(x)) = (pi)(x) and F(V^(m+1)) = V^m (pi)",
-                  _law_l3, 100))
-_register(LawSpec("L4", "F(x)_i = x_i^q mod pi", _law_l4, 200))
-_register(LawSpec("L5", "delta axioms (1)-(3)", _law_l5, 200,
-                  hypothesis=_hyp_exact))
-_register(LawSpec(
-    "L6", "F^(m+2) I = F^(m+1) I F_[m]", hypothesis=_hyp_phi_pi,
-    symbolic_cases=(_case(2, 0, 2), _case(2, 1, 2), _case(3, 0, 2),
-                    _case(2, 1, 3)),
-    **_law(_l6_check, (0, 2), (2, 3), None)))
-_register(LawSpec("L7", "I E_[m] = F I", symbolic_cases=(_case(2, 1, 2),),
-                  **_law(_l7_check, (1, 2), (1, 3), None)))
-_register(LawSpec("L8", "ghost of E_[m] is the right shift",
-                  symbolic_cases=(_case(2, 1, 2),),
-                  **_law(_l8_check, (1, 2), (1, 3), None)))
-_register(LawSpec("L9", "E_[m] F_[m] = F_[m-1] E_[m]", hypothesis=_hyp_phi_pi,
-                  symbolic_cases=(_case(2, 1, 2),),
-                  **_law(_l9_check, (1, 2), (1, 3), None)))
-_register(LawSpec("L10", "lateral Frobenius congruence mod pi", trials=200,
-                  hypothesis=_hyp_phi_pi,
-                  **_law(_l10_check, (0, 2), (1, 3), None)))
-_register(LawSpec("L11", "kernel lateral Frobenius = F on additive tails",
-                  **_law(_l11_check, (0, 2), (2, 4), "ga")))
-_register(LawSpec(
-    "L12", "embedded kernel ghost = pi^(m+1) times tail ghost",
-    symbolic_cases=(_case(2, 1, 1), _case(2, 0, 2), _case(2, 1, 3)),
-    **_law(_l12_check, (0, 2), (1, 3), "ga")))
-_register(LawSpec("L13", "F iota_m = iota_(m-1) Phi_[m]",
-                  **_law(l13_check, (1, 2), (1, 3), "ga")))
-_register(LawSpec("L14", "phi^(m+j) iota_m = phi^(m+j-1) iota_m f_m",
-                  **_law(lambda t: _l14_check(t, range(2, t.n + 1)),
-                         (0, 2), (2, 3), "ga")))
-_register(LawSpec("L15", "Psi ladder and additivity", _law_l15, 50,
-                  hypothesis=_hyp_psi))
-_register(LawSpec("L16", "difference character factors through t_0",
-                  _in_turn(_law(l16_check, (0, 2), (2, 4), "ga")["numeric"],
-                           _law(l16_check, (0, 1), (2, 3), "gm")["numeric"]),
-                  50))
-_register(LawSpec("table-i", "F V^(m+1) = V^m (pi); F iota = iota Phi",
-                  _in_turn(_table_i_l3, REGISTRY["L13"].numeric), 100))
-_register(LawSpec("table-ii",
-                  "F^(m+n) V^(m+1) = F^(m-1+n) V^(m+1) F; kernel analogue",
-                  _law_table_ii, 100))
-_register(LawSpec("table-iii", "(pi) F = F (pi); Phi f = f Phi",
-                  _law_table_iii, 100))
-_register(LawSpec("sabotage-lateral",
-                  "lateral Frobenius with un-phi'd head (must fail L6)",
-                  _sabotage(lambda v: _l6_check(v, _sabotage_lateral)), 100,
-                  sabotage=True))
-_register(LawSpec("sabotage-shift",
-                  "E_[m] dropping the wrong ghost entry (must fail L8)",
-                  _sabotage(lambda v: _l8_check(v, _sabotage_shift)), 100,
-                  sabotage=True))
+REGISTRY = {spec.id: spec for spec in (
+    LawSpec("L1", "ghost is a ring homomorphism", _law_l1, 200),
+    LawSpec("L2", "ghost_solve inverts ghost", _law_l2, 200,
+            hypothesis=_hyp_exact),
+    LawSpec("L3", "F(V(x)) = (pi)(x) and F(V^(m+1)) = V^m (pi)",
+            _law_l3, 100),
+    LawSpec("L4", "F(x)_i = x_i^q mod pi", _law_l4, 200),
+    LawSpec("L5", "delta axioms (1)-(3)", _law_l5, 200,
+            hypothesis=_hyp_exact),
+    LawSpec(
+        "L6", "F^(m+2) I = F^(m+1) I F_[m]", hypothesis=_hyp_phi_pi,
+        symbolic_cases=(_case(2, 0, 2), _case(2, 1, 2), _case(3, 0, 2),
+                        _case(2, 1, 3)),
+        **_law((_l6_check, None, (0, 2), (2, 3)))),
+    LawSpec("L7", "I E_[m] = F I", symbolic_cases=(_case(2, 1, 2),),
+            **_law((_l7_check, None, (1, 2), (1, 3)))),
+    LawSpec("L8", "ghost of E_[m] is the right shift",
+            symbolic_cases=(_case(2, 1, 2),),
+            **_law((_l8_check, None, (1, 2), (1, 3)))),
+    LawSpec("L9", "E_[m] F_[m] = F_[m-1] E_[m]", hypothesis=_hyp_phi_pi,
+            symbolic_cases=(_case(2, 1, 2),),
+            **_law((_l9_check, None, (1, 2), (1, 3)))),
+    LawSpec("L10", "lateral Frobenius congruence mod pi", trials=200,
+            hypothesis=_hyp_phi_pi,
+            **_law((_l10_check, None, (0, 2), (1, 3)))),
+    LawSpec("L11", "kernel lateral Frobenius = F on additive tails",
+            **_law((_l11_check, "ga", (0, 2), (2, 4)))),
+    LawSpec(
+        "L12", "embedded kernel ghost = pi^(m+1) times tail ghost",
+        symbolic_cases=(_case(2, 1, 1), _case(2, 0, 2), _case(2, 1, 3)),
+        **_law((_l12_check, "ga", (0, 2), (1, 3)))),
+    LawSpec("L13", "F iota_m = iota_(m-1) Phi_[m]",
+            **_law((l13_check, "ga", (1, 2), (1, 3)))),
+    LawSpec("L14", "phi^(m+j) iota_m = phi^(m+j-1) iota_m f_m",
+            **_law((lambda t: _l14_check(t, range(2, t.n + 1)), "ga",
+                    (0, 2), (2, 3)))),
+    LawSpec("L15", "Psi ladder and additivity", trials=50,
+            hypothesis=_hyp_psi,
+            **_law(_at_prec(psi_check, "gm", 1, 1, 2),
+                   _at_prec(_psi_id_check, "ga", 1, 1))),
+    LawSpec("L16", "difference character factors through t_0",
+            trials=50, **_law((l16_check, "ga", (0, 2), (2, 4)),
+                              (l16_check, "gm", (0, 1), (2, 3)))),
+    LawSpec("table-i", "F V^(m+1) = V^m (pi); F iota = iota Phi",
+            **_law(_table_i_l3, (l13_check, "ga", (1, 2), (1, 3)))),
+    LawSpec("table-ii",
+            "F^(m+n) V^(m+1) = F^(m-1+n) V^(m+1) F; kernel analogue",
+            **_law((_table_ii_check, "ga", (0, 2), (2, 3), 2))),
+    LawSpec("table-iii", "(pi) F = F (pi); Phi f = f Phi",
+            **_law(_table_iii_witt, (_phi_f_check, "ga", (1, 2), (2, 3)))),
+    LawSpec("sabotage-lateral",
+            "lateral Frobenius with un-phi'd head (must fail L6)",
+            _sabotage(lambda v: _l6_check(v, _sabotage_lateral)), 100,
+            sabotage=True),
+    LawSpec("sabotage-shift",
+            "E_[m] dropping the wrong ghost entry (must fail L8)",
+            _sabotage(lambda v: _l8_check(v, _sabotage_shift)), 100,
+            sabotage=True),
+)}
 
 
 def _law_sort_key(law_id):
@@ -652,10 +645,11 @@ def symbolic_verify(law_id, case, seed=0):
     if spec.symbolic is None:
         raise ConfigUnsupported(f"{law_id} has no symbolic mode")
     (m_min, n_min), m, n = spec.min_shape, case.get("m"), case.get("n")
-    if not (type(m) is int and type(n) is int and m >= m_min
-            and n >= n_min):
-        raise WittlabError(f"{law_id} needs integers m >= {m_min} and "
-                           f"n >= {n_min}, got m={m!r}, n={n!r}")
+    p = case.get("p")
+    if not (type(p) is int and type(m) is int and type(n) is int
+            and m >= m_min and n >= n_min):
+        raise WittlabError(f"{law_id} needs integers m >= {m_min}, n >= "
+                           f"{n_min} and p, got m={m!r}, n={n!r}, p={p!r}")
     start = time.perf_counter()
     base = make_ring_config({"p": case["p"]})
     ce = _guarded(spec.symbolic, case)
@@ -687,7 +681,7 @@ def run_suite(law_filter="all", configs=None, trials=None, seed=0,
     else:
         wanted = (law_filter if isinstance(law_filter, (list, tuple))
                   else [law_filter])
-        ids = [_spec(i).id for i in wanted]
+        ids = list(dict.fromkeys(_spec(i).id for i in wanted))
     ids.sort(key=_law_sort_key)
     reports = []
     try:

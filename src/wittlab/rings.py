@@ -529,6 +529,13 @@ def _packing(n, top):
 ORBIT_MIN = 64     # smaller squares lose more to orbit bookkeeping (README)
 
 
+def check_budget(total, budget):
+    """Raise BudgetExceeded when an expansion holds over budget terms."""
+    if total > budget:
+        raise BudgetExceeded(f"symbolic expansion hit {total} terms "
+                             f"(budget {budget})")
+
+
 def _mul_into(cfg, out, a, b, scale, packing, budget=INFINITY):
     """Add scale * a * b (term dicts; scale None is 1) into out, keyed by
     monomials packed by ``packing``, holding len(out) to ``budget`` once
@@ -563,9 +570,7 @@ def _mul_into(cfg, out, a, b, scale, packing, budget=INFINITY):
                       ((*pb[i], pb[i + 1:], out, None)
                        for i in range(r, len(pb))))
     for ka, ca, inner, tgt, kc in steps:
-        if len(tgt) > budget:
-            raise BudgetExceeded(f"symbolic expansion hit {len(tgt)} terms "
-                                 f"(budget {budget})")
+        check_budget(len(tgt), budget)
         get, sa = tgt.get, ca if scale is None else mul(scale, ca)
         if sq:
             for k in (ka + ka,) if kc is None else (ka + ka, ka + kc):

@@ -17,7 +17,6 @@ from pathlib import Path
 from .errors import (
     BadLength,
     BaseMismatch,
-    BudgetExceeded,
     ConfigUnsupported,
     InternalError,
     LengthMismatch,
@@ -27,7 +26,8 @@ from .errors import (
     WittlabError,
     ZeroLength,
 )
-from .rings import RingElement, _mul_into, _packing, make_ring_config
+from .rings import (RingElement, _mul_into, _packing, check_budget,
+                    make_ring_config)
 
 TERM_BUDGET = 5_000_000
 
@@ -475,12 +475,6 @@ def _cache_key(op, n, cfg):
     return payload, hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _budget_check(total):
-    if total > TERM_BUDGET:
-        raise BudgetExceeded(
-            f"symbolic expansion hit {total} terms (budget {TERM_BUDGET})")
-
-
 def _write_slices(write, tuples, encode, sep=""):
     """write(encode(s)) for s each 4096 tuples chained into one iterator,
     sep between them, so no list or string of all of them ever forms."""
@@ -524,7 +518,7 @@ def _read_cache(path, payload, count, sym):
         encs, polys = data["polys"], []
         if data != dict(payload, polys=encs) or len(encs) != count:
             return None
-        _budget_check(sum(len(coeffs) for _, coeffs in encs) // d)
+        check_budget(sum(len(coeffs) for _, coeffs in encs) // d, TERM_BUDGET)
         for exps, coeffs in encs:
             k = len(coeffs) // d    # the width follows from the hex length
             if len(exps) not in (2 * nv * k, 16 * nv * k):
@@ -597,7 +591,7 @@ def universal_polynomials(op, n, p=None, cfg=None):
         vecs = [WittVector(sym, [sym.var(v) for v in vs])
                 for vs in (xs, ys) if vs]
         polys = list(_UNIVERSAL[op](*vecs).comps)
-        _budget_check(sum(len(poly.terms) for poly in polys))
+        check_budget(sum(len(poly.terms) for poly in polys), TERM_BUDGET)
         _store(path, payload, polys)
     _MEMO[memo_key] = polys
     return polys

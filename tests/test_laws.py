@@ -135,6 +135,29 @@ def test_harness_bytes_are_pinned(monkeypatch, capsys):
         "48d366d6141f6b310de59e751ed6fe6927efc01ae7c98728822f345e2d5771cd")
 
 
+def test_capped_harness_bytes_are_pinned(monkeypatch):
+    # m_max and n_max cap every _pick range, and prec reaches the bases of
+    # the non-additive kernel points: the streams of that run are pinned too
+    drawn, draw = [], laws._rand_elem
+
+    def recording_draw(cfg, rng):
+        x = draw(cfg, rng)
+        drawn.append(encode_element(x))
+        return x
+
+    monkeypatch.setattr(laws, "_rand_elem", recording_draw)
+    reports, summary = run_suite(trials=3, seed=5, include_sabotage=True,
+                                 m_max=1, n_max=2, prec=4)
+    assert summary == {"pass": 66, "fail": 6, "skipped": 1, "total": 73}
+    docs = [r.to_json() for r in reports]
+    for doc in docs:
+        doc.pop("ms")
+    assert _sha256(canonical_dumps(docs)) == (
+        "bc0806db02f8e558fe5a93fe45d4bd77bccd0405a115db303ef0c47baabce81a")
+    assert len(drawn) == 540 and _sha256(canonical_dumps(drawn)) == (
+        "880831d34a11e4910695280ab269b46f130e967853a425a6ce89c25ad549f29b")
+
+
 def test_determinism_modulo_timing():
     a = run_law("L1", Z2, trials=20, seed=7).to_json()
     b = run_law("L1", Z2, trials=20, seed=7).to_json()
@@ -177,6 +200,13 @@ def test_registered_symbolic_cases_fit_their_law():
         m_min, n_min = spec.min_shape
         for case in spec.symbolic_cases:
             assert case["m"] >= m_min and case["n"] >= n_min, (spec.id, case)
+
+
+def test_symbolic_case_without_p_is_usage_error():
+    for case in ({"m": 1, "n": 2}, {"p": "2", "m": 1, "n": 2},
+                 {"p": True, "m": 1, "n": 2}):
+        with pytest.raises(WittlabError, match="p="):
+            symbolic_verify("L6", case)
 
 
 def test_symbolic_unsupported():
@@ -231,6 +261,32 @@ def test_run_suite_filter_and_configs():
                                  configs=[Z2], trials=4, seed=0)
     assert summary == {"pass": 2, "fail": 0, "skipped": 0, "total": 2}
     assert [r.law for r in reports] == ["L1", "L2"]
+
+
+def test_repeated_law_ids_run_once(tmp_path, capsys):
+    reports, summary = run_suite(law_filter=["L2", "L1", "L2"],
+                                 configs=[Z2], trials=2, seed=0)
+    assert [r.law for r in reports] == ["L1", "L2"]
+    assert summary["total"] == 2
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--law", "L1,L1", "--p", "2", "--ramified",
+                     "false", "--trials", "2", "--report", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[-1] == (
+        "summary: 1 pass, 0 fail, 0 skipped")
+    assert len(json.loads(out.read_text())) == 1
+
+
+def test_orders_of_degree_three_and_four_pass():
+    # d >= 3 takes the convolution branch of RingConfig.cmul; a mutant of
+    # that branch makes this run raise InternalError
+    configs = [make_ring_config({"p": 5, "modulus": [-5, 0, 0, 1]}),
+               make_ring_config({"p": 2, "modulus": [-2, 0, 0, 0, 1]})]
+    reports, summary = run_suite(configs=configs, trials=3, seed=0)
+    assert summary == {"pass": 47, "fail": 0, "skipped": 1, "total": 48}
+    assert _skips(reports) == {"L15": "psi_integral=false"}
+    assert [r.config["p"] for r in reports
+            if r.status == "skipped"] == [2]
 
 
 def test_default_matrix_shape():

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from wittlab.errors import (
     BadFrobeniusLift,
+    BudgetExceeded,
     NonDivisible,
     RejectedModulus,
     TorsionBase,
     WittlabError,
 )
-from wittlab.rings import Frac, make_ring_config
+from wittlab.rings import Frac, check_budget, make_ring_config
 
 from oracles import (
     frac_add,
@@ -577,3 +578,10 @@ def test_frac_valuation():
     assert Frac(Z2.from_int(4), 1).pi_val() == 2
     assert Frac(Z2.from_int(1), 2).pi_val() == -1
     assert Frac(RAM5.from_int(1), 5).pi_val() == -2
+
+
+def test_check_budget_names_the_total_and_the_budget():
+    check_budget(5, 5)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^symbolic expansion hit 6 terms \(budget 5\)$"):
+        check_budget(6, 5)
