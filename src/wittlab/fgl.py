@@ -95,6 +95,8 @@ def _validate(law):
     for (i, j) in law.coeffs:
         if i + j > law.degree:
             raise WittlabError(f"coefficient ({i},{j}) beyond degree")
+        if i < 0 or j < 0:
+            raise WittlabError(f"negative exponent in coefficient ({i},{j})")
     for (i, j), c in law.coeffs.items():     # a missing c_ji reads as 0
         if c != law.coeff(j, i):
             i, j = max(i, j), min(i, j)
@@ -120,7 +122,7 @@ def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
 
     A law is built and validated once per (name, cfg, degree), or (table
     as canonical JSON, cfg, degree), and that object is returned
-    afterwards; a table that fails validation raises on every call."""
+    afterwards; a table is decoded on a miss, and kept only if valid."""
     if source in ("ga", "gm"):
         key = (source, cfg, degree)
         if key not in _LAWS:
@@ -145,16 +147,18 @@ def load_fgl(source, cfg, degree=DEFAULT_DEGREE):
     from .serialize import decode_element
     try:
         d = _json_int(source.get("degree", degree), "degree")
+        key = (json.dumps(source, sort_keys=True, default=repr), cfg, d)
+        if key in _LAWS:
+            return _LAWS[key]
         coeffs = {}
         for entry in source["coeffs"]:
             i, j = (_json_int(entry[k], k) for k in "ij")
+            if (i, j) in coeffs:
+                raise WittlabError(f"malformed group table: ({i},{j}) twice")
             coeffs[(i, j)] = decode_element(cfg, entry["c"])
     except (LookupError, TypeError, ValueError) as exc:
         raise WittlabError(f"malformed group table: {exc!r}") from None
-    key = (json.dumps(source, sort_keys=True, default=repr), cfg, d)
-    if key not in _LAWS:
-        _LAWS[key] = FormalGroupLaw(cfg, d, coeffs, CUSTOM,
-                                    (source, cfg, d))
+    _LAWS[key] = FormalGroupLaw(cfg, d, coeffs, CUSTOM, (source, cfg, d))
     return _LAWS[key]
 
 

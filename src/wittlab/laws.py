@@ -137,6 +137,12 @@ def _mismatch(inputs, lhs, rhs):
             "lhs": _enc(lhs), "rhs": _enc(rhs)}
 
 
+def _expect(inputs, lhs, rhs):
+    """The verdict of the identity lhs = rhs at inputs: None, or the
+    counterexample reporting both sides."""
+    return None if lhs == rhs else _mismatch(inputs, lhs, rhs)
+
+
 # ----------------------------------------------------------------------
 # the laws, one trial each
 
@@ -158,27 +164,21 @@ def _law_l1(cfg, rng, params):
 def _law_l2(cfg, rng, params):
     n = rng.randrange(0, 5)
     v = _rand_witt(cfg, n, rng)
-    back = ghost_solve(ghost(v), cfg)
-    if back != v:
-        return _mismatch({"v": v}, back, v)
-    return None
+    return _expect({"v": v}, ghost_solve(ghost(v), cfg), v)
 
 
-def _hyp_exact(cfg, params):
+def _hyp_exact(cfg):
     return None if cfg.torsion_free else "needs an exact base"
 
 
-def _hyp_phi_pi(cfg, params):
+def _hyp_phi_pi(cfg):
     return None if cfg.phi_pi is None else "phi(pi) != pi"
 
 
 def _l3_check(t, m):
     """F V^(m+1) = V^m (pi) at t; m = 0 is F V = (pi)."""
-    lhs = frobenius(verschiebung(t, m + 1))
-    rhs = verschiebung(mult_pi(t), m)
-    if lhs != rhs:
-        return _mismatch({"t": t, "m": m}, lhs, rhs)
-    return None
+    return _expect({"t": t, "m": m}, frobenius(verschiebung(t, m + 1)),
+                   verschiebung(mult_pi(t), m))
 
 
 def _law_l3(cfg, rng, params):
@@ -209,17 +209,10 @@ def _law_l5(cfg, rng, params):
     x, y = _rand_elem(cfg, rng), _rand_elem(cfg, rng)
     if not delta(cfg.one()).is_zero():
         return {"axiom": 1}
-    dx, dy = delta(x), delta(y)
-    lhs = delta(x + y)
-    rhs = dx + dy + c_pi(x, y)
-    if lhs != rhs:
-        return _mismatch({"x": x, "y": y}, lhs, rhs)
-    q = cfg.q
-    lhs = delta(x * y)
-    rhs = x ** q * dy + y ** q * dx + cfg.pi_elem() * dx * dy
-    if lhs != rhs:
-        return _mismatch({"x": x, "y": y}, lhs, rhs)
-    return None
+    dx, dy, q = delta(x), delta(y), cfg.q
+    return (_expect({"x": x, "y": y}, delta(x + y), dx + dy + c_pi(x, y))
+            or _expect({"x": x, "y": y}, delta(x * y), x ** q * dy
+                       + y ** q * dx + cfg.pi_elem() * dx * dy))
 
 
 def _law(*parts):
@@ -268,37 +261,25 @@ def _law(*parts):
 
 
 def _l6_check(v, lateral=lateral_frobenius):
-    lhs = frobenius_iter(include_I(v), v.m + 2)
-    rhs = frobenius_iter(include_I(lateral(v)), v.m + 1)
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    return None
+    return _expect({"v": v}, frobenius_iter(include_I(v), v.m + 2),
+                   frobenius_iter(include_I(lateral(v)), v.m + 1))
 
 
 def _l7_check(v):
-    lhs = include_I(shift_E(v))
-    rhs = frobenius(include_I(v))
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    return None
+    return _expect({"v": v}, include_I(shift_E(v)),
+                   frobenius(include_I(v)))
 
 
 def _l8_check(v, shift=shift_E):
     out = shift(v)      # its ghost from its coordinates, as in L1
-    lhs = shifted_ghost(ShiftedWittVector(out.rcfg, out.bcfg, out.m,
-                                          out.head, out.tail)).entries
-    rhs = shifted_ghost(v).entries[1:]
-    if lhs != rhs:
-        return _mismatch({"v": v}, list(lhs), list(rhs))
-    return None
+    return _expect({"v": v}, shifted_ghost(ShiftedWittVector(
+        out.rcfg, out.bcfg, out.m, out.head, out.tail)).entries,
+        shifted_ghost(v).entries[1:])
 
 
 def _l9_check(v):
-    lhs = shift_E(lateral_frobenius(v))
-    rhs = lateral_frobenius(shift_E(v))
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    return None
+    return _expect({"v": v}, shift_E(lateral_frobenius(v)),
+                   lateral_frobenius(shift_E(v)))
 
 
 def _l10_check(v):
@@ -311,11 +292,8 @@ def _l10_check(v):
 
 
 def _l11_check(t):
-    lhs = kernel_lateral_f(t).coords
-    rhs = frobenius(WittVector(t.bcfg, t.coords)).comps
-    if lhs != rhs:
-        return _mismatch({"t": t}, list(lhs), list(rhs))
-    return None
+    return _expect({"t": t}, kernel_lateral_f(t).coords,
+                   frobenius(WittVector(t.bcfg, t.coords)).comps)
 
 
 def _l12_check(t):
@@ -335,29 +313,27 @@ def l13_check(t):
     """F iota_m = iota_(m-1) Phi_[m] at the kernel point t; for n = 1,
     also Phi_[m] = (pi) on the coordinate."""
     phi = kernel_phi(t)
-    lhs = frobenius(kernel_witt_point(t))
-    rhs = kernel_witt_point(phi)
-    if lhs != rhs:
-        return _mismatch({"t": t}, lhs, rhs)
-    if t.n == 1:
-        rhs = t.bcfg.convert(t.rcfg.pi_elem()) * t.coords[0]
-        if phi.coords[0] != rhs:
-            return _mismatch({"t": t}, phi.coords[0], rhs)
-    return None
+    ce = _expect({"t": t}, frobenius(kernel_witt_point(t)),
+                 kernel_witt_point(phi))
+    if ce or t.n != 1:
+        return ce
+    return _expect({"t": t}, phi.coords[0],
+                   t.bcfg.convert(t.rcfg.pi_elem()) * t.coords[0])
 
 
 def _l14_check(t, js):
     """phi^(m+j) iota_m = phi^(m+j-1) iota_m f_m at t, for each j in js."""
     s = kernel_lateral_f(t)
     for j in js:
-        lhs = frobenius_iter(kernel_witt_point(t), t.m + j)
-        rhs = frobenius_iter(kernel_witt_point(s), t.m + j - 1)
-        if lhs != rhs:
-            return _mismatch({"t": t, "j": t.bcfg.from_int(j)}, lhs, rhs)
+        ce = _expect({"t": t, "j": t.bcfg.from_int(j)},
+                     frobenius_iter(kernel_witt_point(t), t.m + j),
+                     frobenius_iter(kernel_witt_point(s), t.m + j - 1))
+        if ce:
+            return ce
     return None
 
 
-def _hyp_psi(cfg, params):
+def _hyp_psi(cfg):
     return None if cfg.psi_integral else "psi_integral=false"
 
 
@@ -365,18 +341,15 @@ def psi_check(t, s, prec):
     """The Psi ladder Psi_(m-1)(Phi_[m](t)_0) = pi Psi_m(t_0) and the
     additivity Psi_m(t + s) = Psi_m(t_0) + Psi_m(s_0), for kernel points
     t, s of N^[m]1."""
-    law, m, (t0,), (s0,) = t.law, t.m, t.coords, s.coords
-    lhs = psi_map(law, m - 1, kernel_phi(t).coords[0], precision=prec)
-    rhs = (t.bcfg.convert(t.rcfg.pi_elem())
-           * psi_map(law, m, t0, precision=prec))
-    if lhs != rhs:
-        return _mismatch({"t0": t0}, lhs, rhs)
-    lhs = psi_map(law, m, kernel_add(t, s).coords[0], precision=prec)
-    rhs = (psi_map(law, m, t0, precision=prec)
-           + psi_map(law, m, s0, precision=prec))
-    if lhs != rhs:
-        return _mismatch({"t0": t0, "s0": s0}, lhs, rhs)
-    return None
+    m, (t0,), (s0,) = t.m, t.coords, s.coords
+
+    def psi(k, x):
+        return psi_map(t.law, k, x, precision=prec)
+    return (_expect({"t0": t0}, psi(m - 1, kernel_phi(t).coords[0]),
+                    t.bcfg.convert(t.rcfg.pi_elem()) * psi(m, t0))
+            or _expect({"t0": t0, "s0": s0},
+                       psi(m, kernel_add(t, s).coords[0]),
+                       psi(m, t0) + psi(m, s0)))
 
 
 def _psi_id_check(a, prec):
@@ -397,12 +370,8 @@ def _at_prec(check, *shape):
 
 def l16_check(t):
     """The difference character at t depends on t_0 alone."""
-    lhs = difference_character(t)
-    rhs = difference_character(
-        kernel_section_sigma(kernel_project_u(t, 1), t.n))
-    if lhs != rhs:
-        return _mismatch({"t": t}, lhs, rhs)
-    return None
+    return _expect({"t": t}, difference_character(t), difference_character(
+        kernel_section_sigma(kernel_project_u(t, 1), t.n)))
 
 
 def _table_i_l3(cfg, rng, params):
@@ -415,29 +384,21 @@ def _table_ii_check(t, s):
     """F^(m+n) V^(m+1) = F^(m+n-1) V^(m+1) F on t's coordinates as a Witt
     vector, then L14 at j = n on s."""
     w, m, n = WittVector(t.bcfg, t.coords), t.m, t.n
-    lhs = frobenius_iter(verschiebung(w, m + 1), m + n)
-    rhs = frobenius_iter(verschiebung(frobenius(w), m + 1), m + n - 1)
-    if lhs != rhs:
-        return _mismatch({"t": w, "m": m}, lhs, rhs)
-    return _l14_check(s, (n,))
+    return _expect(
+        {"t": w, "m": m}, frobenius_iter(verschiebung(w, m + 1), m + n),
+        frobenius_iter(verschiebung(frobenius(w), m + 1), m + n - 1)
+    ) or _l14_check(s, (n,))
 
 
 def _table_iii_witt(cfg, rng, params):
     v = _rand_witt(cfg, rng.randrange(1, 4), rng)
-    lhs = mult_pi(frobenius(v))
-    rhs = frobenius(mult_pi(v))
-    if lhs != rhs:
-        return _mismatch({"v": v}, lhs, rhs)
-    return None
+    return _expect({"v": v}, mult_pi(frobenius(v)), frobenius(mult_pi(v)))
 
 
 def _phi_f_check(t):
     """Phi f = f Phi at the kernel point t."""
-    lhs = kernel_phi(kernel_lateral_f(t))
-    rhs = kernel_lateral_f(kernel_phi(t))
-    if lhs != rhs:
-        return _mismatch({"t": t}, lhs, rhs)
-    return None
+    return _expect({"t": t}, kernel_phi(kernel_lateral_f(t)),
+                   kernel_lateral_f(kernel_phi(t)))
 
 
 # ----------------------------------------------------------------------
@@ -628,7 +589,7 @@ def run_law(law_id, cfg, trials=None, seed=0, **params):
     # the config records the options that shaped the draw, when given
     config = dict(encode_config(cfg), **{k: params[k] for k in (
         "prec", "m_max", "n_max") if k in params})
-    reason = spec.hypothesis(cfg, params) if spec.hypothesis else ""
+    reason = spec.hypothesis(cfg) if spec.hypothesis else ""
     if reason and trials > 0:   # trials below 1 raise in run_trials
         return TrialReport(law_id, config, seed, 0, "skipped",
                            None, (time.perf_counter() - start) * 1000,

@@ -450,14 +450,23 @@ def test_kernel_ga_all(tmp_path):
         '"sample":[27,-6561,-753145430616],"status":"pass","trials":25}]\n')
 
 
-@pytest.mark.parametrize("table", [{"coeffs": [{"i": 1}]}, {"coeffs": 5},
-                                   {"degree": "x", "coeffs": []}],
-                         ids=["entry-without-j", "coeffs-not-a-list",
-                              "degree-not-an-integer"])
+GM_TABLE = [{"i": 1, "j": 0, "c": 1}, {"i": 0, "j": 1, "c": 1},
+            {"i": 1, "j": 1, "c": 1}]
+
+
+@pytest.mark.parametrize("table", [
+    {"coeffs": [{"i": 1}]}, {"coeffs": 5}, {"degree": "x", "coeffs": []},
+    {"degree": 4, "coeffs": GM_TABLE[:2] + [{"i": -1, "j": 2, "c": 0},
+                                            {"i": 2, "j": -1, "c": 0}]},
+    {"coeffs": GM_TABLE + [{"i": 1, "j": 1, "c": 0}]},
+], ids=["entry-without-j", "coeffs-not-a-list", "degree-not-an-integer",
+        "negative-exponent", "repeated-entry"])
 def test_kernel_malformed_group_table_is_usage_error(tmp_path, table):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(table))
-    r = run_cli(["kernel", "--group", str(path), "--trials", "1"], tmp_path)
+    # p = 3 passes the psi gate, which would exit 2 at p = 2 on any table
+    r = run_cli(["kernel", "--group", str(path), "--p", "3", "--check",
+                 "diff", "--prec", "2", "--trials", "1"], tmp_path)
     assert r.returncode == 2
     assert r.stderr.startswith("error: ")
     assert len(r.stderr.splitlines()) == 1

@@ -229,6 +229,27 @@ def test_custom_table_loaded_once_per_content(tmp_path):
     assert edited.coeff(1, 1) == Z3.one()
 
 
+def test_repeat_load_decodes_no_entry(tmp_path, monkeypatch):
+    # the law is looked up before the table's entries are decoded
+    from wittlab import fgl, serialize
+    Z3 = make_ring_config({"p": 3})
+    path = tmp_path / "law.json"
+    path.write_text((DATA / "lt_p3_d16.json").read_text())
+    decoded, decode = [], serialize.decode_element
+
+    def counting_decode(cfg, enc):
+        decoded.append(enc)
+        return decode(cfg, enc)
+
+    monkeypatch.setattr(serialize, "decode_element", counting_decode)
+    monkeypatch.setattr(fgl, "_LAWS", {})
+    law = load_fgl(str(path), Z3)
+    assert decoded
+    decoded.clear()
+    assert load_fgl(str(path), Z3) is law
+    assert decoded == []
+
+
 def test_load_custom_file(tmp_path):
     path = tmp_path / "law.json"
     path.write_text(json.dumps({

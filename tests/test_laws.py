@@ -24,6 +24,7 @@ from wittlab.laws import (
 from wittlab.rings import make_ring_config
 from wittlab.serialize import canonical_dumps, encode_element
 from wittlab.shifted import ShiftedWittVector, lateral_frobenius
+from wittlab.witt import GhostVector, WittVector
 
 Z2 = make_ring_config({"p": 2})
 RAM5 = make_ring_config({"p": 5, "modulus": [-5, 0, 1]})
@@ -156,6 +157,70 @@ def test_capped_harness_bytes_are_pinned(monkeypatch):
         "bc0806db02f8e558fe5a93fe45d4bd77bccd0405a115db303ef0c47baabce81a")
     assert len(drawn) == 540 and _sha256(canonical_dumps(drawn)) == (
         "880831d34a11e4910695280ab269b46f130e967853a425a6ce89c25ad549f29b")
+
+
+def _bump(fn):
+    """fn with one added to the first coordinate of what it returns."""
+    def wrong(*args):
+        out = fn(*args)
+        if isinstance(out, WittVector):
+            c = out.comps
+            return WittVector(out.cfg, (c[0] + out.cfg.one(),) + c[1:])
+        if isinstance(out, KernelPoint):
+            c = out.coords
+            return KernelPoint(out.law, out.rcfg, out.bcfg, out.m,
+                               (c[0] + out.bcfg.one(),) + c[1:])
+        if isinstance(out, ShiftedWittVector):
+            h = out.head
+            return ShiftedWittVector(out.rcfg, out.bcfg, out.m,
+                                     (h[0] + out.rcfg.one(),) + h[1:],
+                                     out.tail)
+        if isinstance(out, GhostVector):
+            e = out.entries
+            return GhostVector((e[0] + e[0].cfg.one(),) + e[1:],
+                               out.head_count)
+        return out + out.cfg.one()
+    return wrong
+
+
+# one planted fault per identity a check compares: (law, the name in
+# wittlab.laws replaced, its replacement given the real operator)
+PLANTED_FAULTS = [
+    ("L2", "ghost_solve", _bump),
+    ("L3", "mult_pi", lambda real: lambda v: v),
+    ("L5", "c_pi", lambda real: lambda x, y: x.cfg.zero()),
+    ("L6", "include_I", _bump),
+    ("L7", "shift_E", _bump),
+    ("L8", "shifted_ghost", _bump),
+    ("L9", "lateral_frobenius", _bump),
+    ("L11", "kernel_lateral_f", _bump),
+    ("L13", "kernel_phi", _bump),
+    ("L14", "kernel_lateral_f", _bump),
+    ("L15", "kernel_phi", _bump),                       # the Psi ladder
+    ("L15", "kernel_add", lambda real: lambda t, s: t),  # additivity
+    ("L16", "kernel_section_sigma", _bump),
+    ("table-ii", "frobenius", _bump),
+    ("table-ii", "kernel_lateral_f", _bump),            # its L14 part
+    ("table-iii", "mult_pi", _bump),
+    ("table-iii", "kernel_lateral_f", _bump),           # Phi f = f Phi
+]
+
+
+def test_planted_fault_counterexamples_are_pinned(monkeypatch):
+    # every check that reports two differing sides, made to fail by one
+    # wrong operator: the bytes of each counterexample it reports are pinned
+    out = []
+    for law_id, name, fault in PLANTED_FAULTS:
+        with monkeypatch.context() as mp:
+            mp.setattr(laws, name, fault(getattr(laws, name)))
+            ces = [run_law(law_id, cfg, trials=3, seed=5).counterexample
+                   for cfg in default_matrix()]
+        assert any(ces), (law_id, name)
+        assert all(ce is None or {"inputs", "lhs", "rhs", "trial"} == set(ce)
+                   for ce in ces), (law_id, name, ces)
+        out.append([law_id, name, ces])
+    assert _sha256(canonical_dumps(out)) == (
+        "4264bad1e49aecfcde649eb14c08342615ffccd7e6dfbe7f483f8a9a476bc6c7")
 
 
 def test_determinism_modulo_timing():
