@@ -24,21 +24,9 @@ from .errors import (
 )
 from .fgl import formal_inverse, formal_log
 from .rings import Frac
-from .shifted import (
-    ShiftedWittVector,
-    _lift_head,
-    _rows as _shifted_rows,
-    _solve as _shifted_solve,
-    include_I,
-    lateral_frobenius,
-    shift_E,
-)
-from .witt import (
-    _arith,
-    _check_fixed,
-    _phi_chain,
-    _solve as _witt_solve,
-)
+from .shifted import include_I, lateral_frobenius, shift_E
+from .witt import (ShiftedWittVector, _arith, _check_fixed, _lift_head,
+                   _phi_chain, _rows, _solve)
 
 
 class KernelPoint:
@@ -191,11 +179,12 @@ def _kernel_series(t, series, what, s=None):
     and v, the embeddings of t and s (v = u when s is None), evaluated on
     shifted ghost rows and solved once."""
     top = _series_degree(t.law, t.bcfg, t.m, t.m + t.n + 1, what)
-    hl, bl, a = _shifted_rows(kernel_embed(t))
-    b = a if s is None else _shifted_rows(kernel_embed(s))[2]
-    k = t.m + 1
+    u = kernel_embed(t)
+    hl, bl, k = _arith(u.rcfg), _arith(u.bcfg, u.last), u.m + 1
+    a = _rows(bl, u)
+    b = a if s is None else _rows(bl, kernel_embed(s))
     rows = _series_rows(t.law, series, top, hl, bl, k, a, b)
-    return _tail_point(t, _shifted_solve(hl, bl, t.rcfg, t.bcfg, rows, k),
+    return _tail_point(t, _solve(bl, u.bcfg, rows, None, u.m, u.rcfg),
                        "kernel series")
 
 
@@ -347,8 +336,7 @@ def difference_character(t):
     law, cfg = t.law, t.bcfg
     top = _series_degree(law, cfg, t.m, t.n, "the group difference")
     ar = _arith(cfg, t.n - 1)
-    x = list(map(ar.reduce, _shifted_rows(kernel_embed(t))[2][t.m + 1:]))
+    x = list(map(ar.reduce, _rows(ar, kernel_embed(t))[t.m + 1:]))
     y = [ar.zero] + x[1:]
     neg_y = _series_rows(law, "i", top, ar, ar, 0, y, y)
-    return _witt_solve(ar, cfg, _series_rows(law, "F", top, ar, ar, 0, x,
-                                             neg_y))
+    return _solve(ar, cfg, _series_rows(law, "F", top, ar, ar, 0, x, neg_y))

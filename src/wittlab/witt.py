@@ -32,54 +32,106 @@ from .rings import (RingElement, _mul_into, _packing, check_budget,
 TERM_BUDGET = 5_000_000
 
 
-def _pending(cls, solve, **slots):
-    """An instance of cls whose coordinates solve() computes on first read."""
-    v = object.__new__(cls)
-    v._coords = solve
-    for name, x in slots.items():
-        setattr(v, name, x)
-    return v
-
-
 def _read(v):
     if callable(v._coords):     # pending: solved once, on first read
         v._coords = v._coords()
     return v._coords
 
 
-class WittVector:
-    """Components (x_0 .. x_n) over one base ring.  On an exact config
-    ``_ghost`` keeps the unwrapped ghost rows once they are known (see
-    the ghost engine); equality and hashing ignore it."""
+class _Vector:
+    """Coordinates 0..last of a shifted Witt vector: a head 0..m over R,
+    empty when m = -1, and a tail m+1..last over B.  ``_coords`` holds
+    them all, or a callable that solves them on first read.  When B is
+    exact, ``_ghost`` keeps the unwrapped ghost rows once they are known
+    (see the ghost engine); equality and hashing ignore it."""
 
-    __slots__ = ("cfg", "n", "_coords", "_ghost")
+    __slots__ = ("rcfg", "bcfg", "m", "last", "_coords", "_ghost")
+
+    def _set(self, rcfg, bcfg, m, last, coords, rows=None):
+        self.rcfg, self.bcfg, self.m, self.last = rcfg, bcfg, m, last
+        self._coords, self._ghost = coords, rows
+        return self
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.m == other.m and self.bcfg == other.bcfg
+                and self.rcfg == other.rcfg and _read(self) == _read(other))
+
+    def __hash__(self):
+        return hash((self.rcfg.key, self.bcfg.key, self.m, _read(self)))
+
+
+def _vector(rcfg, bcfg, m, last, coords, rows=None):
+    """The vector of shift m, a WittVector when m = -1, unchecked."""
+    v = object.__new__(WittVector if m < 0 else ShiftedWittVector)
+    return v._set(rcfg, bcfg, m, last, coords, rows)
+
+
+class WittVector(_Vector):
+    """Components (x_0 .. x_n) over one base ring B: the shifted vector
+    W_[-1](n+1)(B) with an empty head and R = B's exact cover.  Its ``n``
+    is its last index."""
+
+    __slots__ = ()
+    cfg, n = _Vector.bcfg, _Vector.last     # the core's slots, renamed
+    comps = property(_read)
 
     def __init__(self, cfg, comps):
         comps = tuple(comps)
         if not comps:
             raise ZeroLength("a Witt vector needs at least one component")
-        for c in comps:
-            if c.cfg != cfg:
-                raise BaseMismatch("component ring differs from vector ring")
-        self.cfg, self.n = cfg, len(comps) - 1
-        self._coords = comps
-        self._ghost = None
-
-    comps = property(_read)
-
-    def __eq__(self, other):
-        if not isinstance(other, WittVector):
-            return NotImplemented
-        return self.cfg == other.cfg and self.comps == other.comps
-
-    def __hash__(self):
-        return hash((self.cfg.key, self.comps))
+        if any(c.cfg != cfg for c in comps):
+            raise BaseMismatch("component ring differs from vector ring")
+        self._set(cfg.exact_cover(), cfg, -1, len(comps) - 1, comps)
 
     def __repr__(self):
         return "W(" + ", ".join(repr(c) for c in self.comps) + ")"
 
     def __reduce__(self):   # the coordinates (solved if pending), no rows
         return WittVector, (self.cfg, self.comps)
+
+
+def _check_shape(rcfg, bcfg, m, heads):
+    if m < 0 or heads != m + 1:
+        raise LengthMismatch(f"head must have m+1={m + 1} entries")
+    if not rcfg.torsion_free:
+        raise WittlabError("the head ring R must be exact")
+    if not bcfg.compatible(rcfg):
+        raise BaseMismatch("B must be an algebra over the same R")
+
+
+class ShiftedWittVector(_Vector):
+    """Head (r_0..r_m) over R and tail (b_{m+1}..b_{m+n}) over B, m >= 0.
+    Its ``n`` is its tail length."""
+
+    __slots__ = ()
+
+    def __init__(self, rcfg, bcfg, m, head, tail):
+        head, tail = tuple(head), tuple(tail)
+        _check_shape(rcfg, bcfg, m, len(head))
+        if any(r.cfg != rcfg for r in head):
+            raise BaseMismatch("head entry outside R")
+        if any(b.cfg != bcfg for b in tail):
+            raise BaseMismatch("tail entry outside B")
+        self._set(rcfg, bcfg, m, m + len(tail), head + tail)
+
+    n = property(lambda self: self.last - self.m)
+    head = property(lambda self: _read(self)[:self.m + 1])
+    tail = property(lambda self: _read(self)[self.m + 1:])
+
+    def f(self, r):
+        """Structure map R -> B."""
+        return self.bcfg.convert(r)
+
+    def __repr__(self):
+        hs = ", ".join(repr(r) for r in self.head)
+        ts = ", ".join(repr(b) for b in self.tail)
+        return f"W[{self.m}]({hs}; {ts})"
+
+    def __reduce__(self):   # the coordinates (solved if pending), no rows
+        return ShiftedWittVector, (self.rcfg, self.bcfg, self.m, self.head,
+                                   self.tail)
 
 
 class GhostVector:
@@ -288,31 +340,56 @@ def _solve_rows(ar, entries, comps, failure, what=None):
     return comps
 
 
-def _keep(v, cfg, rows):
-    """rows, kept on v as its ghost (a tuple) when cfg is exact."""
-    if cfg.torsion_free:
+def _lift_head(hl, bl, rcfg, head):
+    """Unwrapped head values of R as values of B's engine arithmetic."""
+    if hl.cover is not bl.cover:
+        head = [bl.unwrap(bl.cover.convert(hl.wrap(rcfg, x))) for x in head]
+    return list(map(bl.reduce, head))
+
+
+def _keep(v, rows):
+    """rows, kept on v as its ghost (a tuple) when its B is exact."""
+    if v.bcfg.torsion_free:
         rows = v._ghost = tuple(rows)
     return rows
 
 
-def _rows(ar, v):
+def _rows(bl, v):
+    """The ghost rows of v: rows 0..m in R's engine arithmetic, the rest
+    in bl, B's.  A Witt vector (m = -1) has no head to lift."""
     if v._ghost is not None:
         return v._ghost
-    return _keep(v, v.cfg, _ghost_rows(ar, [ar.unwrap(c) for c in v.comps]))
+    xs, k = _read(v), v.m + 1
+    if not k:
+        return _keep(v, _ghost_rows(bl, list(map(bl.unwrap, xs))))
+    hl = _arith(v.rcfg)
+    head = [hl.unwrap(r) for r in xs[:k]]
+    full = _lift_head(hl, bl, v.rcfg, head) + [bl.unwrap(b) for b in xs[k:]]
+    return _keep(v, _ghost_rows(hl, head) + _ghost_rows(bl, full, k))
 
 
-def _solve(ar, cfg, entries, what=None):
+def _solve(bl, cfg, entries, what=None, m=-1, rcfg=None):
+    """The vector of shift m over R = rcfg (B's exact cover when m = -1)
+    and B = cfg whose ghost rows are entries: rows 0..m in R's engine
+    arithmetic, the rest in bl, B's."""
+    k = m + 1
+
     def solve():
-        return tuple(ar.wrap(cfg, x) for x in _solve_rows(
-            ar, entries, [],
-            "ghost entry {} is not in the image of the ghost map", what))
+        if not k:
+            return tuple(bl.wrap(cfg, x) for x in _solve_rows(
+                bl, entries, [],
+                "ghost entry {} is not in the image of the ghost map", what))
+        hl = _arith(rcfg)
+        head = _solve_rows(hl, entries[:k], [],
+                           "head ghost entry {} does not solve", what)
+        tail = _solve_rows(bl, entries[k:], _lift_head(hl, bl, rcfg, head),
+                           "tail ghost entry {} does not solve", what)[k:]
+        return (tuple(hl.wrap(rcfg, x) for x in head)
+                + tuple(bl.wrap(cfg, x) for x in tail))
 
-    if what and cfg.torsion_free:
-        return _pending(WittVector, solve, cfg=cfg, n=len(entries) - 1,
-                        _ghost=tuple(entries))
-    v = WittVector(cfg, solve())
-    _keep(v, cfg, entries)
-    return v
+    return _vector(rcfg or bl.cover, cfg, m, len(entries) - 1,
+                   solve if what and cfg.torsion_free else solve(),
+                   tuple(entries) if cfg.torsion_free else None)
 
 
 def ghost(v):
@@ -322,6 +399,8 @@ def ghost(v):
 
 def ghost_solve(g, cfg=None):
     """Invert the ghost map by the triangular exact-division recursion."""
+    if not g.entries:
+        raise ZeroLength("a Witt vector needs at least one component")
     if cfg is None:
         cfg = g.entries[0].cfg
     if not cfg.torsion_free:
@@ -331,27 +410,40 @@ def ghost_solve(g, cfg=None):
 
 
 def _check_pair(u, v):
-    if u.n != v.n:
-        raise LengthMismatch(f"lengths {u.n} and {v.n} differ")
-    if u.cfg != v.cfg:
-        raise BaseMismatch("Witt vectors live over different rings")
+    witt = u.m < 0      # a Witt vector's shape is its length
+    if (u.m, u.last) != (v.m, v.last):
+        raise LengthMismatch(f"lengths {u.n} and {v.n} differ" if witt else
+                             f"shapes ({u.m},{u.n}) and ({v.m},{v.n}) differ")
+    if (u.bcfg, u.rcfg) != (v.bcfg, v.rcfg):
+        raise BaseMismatch(f"{'Witt' if witt else 'shifted'} vectors live "
+                           "over different rings")
+
+
+def _entrywise(op, u, v=None):
+    """The vector whose ghost rows are the rows of u, and of v when given,
+    combined entry by entry by op, an operation of the engine arithmetic:
+    R's on rows 0..m, B's on the rest."""
+    if v is not None:
+        _check_pair(u, v)
+    bl, k = _arith(u.bcfg, u.last), u.m + 1
+    rows = (_rows(bl, u),) if v is None else (_rows(bl, u), _rows(bl, v))
+    if not k:
+        return _solve(bl, u.bcfg, list(map(getattr(bl, op), *rows)))
+    entries = [*map(getattr(_arith(u.rcfg), op), *[r[:k] for r in rows]),
+               *map(getattr(bl, op), *[r[k:] for r in rows])]
+    return _solve(bl, u.bcfg, entries, None, u.m, u.rcfg)
 
 
 def witt_add(u, v):
-    _check_pair(u, v)
-    ar = _arith(u.cfg, u.n)
-    return _solve(ar, u.cfg, list(map(ar.add, _rows(ar, u), _rows(ar, v))))
+    return _entrywise("add", u, v)
 
 
 def witt_mul(u, v):
-    _check_pair(u, v)
-    ar = _arith(u.cfg, u.n)
-    return _solve(ar, u.cfg, list(map(ar.mul, _rows(ar, u), _rows(ar, v))))
+    return _entrywise("mul", u, v)
 
 
 def witt_neg(u):
-    ar = _arith(u.cfg, u.n)
-    return _solve(ar, u.cfg, list(map(ar.neg, _rows(ar, u))))
+    return _entrywise("neg", u)
 
 
 def witt_sub(u, v):
@@ -386,15 +478,13 @@ def verschiebung(v, times=1):
     """V^times; its ghost is <0, .., 0, pi^times w_0, pi^times w_1, ..>."""
     if times < 0:
         raise BadLength(f"Verschiebung needs times >= 0, got {times}")
-    cfg = v.cfg     # its components are read off v's when they are read
-    out = _pending(WittVector, lambda: (cfg.zero(),) * times + v.comps,
-                   cfg=cfg, n=v.n + times, _ghost=None)
+    cfg, rows = v.cfg, None     # its components are read off v's
     if v._ghost is not None:
         ar = _arith(cfg)
         scale = ar.pow(ar.pi, times)
-        out._ghost = ((ar.zero,) * times
-                      + tuple(ar.mul(scale, w) for w in v._ghost))
-    return out
+        rows = (ar.zero,) * times + tuple(ar.mul(scale, w) for w in v._ghost)
+    return _vector(v.rcfg, cfg, -1, v.n + times,
+                   lambda: (cfg.zero(),) * times + v.comps, rows)
 
 
 def teichmuller(b, n):
