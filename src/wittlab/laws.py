@@ -405,11 +405,13 @@ def _phi_f_check(t):
 # sabotage variants (mutation self-tests; these are supposed to fail)
 
 
-def _sabotage_lateral(v):
-    g = shifted_ghost(v)
-    entries = list(g.entries[:v.m + 1]) + list(g.entries[v.m + 2:])
-    return shifted_ghost_solve(
-        GhostVector(entries, head_count=v.m + 1), v.rcfg, v.bcfg)
+def _sabotage_lateral(v, rng):
+    """The lateral Frobenius plus pi c on its last tail coordinate, c a
+    nonzero integer drawn from the trial's stream: a map that solves."""
+    out = lateral_frobenius(v)
+    c = out.bcfg.pi_elem() * rng.randint(1, POLY_COEFF_BOUND)
+    return ShiftedWittVector(out.rcfg, out.bcfg, out.m, out.head,
+                             out.tail[:-1] + (out.tail[-1] + c,))
 
 
 def _sabotage_shift(v):
@@ -419,11 +421,12 @@ def _sabotage_shift(v):
 
 
 def _sabotage(check):
-    """The trial of a check on a shifted vector of polynomials in u0, u1."""
+    """The trial of check(v, rng), v a shifted vector of polynomials in u0,
+    u1 and rng the trial's stream."""
     def numeric(cfg, rng, params):
         sym = cfg.adjoin(["u0", "u1"])
         return check(_shifted(sym.exact_cover(), sym, 1, 2,
-                              lambda c, i: _rand_poly(c, rng)))
+                              lambda c, i: _rand_poly(c, rng)), rng)
     return numeric
 
 
@@ -537,12 +540,13 @@ REGISTRY = {spec.id: spec for spec in (
     LawSpec("table-iii", "(pi) F = F (pi); Phi f = f Phi",
             **_law(_table_iii_witt, (_phi_f_check, "ga", (1, 2), (2, 3)))),
     LawSpec("sabotage-lateral",
-            "lateral Frobenius with un-phi'd head (must fail L6)",
-            _sabotage(lambda v: _l6_check(v, _sabotage_lateral)), 100,
+            "lateral Frobenius plus pi c on a tail entry (must fail L6)",
+            _sabotage(lambda v, rng: _l6_check(
+                v, lambda w: _sabotage_lateral(w, rng))), 100,
             sabotage=True),
     LawSpec("sabotage-shift",
             "E_[m] dropping the wrong ghost entry (must fail L8)",
-            _sabotage(lambda v: _l8_check(v, _sabotage_shift)), 100,
+            _sabotage(lambda v, rng: _l8_check(v, _sabotage_shift)), 100,
             sabotage=True),
 )}
 

@@ -1,14 +1,15 @@
-"""Shifted Witt rings W_[m]n(B): a head of m+1 coordinates over R glued to
-a tail of n coordinates over B, with the shifted ghost calculus and the
-three operators that act on it (tail restriction, lateral Frobenius, and
-the head-dropping ring map implemented by the plain Frobenius polynomials).
-"""
+"""Shifted Witt rings W_[m]n(B), m >= 0: a head of m+1 coordinates over R
+glued to a tail of n coordinates over B (n is the tail length), with the
+shifted ghost calculus and the operators that need a head (tail
+restriction, lateral Frobenius, and the head-dropping ring map implemented
+by the plain Frobenius polynomials).  The vector core is witt.py's, where
+W_n(B) is its m = -1 case; there the lateral ghost rule is F's, so L11
+states F as one map at two levels."""
 
 from __future__ import annotations
 
 from .errors import (
     BadLength,
-    BaseMismatch,
     ConfigUnsupported,
     LengthMismatch,
     TorsionBase,
@@ -16,9 +17,9 @@ from .errors import (
     ZeroShift,
     ZeroTail,
 )
-from .witt import (GhostVector, ShiftedWittVector, WittVector, _arith,
-                   _check_fixed, _check_shape, _entrywise, _lift_head,
-                   _phi_chain, _rows, _solve, _vector)
+from .witt import (GhostVector, ShiftedWittVector, _arith, _check_fixed,
+                   _check_shape, _entrywise, _lift_head, _phi_chain, _rows,
+                   _solve, _vector)
 
 
 def shifted_zero(rcfg, bcfg, m, n):
@@ -66,14 +67,13 @@ def shifted_neg(u):
 
 
 def include_I(v):
-    """The natural ring map into W_{m+n}(B): push the head through f.  Its
-    ghost is v's shifted ghost, read in B; when R and B share one
-    arithmetic it keeps v's rows, and reads its components off v's."""
+    """The natural ring map into W_{m+n}(B): push the head through f.  It
+    reads its components off v's; its ghost is v's shifted ghost, read in
+    B, so when R and B share one arithmetic it keeps v's rows."""
     bl = _arith(v.bcfg)
-    if _arith(v.rcfg) is not bl:
-        return WittVector(v.bcfg, [v.f(r) for r in v.head] + list(v.tail))
+    rows = _rows(bl, v) if _arith(v.rcfg) is bl else None
     return _vector(bl.cover, v.bcfg, -1, v.last,
-                   lambda: tuple(map(v.f, v.head)) + v.tail, _rows(bl, v))
+                   lambda: tuple(map(v.f, v.head)) + v.tail, rows)
 
 
 def restrict_T(v):
@@ -85,8 +85,7 @@ def restrict_T(v):
 def lateral_frobenius(v):
     """Ghost rule: apply phi to the m+1 head entries and drop the first
     tail ghost entry; every output coordinate is congruent to the q-th
-    power of its input coordinate mod pi.  With an empty head (m = -1)
-    this rule is F's."""
+    power of its input coordinate mod pi."""
     if v.n < 1:
         raise ZeroTail("lateral Frobenius needs a nonempty tail")
     hl, bl, k = _arith(v.rcfg), _arith(v.bcfg, v.last), v.m + 1

@@ -1,7 +1,10 @@
 """Length-(n+1) Witt vectors over a base ring: ghost calculus, the ring
 structure, T / F / V, Teichmuller lifts, the multiplication-by-pi map,
 the universal exponential for the delta structure, and symbolic generation
-of the universal structure polynomials (with a disk cache)."""
+of the universal structure polynomials (with a disk cache).  W_n(B) is
+W_[-1](n+1)(B): a shifted ring with an empty head and R = B's exact cover,
+so WittVector (n its last index) and ShiftedWittVector (n its tail length)
+share one vector core here, with its rows, solve and entrywise rule."""
 
 from __future__ import annotations
 
@@ -69,9 +72,7 @@ def _vector(rcfg, bcfg, m, last, coords, rows=None):
 
 
 class WittVector(_Vector):
-    """Components (x_0 .. x_n) over one base ring B: the shifted vector
-    W_[-1](n+1)(B) with an empty head and R = B's exact cover.  Its ``n``
-    is its last index."""
+    """Components (x_0 .. x_n) over one base ring B, n the last index."""
 
     __slots__ = ()
     cfg, n = _Vector.bcfg, _Vector.last     # the core's slots, renamed
@@ -347,31 +348,29 @@ def _lift_head(hl, bl, rcfg, head):
     return list(map(bl.reduce, head))
 
 
-def _keep(v, rows):
-    """rows, kept on v as its ghost (a tuple) when its B is exact."""
+def _rows(bl, v):
+    """The ghost rows of v: rows 0..m in R's engine arithmetic, the rest
+    in bl, B's; kept on v (a tuple) when B is exact.  A Witt vector
+    (m = -1) has no head to lift."""
+    if v._ghost is not None:
+        return v._ghost
+    xs, k = _read(v), v.m + 1
+    if k:
+        hl = _arith(v.rcfg)
+        head = [hl.unwrap(r) for r in xs[:k]]
+        tail = [bl.unwrap(b) for b in xs[k:]]
+        rows = _ghost_rows(hl, head) + _ghost_rows(
+            bl, _lift_head(hl, bl, v.rcfg, head) + tail, k)
+    else:
+        rows = _ghost_rows(bl, list(map(bl.unwrap, xs)))
     if v.bcfg.torsion_free:
         rows = v._ghost = tuple(rows)
     return rows
 
 
-def _rows(bl, v):
-    """The ghost rows of v: rows 0..m in R's engine arithmetic, the rest
-    in bl, B's.  A Witt vector (m = -1) has no head to lift."""
-    if v._ghost is not None:
-        return v._ghost
-    xs, k = _read(v), v.m + 1
-    if not k:
-        return _keep(v, _ghost_rows(bl, list(map(bl.unwrap, xs))))
-    hl = _arith(v.rcfg)
-    head = [hl.unwrap(r) for r in xs[:k]]
-    full = _lift_head(hl, bl, v.rcfg, head) + [bl.unwrap(b) for b in xs[k:]]
-    return _keep(v, _ghost_rows(hl, head) + _ghost_rows(bl, full, k))
-
-
 def _solve(bl, cfg, entries, what=None, m=-1, rcfg=None):
-    """The vector of shift m over R = rcfg (B's exact cover when m = -1)
-    and B = cfg whose ghost rows are entries: rows 0..m in R's engine
-    arithmetic, the rest in bl, B's."""
+    """The vector of shift m over R = rcfg (else B's exact cover) and B =
+    cfg with ghost rows entries: 0..m in R's arithmetic, the rest in bl."""
     k = m + 1
 
     def solve():
@@ -410,13 +409,12 @@ def ghost_solve(g, cfg=None):
 
 
 def _check_pair(u, v):
-    witt = u.m < 0      # a Witt vector's shape is its length
     if (u.m, u.last) != (v.m, v.last):
-        raise LengthMismatch(f"lengths {u.n} and {v.n} differ" if witt else
+        raise LengthMismatch(f"lengths {u.n} and {v.n} differ" if u.m < 0 else
                              f"shapes ({u.m},{u.n}) and ({v.m},{v.n}) differ")
     if (u.bcfg, u.rcfg) != (v.bcfg, v.rcfg):
-        raise BaseMismatch(f"{'Witt' if witt else 'shifted'} vectors live "
-                           "over different rings")
+        raise BaseMismatch(f"{'Witt' if u.m < 0 else 'shifted'} vectors "
+                           "live over different rings")
 
 
 def _entrywise(op, u, v=None):

@@ -279,6 +279,12 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
      "--trials", "1"],
     ["kernel", "--group", "gm", "--p", "3", "--m", "-1", "--check", "diff"],
     ["kernel", "--group", "ga", "--p", "2", "--n", "0", "--check", "phi"],
+    ["eval", "--ring", '{"p":2}', "--op", "shifted_ghost", "--m", "-1",
+     "--in", "[1,2]"],
+    ["eval", "--ring", '{"p":2}', "--op", "shifted_ghost",
+     "--in", '{"m":-1,"n":1,"head":[],"tail":[3]}'],
+    ["eval", "--ring", '{"p":2}', "--op", "ghost_solve",
+     "--in", '{"ghost":[1,3],"head_count":0}'],
 ], ids=["in-negative", "in-missing-file", "ring-without-p", "ring-bad-trunc",
         "verify-trials-negative", "kernel-trials-zero", "verify-prec-zero",
         "verify-prec-negative",
@@ -294,7 +300,8 @@ def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):
         "ring-constant-term-not-plus-minus-p", "teichmuller-negative-n",
         "exp-delta-negative-n", "kernel-prec-zero",
         "kernel-prec-negative", "kernel-psi-m-negative",
-        "kernel-diff-m-negative", "kernel-n-zero"])
+        "kernel-diff-m-negative", "kernel-n-zero", "shifted-m-negative",
+        "shifted-encoded-m-negative", "head-count-zero"])
 def test_eval_malformed_input_is_usage_error(tmp_path, argv):
     # None stands for a file that does not exist
     argv = [a if a is not None else str(tmp_path / "missing.json")

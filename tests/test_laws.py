@@ -119,7 +119,7 @@ def test_harness_bytes_are_pinned(monkeypatch, capsys):
     for doc in docs:
         doc.pop("ms")
     assert _sha256(canonical_dumps(docs)) == (
-        "c62acc8a7a83ba3279d06d0c16f095297a30ae0b3257e5fae7f657aced3f8dc1")
+        "204c127e846a538616f47d58a31575a4a37271dba005f9f08b4972d1c08fec35")
     assert len(drawn) == 644 and _sha256(canonical_dumps(drawn)) == (
         "973922bf6df4a40ed7e389c57bed5f30f37f48799e1826d779f617fce0e2c555")
     drawn.clear()
@@ -154,7 +154,7 @@ def test_capped_harness_bytes_are_pinned(monkeypatch):
     for doc in docs:
         doc.pop("ms")
     assert _sha256(canonical_dumps(docs)) == (
-        "bc0806db02f8e558fe5a93fe45d4bd77bccd0405a115db303ef0c47baabce81a")
+        "3ebb19edcb9212ee34093478731e507c4d6991b4636b459b9e1ad3fba9ad06ac")
     assert len(drawn) == 540 and _sha256(canonical_dumps(drawn)) == (
         "880831d34a11e4910695280ab269b46f130e967853a425a6ce89c25ad549f29b")
 
@@ -289,6 +289,16 @@ def test_sabotage_laws_fail_fast():
         assert r.status == "fail"
         assert r.trials <= 100
         assert r.counterexample is not None
+
+
+def test_sabotage_laws_fail_by_comparing_two_sides():
+    # each sabotage map solves, so its law fails by the two sides it
+    # compares, not by an error raised before the comparison
+    reports, _ = run_suite(trials=3, seed=5, include_sabotage=True)
+    ces = [r.counterexample for r in reports if REGISTRY[r.law].sabotage]
+    assert len(ces) == 6
+    for ce in ces:
+        assert {"lhs", "rhs"} <= set(ce) and "error" not in ce, ce
 
 
 # ----------------------------------------------------------------------

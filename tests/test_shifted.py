@@ -105,6 +105,18 @@ def test_shifted_zero_rejects_a_negative_tail_length():
     assert shifted_zero(Z2, Z2, 1, 0).tail == ()
 
 
+def test_public_shifted_vectors_have_a_head():
+    # a Witt vector is the m = -1 case of the shared vector core, but the
+    # public constructor and the structure map still refuse m < 0
+    tail = [Z2.from_int(3)]
+    with pytest.raises(LengthMismatch):
+        ShiftedWittVector(Z2, Z2, -1, (), tail)
+    with pytest.raises(LengthMismatch):
+        scalar_shifted(Z2, Z2, -1, 2, Z2.from_int(3))
+    with pytest.raises(BadLength, match="tail length must be >= 0"):
+        scalar_shifted(Z2, Z2, 1, -1, Z2.from_int(3))
+
+
 # ----------------------------------------------------------------------
 # ring structure
 
