@@ -117,9 +117,8 @@ def _emit(obj, out=None):
 
 
 def cmd_poly(args):
-    op = args.op.replace("-", "_")
-    polys = universal_polynomials(op, args.n, p=args.p)
-    _emit(encode_universal(op, args.n, args.p, polys), args.out)
+    polys = universal_polynomials(args.op, args.n, p=args.p)
+    _emit(encode_universal(args.op, args.n, args.p, polys), args.out)
     return 0
 
 
@@ -330,8 +329,7 @@ def build_parser():
 
     p = sub.add_parser("poly", help="emit universal structure polynomials")
     p.add_argument("--op", required=True,
-                   choices=["sum", "prod", "frobenius", "mult-pi",
-                            "mult_pi"])
+                   choices=["sum", "prod", "frobenius", "mult_pi"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--out")

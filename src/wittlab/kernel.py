@@ -25,8 +25,8 @@ from .errors import (
 from .fgl import formal_inverse, formal_log
 from .rings import Frac
 from .shifted import include_I, lateral_frobenius, shift_E
-from .witt import (ShiftedWittVector, _arith, _check_fixed, _lift_head,
-                   _phi_chain, _rows, _solve)
+from .witt import (ShiftedWittVector, _arith, _check_fixed, _rows, _solve,
+                   _structure_chain)
 
 
 class KernelPoint:
@@ -144,10 +144,7 @@ def _chains(law, series, top, hl, bl, k, count):
               [((i, 0), b) for i, b in enumerate(formal_inverse(law, top), 1)])
     for _, c in coeffs:
         _check_fixed(c, "the kernel group law")
-    rcfg = hl.cover
-    chains = [_phi_chain(hl, hl.unwrap(rcfg.convert(c)), count)
-              for _, c in coeffs]
-    chains = [ch[:k] + _lift_head(hl, bl, rcfg, ch[k:]) for ch in chains]
+    chains = [_structure_chain(hl, bl, c, k, count) for _, c in coeffs]
     kept = law._chains[key] = ([ij for ij, _ in coeffs],
                                [[ch[r] for ch in chains]
                                 for r in range(count)])
@@ -231,34 +228,16 @@ def kernel_section_sigma(t, n):
 # the logarithm-based Psi
 
 
-def _exceeds_exp(n, e):
-    """Whether the integer n exceeds exp(e), for an integer e >= 0, decided
-    exactly: once J + 2 >= 2e, J! exp(e) lies in (s, s + t] with
-    s = sum_{j<=J} e^j J!/j! and t = ceil(2 e^(J+1) / (J+1))."""
-    j, fact, s = 0, 1, 1
-    while True:
-        if j + 2 >= 2 * e:
-            if n * fact > s - (-2 * e ** (j + 1) // (j + 1)):
-                return True
-            if n * fact <= s:
-                return False
-        j += 1
-        fact *= j
-        s = j * s + e ** j
-
-
 def _psi_series_bound(m, e, p, precision):
     """Smallest K with (m+1)(k-1) - e*log_p(k) >= precision for all k >= K,
-    in integers: the inequality at k is p^((m+1)(k-1) - precision) >= k^e,
-    and it stays true beyond k once k >= e / ((m+1) ln p), that is once
-    p^((m+1)k) > exp(e)."""
+    m >= 0: the first k >= 2 with p^((m+1)(k-1) - precision) >= k^e, as the
+    difference grows from e / ((m+1) ln p) on and no k >= 2 below that point
+    satisfies it: there (m+1)(k-1) ln p < e (1 - 1/k) <= e ln k."""
     k = 2
-    while True:
-        a = (m + 1) * (k - 1) - precision
-        if (a >= 0 and p ** a >= k ** e
-                and _exceeds_exp(p ** ((m + 1) * k), e)):
-            return k
+    while ((m + 1) * (k - 1) < precision
+           or p ** ((m + 1) * (k - 1) - precision) < k ** e):
         k += 1
+    return k
 
 
 def psi_map(law, m, t0, precision=None):
@@ -267,6 +246,8 @@ def psi_map(law, m, t0, precision=None):
     integrality and the whole series is rejected when the base ring
     cannot guarantee it (e > p - 2).  The law keeps the coefficients as
     values of bcfg's engine arithmetic, where Horner's rule runs."""
+    if m < 0:
+        raise BadLength(f"psi needs m >= 0, got {m}")
     bcfg = t0.cfg
     if precision is None:
         if not bcfg.trunc:

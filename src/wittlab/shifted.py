@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import (
     BadLength,
-    ConfigUnsupported,
     LengthMismatch,
     TorsionBase,
     WittlabError,
@@ -18,8 +17,8 @@ from .errors import (
     ZeroTail,
 )
 from .witt import (GhostVector, ShiftedWittVector, _arith, _check_fixed,
-                   _check_shape, _entrywise, _lift_head, _phi_chain, _rows,
-                   _solve, _vector)
+                   _check_shape, _entrywise, _ghost_shift, _rows, _solve,
+                   _structure_chain, _vector)
 
 
 def shifted_zero(rcfg, bcfg, m, n):
@@ -88,13 +87,7 @@ def lateral_frobenius(v):
     power of its input coordinate mod pi."""
     if v.n < 1:
         raise ZeroTail("lateral Frobenius needs a nonempty tail")
-    hl, bl, k = _arith(v.rcfg), _arith(v.bcfg, v.last), v.m + 1
-    rows = _rows(bl, v)         # R is exact: zero head rows, zero head
-    if v.rcfg.phi_pi is not None and any(w != hl.zero for w in rows[:k]):
-        raise ConfigUnsupported(
-            "lateral Frobenius with a nonzero head needs phi(pi) = pi")
-    entries = [*map(hl.phi, rows[:k]), *rows[k + 1:]]
-    return _solve(bl, v.bcfg, entries, "lateral Frobenius", v.m, v.rcfg)
+    return _ghost_shift(v, v.m + 1, 1, "lateral Frobenius")
 
 
 def shift_E(v):
@@ -103,9 +96,7 @@ def shift_E(v):
     it is computed by solving that shifted ghost."""
     if v.m < 1:
         raise ZeroShift("shift needs m >= 1")
-    bl = _arith(v.bcfg, v.last)
-    return _solve(bl, v.bcfg, _rows(bl, v)[1:], "shift_E ghost path",
-                  v.m - 1, v.rcfg)
+    return _ghost_shift(v, 0, 1, "shift_E ghost path")
 
 
 def scalar_shifted(rcfg, bcfg, m, n, r):
@@ -117,7 +108,6 @@ def scalar_shifted(rcfg, bcfg, m, n, r):
         raise BadLength(f"tail length must be >= 0, got {n}")
     _check_shape(rcfg, bcfg, m, m + 1)
     _check_fixed(r, "the structure map")
-    hl, bl = _arith(rcfg), _arith(bcfg, m + n)
-    chain = _phi_chain(hl, hl.unwrap(rcfg.convert(r)), m + n + 1)
-    entries = chain[:m + 1] + _lift_head(hl, bl, rcfg, chain[m + 1:])
+    bl = _arith(bcfg, m + n)
+    entries = _structure_chain(_arith(rcfg), bl, r, m + 1, m + n + 1)
     return _solve(bl, bcfg, entries, "structure map", m, rcfg)

@@ -349,20 +349,20 @@ def _lift_head(hl, bl, rcfg, head):
 
 
 def _rows(bl, v):
-    """The ghost rows of v: rows 0..m in R's engine arithmetic, the rest
-    in bl, B's; kept on v (a tuple) when B is exact.  A Witt vector
-    (m = -1) has no head to lift."""
+    """The ghost rows of v: rows 0..m in R's engine arithmetic, the rest in
+    bl, B's, in one pass when they share one (at m = -1 R's is not looked
+    up); kept on v (a tuple) when B is exact."""
     if v._ghost is not None:
         return v._ghost
     xs, k = _read(v), v.m + 1
-    if k:
-        hl = _arith(v.rcfg)
+    hl = _arith(v.rcfg) if k else bl
+    if hl is bl:
+        rows = _ghost_rows(bl, list(map(bl.unwrap, xs)))
+    else:
         head = [hl.unwrap(r) for r in xs[:k]]
         tail = [bl.unwrap(b) for b in xs[k:]]
         rows = _ghost_rows(hl, head) + _ghost_rows(
             bl, _lift_head(hl, bl, v.rcfg, head) + tail, k)
-    else:
-        rows = _ghost_rows(bl, list(map(bl.unwrap, xs)))
     if v.bcfg.torsion_free:
         rows = v._ghost = tuple(rows)
     return rows
@@ -468,8 +468,24 @@ def frobenius_iter(v, k):
         return v
     if k > v.n:
         raise ZeroLength(f"Frobenius needs length >= {k + 1}")
-    ar = _arith(v.cfg, v.n)
-    return _solve(ar, v.cfg, _rows(ar, v)[k:], "Frobenius ghost shift")
+    return _ghost_shift(v, 0, k, "Frobenius ghost shift")
+
+
+def _ghost_shift(v, at, k, what):
+    """v's ghost rows less rows at..at+k-1, phi applied to the R rows before
+    them, solved once: F^k and E_[m] at at = 0 (no R arithmetic looked up),
+    the lateral F_[m] at at = m+1 (R is exact: zero head rows, zero head)."""
+    bl = _arith(v.bcfg, v.last)
+    rows = _rows(bl, v)
+    entries = rows[k:]
+    if at:
+        hl = _arith(v.rcfg)
+        if v.rcfg.phi_pi is not None and any(w != hl.zero for w in rows[:at]):
+            raise ConfigUnsupported(
+                f"{what} with a nonzero head needs phi(pi) = pi")
+        entries = [*map(hl.phi, rows[:at]), *rows[at + k:]]
+    m = v.m if at else v.m - k if v.m >= k else -1    # the R rows left
+    return _solve(bl, v.bcfg, entries, what, m, v.rcfg)
 
 
 def verschiebung(v, times=1):
@@ -499,12 +515,14 @@ def mult_pi(v):
     return _solve(ar, v.cfg, entries, "(pi) map")
 
 
-def _phi_chain(ar, x, count):
-    """x, phi(x), ..., phi^(count-1)(x): the ghost of exp_delta(x)."""
-    chain = [x]
+def _structure_chain(hl, bl, r, k, count):
+    """r, phi(r), ..., phi^(count-1)(r), the ghost rows of r's image under
+    the structure map: rows below k in hl, R's arithmetic (r's exact cover
+    is hl's), the rest lifted into bl, B's."""
+    chain = [hl.unwrap(hl.cover.convert(r))]
     while len(chain) < count:
-        chain.append(ar.phi(chain[-1]))
-    return chain
+        chain.append(hl.phi(chain[-1]))
+    return chain[:k] + _lift_head(hl, bl, hl.cover, chain[k:])
 
 
 def _check_fixed(r, what):
@@ -518,7 +536,7 @@ def scalar_mul(r, v):
     """The structure-map image of r times v: the ghost of v scaled
     entrywise by phi^i(r) (if phi moves r, solved only where it can be)."""
     ar = _arith(v.cfg, v.n)
-    chain = _phi_chain(ar, ar.unwrap(ar.cover.convert(r)), v.n + 1)
+    chain = _structure_chain(ar, ar, r, v.n + 1, v.n + 1)
     try:
         return _solve(ar, v.cfg, list(map(ar.mul, chain, _rows(ar, v))))
     except NonIntegral:
@@ -535,7 +553,8 @@ def exp_delta(r, n):
         raise TorsionBase("exp_delta needs an exact base")
     _check_fixed(r, "exp_delta")
     ar = _arith(cfg)
-    return _solve(ar, cfg, _phi_chain(ar, ar.unwrap(r), n + 1), "exp_delta")
+    return _solve(ar, cfg, _structure_chain(ar, ar, r, n + 1, n + 1),
+                  "exp_delta")
 
 
 def delta(r):

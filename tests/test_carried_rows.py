@@ -218,5 +218,6 @@ def test_l9_takes_one_ghost_of_its_vector(monkeypatch):
                               [cfg.from_int(-5 - i) for i in range(n)])
         calls.clear()
         assert _l9_check(v) is None
-        # one pass over v: its head rows in R, then its tail rows in B
-        assert calls == [(m + 1, 0), (m + n + 1, m + 1)]
+        # one pass over v: R and B share one arithmetic, so its head and
+        # tail rows are one _ghost_rows pass over all its coordinates
+        assert calls == [(m + n + 1, 0)]

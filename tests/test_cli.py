@@ -44,6 +44,18 @@ def test_poly_frobenius(tmp_path):
     assert json.loads(r.stdout)["polys"]
 
 
+def test_poly_op_mult_pi_has_one_spelling(tmp_path):
+    """mult_pi, as in eval and the "op" field, is the one spelling: mult-pi
+    is a usage error, and mult_pi prints its pinned bytes."""
+    argv = ["poly", "--op", "mult-pi", "--n", "2", "--p", "2"]
+    r = run_cli(argv, tmp_path)
+    assert r.returncode == 2 and not r.stdout
+    r = run_cli(["poly", "--op", "mult_pi", *argv[3:]], tmp_path)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+        "1b6d325dc6dc2f61923092dcbe2f95e1dc6f82cff7f45eb650ccab76280091bd")
+
+
 # ----------------------------------------------------------------------
 # eval
 

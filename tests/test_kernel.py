@@ -423,6 +423,34 @@ def _float_psi_bound(m, e, p, precision):
         k += 1
 
 
+def test_psi_refuses_a_negative_m():
+    t0 = Z5.truncated(6).from_int(7)
+    for m in (-1, -2):
+        with pytest.raises(BadLength, match=f"psi needs m >= 0, got {m}"):
+            psi_map(GM5, m, t0)
+
+
+def test_psi_length_holds_from_its_first_k_on():
+    """K is the first k >= 2 with p^((m+1)(k-1) - precision) >= k^e, and
+    the inequality keeps holding after it: it fails at K-1 when K > 2 and
+    holds for every k in K..K+100, over p <= 31, e 1-12, m 0-6 and
+    precision 0-40."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for e in range(1, 13):
+            for m in range(7):
+                step = p ** (m + 1)
+                for precision in range(41):
+                    K = _psi_series_bound(m, e, p, precision)
+                    a = (m + 1) * (K - 2) - precision
+                    assert K == 2 or a < 0 or p ** a < (K - 1) ** e
+                    a += m + 1
+                    assert a >= 0
+                    lhs = p ** a
+                    for k in range(K, K + 101):
+                        assert lhs >= k ** e, (p, e, m, precision, k)
+                        lhs *= step
+
+
 def test_psi_series_bound_matches_float_formula():
     for m in range(5):
         for e in range(1, 7):

@@ -5,9 +5,13 @@ import random
 
 import pytest
 
+from wittlab import witt
 from wittlab.errors import (
     BadLength,
+    ConfigUnsupported,
+    InternalError,
     LengthMismatch,
+    NonDivisible,
     NonIntegral,
     TorsionBase,
     ZeroShift,
@@ -28,7 +32,8 @@ from wittlab.shifted import (
     shifted_neg,
     shifted_zero,
 )
-from wittlab.witt import GhostVector, WittVector, frobenius, ghost, witt_add, witt_mul
+from wittlab.witt import (GhostVector, WittVector, frobenius, frobenius_iter,
+                          ghost, witt_add, witt_mul)
 
 from oracles import shift_E_coords, to_int
 
@@ -311,6 +316,37 @@ def test_shift_is_ring_homomorphism():
             shifted_add(shift_E(a), shift_E(b))
         assert shift_E(shifted_mul(a, b)) == \
             shifted_mul(shift_E(a), shift_E(b))
+
+
+# ----------------------------------------------------------------------
+# F^k, the lateral F_[m] and E_[m]: one ghost shift
+
+
+def test_each_ghost_shift_names_its_map_when_its_solve_fails(monkeypatch):
+    """On an exact config each map's solve is pending, and a division that
+    fails on the first read is an InternalError naming that map."""
+    w = WittVector(Z3, [Z3.from_int(c) for c in (4, -2, 7)])
+    v = sv(Z3, 1, [1, -2], [4, 7])
+
+    def fail(*args):
+        raise NonDivisible("forced")
+
+    monkeypatch.setattr(witt._Arith, "solve_row", fail)
+    for out, read, text in (
+            (frobenius_iter(w, 2), "comps", "Frobenius ghost shift"),
+            (lateral_frobenius(v), "head", "lateral Frobenius"),
+            (shift_E(v), "head", "shift_E ghost path")):
+        with pytest.raises(InternalError, match=f"^{text} failed to solve: "):
+            getattr(out, read)
+
+
+def test_lateral_refusal_text_when_phi_moves_pi():
+    phi_neg = make_ring_config({"p": 5, "modulus": [-5, 0, 1],
+                                "phi_pi": [0, -1]})
+    with pytest.raises(ConfigUnsupported, match=(
+            r"^lateral Frobenius with a nonzero head needs phi\(pi\) = pi$")):
+        lateral_frobenius(sv(phi_neg, 1, [1, 0], [2]))
+    assert lateral_frobenius(sv(phi_neg, 1, [0, 0], [2])).n == 0
 
 
 # ----------------------------------------------------------------------
