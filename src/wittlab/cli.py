@@ -36,11 +36,8 @@ from .serialize import (
     decode_element,
     decode_shifted,
     decode_witt,
-    encode_element,
-    encode_ghost,
-    encode_shifted,
     encode_universal,
-    encode_witt,
+    encode_value,
 )
 from .shifted import (
     ShiftedWittVector,
@@ -55,7 +52,6 @@ from .shifted import (
 )
 from .witt import (
     GhostVector,
-    WittVector,
     delta,
     exp_delta,
     frobenius,
@@ -134,17 +130,19 @@ def _witt(cfg, data, args):
 
 
 def _shifted(cfg, data, args):
+    """A vector of W_[m]n(cfg) with its head over R = cfg's exact cover."""
+    R = cfg.exact_cover()
     if isinstance(data, dict):
-        return [decode_shifted(cfg, cfg, data)]
+        return [decode_shifted(R, cfg, data)]
     if not isinstance(data, list) or args.m is None:
         raise WittlabError('expected a shifted vector: {"m","n","head",'
                            '"tail"}, or a JSON list with --m')
-    head = [decode_element(cfg, e) for e in data[:args.m + 1]]
+    head = [decode_element(R, e) for e in data[:args.m + 1]]
     tail = [decode_element(cfg, e) for e in data[args.m + 1:]]
     if args.n is not None and len(tail) != args.n:
         raise WittlabError(
             f"input has tail length {len(tail)}, expected {args.n}")
-    return [ShiftedWittVector(cfg, cfg, args.m, head, tail)]
+    return [ShiftedWittVector(R, cfg, args.m, head, tail)]
 
 
 def _pair(read):
@@ -207,23 +205,13 @@ _EVAL = {
 }
 
 
-def _encode_result(res):
-    if isinstance(res, WittVector):
-        return encode_witt(res)
-    if isinstance(res, ShiftedWittVector):
-        return encode_shifted(res)
-    if isinstance(res, GhostVector):
-        return encode_ghost(res)
-    return encode_element(res)
-
-
 def cmd_eval(args):
     cfg = make_ring_config(_load_json(args.ring))
     data = _load_json(args.infile)
     if args.op not in _EVAL:
         raise WittlabError(f"unknown operator {args.op!r}")
     fn, read = _EVAL[args.op]
-    _emit(_encode_result(fn(*read(cfg, data, args))), args.out)
+    _emit(encode_value(fn(*read(cfg, data, args))), args.out)
     return 0
 
 
@@ -306,7 +294,7 @@ def _kernel_checks(args):
         if check == "diff" and ce is None:
             sample = _point(law, *_bases(law, cfg, args.prec), args.m, n,
                             lambda c, i: c.zero() if i else c.one())
-            entry["sample"] = encode_witt(difference_character(sample))
+            entry["sample"] = encode_value(difference_character(sample))
         results.append(entry)
     return results
 

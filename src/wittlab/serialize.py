@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 
 from .errors import WittlabError
+from .kernel import KernelPoint
 from .rings import _json_int
+from .witt import GhostVector, ShiftedWittVector, WittVector
 
 
 def canonical_dumps(obj):
@@ -91,7 +93,6 @@ def encode_witt(v):
 
 
 def decode_witt(cfg, enc):
-    from .witt import WittVector
     return WittVector(cfg, [decode_element(cfg, c) for c in enc])
 
 
@@ -112,7 +113,6 @@ def encode_shifted(v):
 
 
 def decode_shifted(rcfg, bcfg, enc):
-    from .shifted import ShiftedWittVector
     try:
         m, n = _json_int(enc["m"], "m"), _json_int(enc["n"], "n")
         head = [decode_element(rcfg, c) for c in enc["head"]]
@@ -123,6 +123,25 @@ def decode_shifted(rcfg, bcfg, enc):
     if len(head) != m + 1 or len(tail) != n:
         raise WittlabError("shifted encoding has inconsistent m/n")
     return ShiftedWittVector(rcfg, bcfg, m, head, tail)
+
+
+def encode_value(x):
+    """Any value a law reports or ``eval`` prints: an int as itself, a
+    vector by its encoder, a kernel point as its coordinates, a list or
+    tuple entry by entry, anything else as an element."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, WittVector):
+        return encode_witt(x)
+    if isinstance(x, ShiftedWittVector):
+        return encode_shifted(x)
+    if isinstance(x, GhostVector):
+        return encode_ghost(x)
+    if isinstance(x, KernelPoint):
+        x = x.coords
+    if isinstance(x, (list, tuple)):
+        return [encode_value(e) for e in x]
+    return encode_element(x)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from wittlab import cli, witt
 from wittlab.laws import REPORT_SCHEMA
-from wittlab.serialize import canonical_dumps
+from wittlab.rings import make_ring_config
+from wittlab.serialize import canonical_dumps, decode_element, encode_element
 
 
 def run_cli(args, tmp_path, **kw):
@@ -149,8 +150,8 @@ SHIFTED_OPS = ["shifted_ghost", "include_I", "restrict_T",
 
 def _eval_corpus():
     """(ring, op, input, extra flags) for every op and each input form it
-    accepts; a shifted head needs an exact ring, so the truncated ring runs
-    the Witt-vector and element ops only."""
+    accepts; the truncated ring runs the Witt-vector and element ops only,
+    and its shifted ops are checked against the exact ring below."""
     cases = []
     for spec, w, w2, h, e, g, gs in EVAL_RINGS:
         one = [e] if isinstance(e, int) else e
@@ -218,6 +219,48 @@ def test_truncated_order_eval_outputs_are_pinned(capsys):
     assert len(outputs) == 30
     assert hashlib.sha256(canonical_dumps(outputs).encode()).hexdigest() == (
         "750928319fceac6732a142388763c3cd0f77dc1ea1d12089c96c1062959a2ccc")
+
+
+# Truncated rings, each with two shifted vectors (m = 1, n = 2) as lists
+TRUNCATED_SHIFTED = [
+    ({"p": 5, "trunc": 4}, [1, 2, 3, 4], [-7, 3, 11, 6]),
+    ({"p": 5, "modulus": [-5, 0, 1], "trunc": 3},
+     [[1, 0], [0, 1], [2, 0], [3, 1]], [[2, 3], [1, -1], [4, 0], [-6, 5]]),
+]
+
+
+def test_shifted_ops_over_a_truncated_ring_reduce_the_exact_output(capsys):
+    # the head is read over R = the exact cover: a shifted op prints the
+    # exact ring's output with every entry over B reduced mod pi^N
+    def run(spec, op, data, flags):
+        argv = ["eval", "--ring", json.dumps(spec), "--op", op,
+                "--in", json.dumps(data), *flags]
+        assert cli.main(argv) == 0, argv
+        return json.loads(capsys.readouterr().out)
+
+    for spec, h, h2 in TRUNCATED_SHIFTED:
+        B = make_ring_config(spec)
+        exact = {k: v for k, v in spec.items() if k != "trunc"}
+
+        def mod_pi_n(xs):
+            return [encode_element(decode_element(B, x)) for x in xs]
+        sh, sh2 = ({"m": 1, "n": 2, "head": x[:2], "tail": x[2:]}
+                   for x in (h, h2))
+        forms = [(op, x, flags) for op in SHIFTED_OPS
+                 for x, flags in ((sh, []), (h, ["--m", "1", "--n", "2"]))]
+        forms += [(op, x, flags) for op in ("shifted_add", "shifted_mul")
+                  for x, flags in (({"u": sh, "v": sh2}, []),
+                                   ({"u": h, "v": h2}, ["--m", "1"]))]
+        for op, x, flags in forms:
+            want = run(exact, op, x, flags)
+            if isinstance(want, list):      # include_I: a Witt vector over B
+                want = mod_pi_n(want)
+            elif "ghost" in want:
+                k = want["head_count"]
+                want["ghost"][k:] = mod_pi_n(want["ghost"][k:])
+            else:
+                want["tail"] = mod_pi_n(want["tail"])
+            assert run(spec, op, x, flags) == want, (spec, op, x, flags)
 
 
 def test_failed_guaranteed_solve_is_an_internal_error(monkeypatch, capsys):

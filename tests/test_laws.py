@@ -22,9 +22,9 @@ from wittlab.laws import (
     symbolic_verify,
 )
 from wittlab.rings import make_ring_config
-from wittlab.serialize import canonical_dumps, encode_element
+from wittlab.serialize import canonical_dumps, decode_witt, encode_element
 from wittlab.shifted import ShiftedWittVector, lateral_frobenius
-from wittlab.witt import GhostVector, WittVector
+from wittlab.witt import GhostVector, WittVector, ghost
 
 Z2 = make_ring_config({"p": 2})
 RAM5 = make_ring_config({"p": 5, "modulus": [-5, 0, 1]})
@@ -221,6 +221,48 @@ def test_planted_fault_counterexamples_are_pinned(monkeypatch):
         out.append([law_id, name, ces])
     assert _sha256(canonical_dumps(out)) == (
         "4264bad1e49aecfcde649eb14c08342615ffccd7e6dfbe7f483f8a9a476bc6c7")
+
+
+def _bump_additive_psi(psi_map):
+    """psi_map plus one on the additive law only."""
+    def wrong(law, m, t0, precision=None):
+        out = psi_map(law, m, t0, precision=precision)
+        return out + out.cfg.one() if law.is_additive else out
+    return wrong
+
+
+# one planted fault per check whose sides are derived values (entrywise
+# ghosts, residues mod pi, a constant), kept apart from PLANTED_FAULTS so
+# that its pin stays; L15 is faulted in its additive (Ga) part alone
+DERIVED_SIDE_FAULTS = [
+    ("L1", "witt_mul", _bump),
+    ("L4", "frobenius", _bump),
+    ("L5", "delta", _bump),
+    ("L10", "lateral_frobenius", _bump),
+    ("L12", "shifted_ghost", _bump),
+    ("L15", "psi_map", _bump_additive_psi),
+]
+
+
+@pytest.mark.parametrize("law_id,name,fault", DERIVED_SIDE_FAULTS,
+                         ids=[f[0] for f in DERIVED_SIDE_FAULTS])
+def test_derived_side_checks_report_both_sides(monkeypatch, law_id, name,
+                                               fault):
+    monkeypatch.setattr(laws, name, fault(getattr(laws, name)))
+    ces = [(cfg, run_law(law_id, cfg, trials=3, seed=5).counterexample)
+           for cfg in default_matrix()]
+    assert any(ce for _, ce in ces), law_id
+    for cfg, ce in ces:
+        assert ce is None or set(ce) == {"inputs", "lhs", "rhs", "trial"}, ce
+        if ce and isinstance(ce["lhs"], list):  # entrywise sides pair up
+            assert len(ce["lhs"]) == len(ce["rhs"]), ce
+        if ce and law_id == "L1":
+            # the two sides of ghost(uv) = ghost(u) ghost(v), entrywise
+            gu, gv = (ghost(decode_witt(cfg, ce["inputs"][k])).entries
+                      for k in "uv")
+            assert ce["rhs"] == [encode_element(a * b)
+                                 for a, b in zip(gu, gv)]
+            assert ce["lhs"] != ce["rhs"]
 
 
 def test_determinism_modulo_timing():
