@@ -25,8 +25,8 @@ from .errors import (
 from .fgl import formal_inverse, formal_log
 from .rings import Frac
 from .shifted import include_I, lateral_frobenius, shift_E
-from .witt import (ShiftedWittVector, _arith, _check_fixed, _rows, _solve,
-                   _structure_chain)
+from .witt import (_arith, _check_fixed, _check_shape, _read, _rows, _solve,
+                   _structure_chain, _values, _vector, _zeros)
 
 
 class KernelPoint:
@@ -40,9 +40,10 @@ class KernelPoint:
         coords = tuple(coords)
         if m < 0 or not coords:
             raise LengthMismatch("kernel point needs m >= 0 and n >= 1")
+        _check_shape(rcfg, bcfg, m, m + 1)
         self.law = law
-        self._embed = ShiftedWittVector(rcfg, bcfg, m,
-                                        (rcfg.zero(),) * (m + 1), coords)
+        self._embed = _vector(rcfg, bcfg, m, m + len(coords), _zeros(
+            rcfg, m + 1) + _values(bcfg, coords, "tail entry outside B"))
 
     rcfg = property(lambda self: self._embed.rcfg)
     bcfg = property(lambda self: self._embed.bcfg)
@@ -89,9 +90,10 @@ def _check_pair(t, s):
 def _tail_point(t, out, what):
     """The kernel point of t's group whose embedding is out, a map's output.
     Its head must be zero, checked without a solve: on the head ghost rows
-    out carries (R is torsion-free), else on the head of a truncated out."""
+    out carries (R is torsion-free), else on the head values of an out
+    that holds them: built from values, or solved over a truncated B."""
     hl, rows = _arith(out.rcfg), out._ghost
-    head = map(hl.unwrap, out.head) if rows is None else rows[:out.m + 1]
+    head = (_read(out) if rows is None else rows)[:out.m + 1]
     if any(w != hl.zero for w in head):  # pragma: no cover
         raise InternalError(f"{what} left the zero-head locus")
     p = object.__new__(KernelPoint)
@@ -212,7 +214,9 @@ def kernel_phi(t):
 def kernel_project_u(t, k):
     if not 1 <= k <= t.n:
         raise BadLength(f"projection length {k} not in 1..{t.n}")
-    return KernelPoint(t.law, t.rcfg, t.bcfg, t.m, t.coords[:k])
+    u = t._embed
+    return _tail_point(t, _vector(u.rcfg, u.bcfg, u.m, u.m + k,
+                                  _read(u)[:u.m + 1 + k]), "projection")
 
 
 def kernel_section_sigma(t, n):
@@ -220,8 +224,9 @@ def kernel_section_sigma(t, n):
         raise BadLength("the section starts from a length-1 point")
     if n < 1:
         raise BadLength("target length must be >= 1")
-    coords = t.coords + (t.bcfg.zero(),) * (n - 1)
-    return KernelPoint(t.law, t.rcfg, t.bcfg, t.m, coords)
+    u = t._embed
+    return _tail_point(t, _vector(u.rcfg, u.bcfg, u.m, u.m + n, _read(u)
+                                  + _zeros(u.bcfg, n - 1)), "section")
 
 
 # ----------------------------------------------------------------------

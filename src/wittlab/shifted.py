@@ -17,8 +17,8 @@ from .errors import (
     ZeroTail,
 )
 from .witt import (GhostVector, ShiftedWittVector, _arith, _check_fixed,
-                   _check_shape, _entrywise, _ghost_shift, _rows, _solve,
-                   _structure_chain, _vector)
+                   _check_shape, _elements, _entrywise, _ghost_shift, _read,
+                   _rows, _solve, _structure_chain, _values, _vector)
 
 
 def shifted_zero(rcfg, bcfg, m, n):
@@ -31,11 +31,9 @@ def shifted_zero(rcfg, bcfg, m, n):
 
 def shifted_ghost(v):
     """Entries 0..m are computed in R, entries m+1..m+n in B."""
-    hl, bl, k = _arith(v.rcfg), _arith(v.bcfg, v.last), v.m + 1
-    rows = _rows(bl, v)
-    return GhostVector([hl.wrap(v.rcfg, w) for w in rows[:k]]
-                       + [bl.wrap(v.bcfg, w) for w in rows[k:]],
-                       head_count=k)
+    rows, k = _rows(_arith(v.bcfg, v.last), v), v.m + 1
+    return GhostVector(_elements(v.rcfg, rows[:k])
+                       + _elements(v.bcfg, rows[k:]), head_count=k)
 
 
 def shifted_ghost_solve(g, rcfg, bcfg):
@@ -67,18 +65,21 @@ def shifted_neg(u):
 
 def include_I(v):
     """The natural ring map into W_{m+n}(B): push the head through f.  It
-    reads its components off v's; its ghost is v's shifted ghost, read in
-    B, so when R and B share one arithmetic it keeps v's rows."""
-    bl = _arith(v.bcfg)
-    rows = _rows(bl, v) if _arith(v.rcfg) is bl else None
-    return _vector(bl.cover, v.bcfg, -1, v.last,
-                   lambda: tuple(map(v.f, v.head)) + v.tail, rows)
+    reads its values off v's; its ghost is v's shifted ghost, read in B, so
+    when R and B share one arithmetic (R = B, one set of values) it keeps
+    v's values and rows."""
+    bl, cfg = _arith(v.bcfg), v.bcfg
+    if _arith(v.rcfg) is bl:
+        return _vector(bl.cover, cfg, -1, v.last, lambda: _read(v),
+                       _rows(bl, v))
+    return _vector(bl.cover, cfg, -1, v.last, lambda: _values(
+        cfg, map(v.f, v.head)) + _read(v)[v.m + 1:])
 
 
 def restrict_T(v):
     if v.n < 1:
         raise ZeroTail("restriction needs a nonempty tail")
-    return ShiftedWittVector(v.rcfg, v.bcfg, v.m, v.head, v.tail[:-1])
+    return _vector(v.rcfg, v.bcfg, v.m, v.last - 1, _read(v)[:-1])
 
 
 def lateral_frobenius(v):

@@ -41,12 +41,56 @@ def _read(v):
     return v._coords
 
 
+def _values(cfg, elems, what="element outside its ring"):
+    """Elements of cfg as the values a vector over cfg holds: ints for
+    d = 1, coefficient tuples for d > 1, the elements themselves when cfg
+    has variables.  BaseMismatch (what) for an element of another ring."""
+    elems = tuple(elems)
+    if any(e.cfg != cfg for e in elems):
+        raise BaseMismatch(what)
+    if cfg.nvars:
+        return elems
+    if cfg.d == 1:
+        return tuple(e.terms.get((), (0,))[0] for e in elems)
+    zero = cfg.czero()
+    return tuple(e.terms.get((), zero) for e in elems)
+
+
+def _elements(cfg, xs):
+    """The elements of cfg whose values are the residues of xs."""
+    xs = _canonical(cfg, xs)
+    if cfg.nvars:
+        return xs
+    if cfg.d == 1:
+        return tuple(RingElement(cfg, {(): (x,)} if x else {}) for x in xs)
+    return tuple(RingElement(cfg, {(): x} if any(x) else {}) for x in xs)
+
+
+def _canonical(cfg, xs):
+    """Values of an engine arithmetic over cfg, or over a finer truncation
+    of it, as cfg's own by its residue rule: residues mod pi^N on R/pi^N."""
+    if cfg.nvars:
+        return tuple(map(cfg.convert, xs))
+    if not cfg.trunc:
+        return tuple(xs)
+    if cfg.d > 1:
+        return tuple(map(cfg.creduce, xs))
+    mod = cfg._mods[0]
+    return tuple(x % mod for x in xs)
+
+
+def _zeros(cfg, k):
+    return (cfg.zero() if cfg.nvars else cfg.czero() if cfg.d > 1 else 0,) * k
+
+
 class _Vector:
     """Coordinates 0..last of a shifted Witt vector: a head 0..m over R,
     empty when m = -1, and a tail m+1..last over B.  ``_coords`` holds
-    them all, or a callable that solves them on first read.  When B is
-    exact, ``_ghost`` keeps the unwrapped ghost rows once they are known
-    (see the ghost engine); equality and hashing ignore it."""
+    their values (see ``_values``), canonical under each ring's residue
+    rule, or a callable that solves them on first read; the public reads
+    build elements.  When B is exact, ``_ghost`` keeps the ghost rows once
+    they are known (see the ghost engine); equality and hashing compare
+    the values and ignore it."""
 
     __slots__ = ("rcfg", "bcfg", "m", "last", "_coords", "_ghost")
 
@@ -76,14 +120,12 @@ class WittVector(_Vector):
 
     __slots__ = ()
     cfg, n = _Vector.bcfg, _Vector.last     # the core's slots, renamed
-    comps = property(_read)
+    comps = property(lambda v: _elements(v.cfg, _read(v)))
 
     def __init__(self, cfg, comps):
-        comps = tuple(comps)
+        comps = _values(cfg, comps, "component ring differs from vector ring")
         if not comps:
             raise ZeroLength("a Witt vector needs at least one component")
-        if any(c.cfg != cfg for c in comps):
-            raise BaseMismatch("component ring differs from vector ring")
         self._set(cfg.exact_cover(), cfg, -1, len(comps) - 1, comps)
 
     def __repr__(self):
@@ -109,17 +151,15 @@ class ShiftedWittVector(_Vector):
     __slots__ = ()
 
     def __init__(self, rcfg, bcfg, m, head, tail):
-        head, tail = tuple(head), tuple(tail)
+        head = tuple(head)
         _check_shape(rcfg, bcfg, m, len(head))
-        if any(r.cfg != rcfg for r in head):
-            raise BaseMismatch("head entry outside R")
-        if any(b.cfg != bcfg for b in tail):
-            raise BaseMismatch("tail entry outside B")
-        self._set(rcfg, bcfg, m, m + len(tail), head + tail)
+        xs = (_values(rcfg, head, "head entry outside R")
+              + _values(bcfg, tail, "tail entry outside B"))
+        self._set(rcfg, bcfg, m, len(xs) - 1, xs)
 
     n = property(lambda self: self.last - self.m)
-    head = property(lambda self: _read(self)[:self.m + 1])
-    tail = property(lambda self: _read(self)[self.m + 1:])
+    head = property(lambda v: _elements(v.rcfg, _read(v)[:v.m + 1]))
+    tail = property(lambda v: _elements(v.bcfg, _read(v)[v.m + 1:]))
 
     def f(self, r):
         """Structure map R -> B."""
@@ -163,12 +203,12 @@ class GhostVector:
 # the ghost engine
 #
 # Every operator is one ghost map, an entrywise rule on ghost coordinates
-# and one triangular solve.  The engine works on unwrapped values (Python
-# ints for d = 1, coefficient tuples for d > 1, RingElements when the
-# config has adjoined variables) of an exact config or, over B/pi^N, of
-# B/pi^(N+L) for a solve that divides by up to pi^L: by RingConfig's
-# residue rule coordinate i is then right mod pi^(N+L-i), and wrapping
-# reduces it to the residue mod pi^N of the exact result.
+# and one triangular solve.  The engine works on the values a vector holds
+# (see ``_values``) of an exact config or, over B/pi^N, of B/pi^(N+L) for
+# a solve that divides by up to pi^L: by RingConfig's residue rule
+# coordinate i is then right mod pi^(N+L-i), and the output keeps its
+# residue mod pi^N, that of the exact result.  A residue mod pi^N is one
+# mod pi^(N+L), so a constant enters the arithmetic as it is stored.
 #
 # On an exact config a solve's entries are the ghost of its output
 # (w_i = sum_{j<i} pi^j x_j^(q^(i-j)) + pi^i x_i holds exactly), so the
@@ -181,45 +221,42 @@ class GhostVector:
 
 
 class _Arith:
-    """Ring operations and row kernels on the unwrapped values of ``red``,
-    an exact config or a truncation R/pi^prec whose products reduce by its
-    pi^prec lattice; division by pi runs on ``cover``, red's exact cover."""
+    """Ring operations and row kernels on the values of ``red``, an exact
+    config or a truncation R/pi^prec whose products reduce by its pi^prec
+    lattice; division by pi runs on ``cover``, red's exact cover.  ``take``
+    reads a vector's values into them, ``unwrap`` an element's."""
 
     def __init__(self, red):
         self.cover = cover = red.exact_cover()
         self.q = cover.q
         self.add, self.sub = operator.add, operator.sub
         self.mul, self.neg, self.pow = operator.mul, operator.neg, pow
-        self.reduce = lambda a: a
+        self.reduce, self.take = (lambda a: a), list
+        self.wrap = lambda cfg, x: _elements(cfg, (x,))[0]
+        self.unwrap = lambda e: self.reduce(_values(e.cfg, (e,))[0])
         if red.nvars:
             self.zero, self.one, self.pi = red.zero(), red.one(), red.pi_elem()
-            self.phi, self.unwrap = RingElement.phi, red.convert
-            self.reduce, self.wrap = red.convert, lambda cfg, x: cfg.convert(x)
+            self.phi, self.reduce = RingElement.phi, red.convert
+            self.take = lambda xs: [*map(red.convert, xs)]
             self.coeff = _Arith(red.base_exact().truncated(red.trunc))
             self.row = self.term_row    # chosen once: polynomial rows
             self.solve_row = lambda *a: self.term_row(*a, div=True)
         elif cover.d == 1:
             self.zero, self.one, self.pi = 0, 1, cover.p
             self.phi = lambda a: a
-            self.unwrap = lambda e: e.terms.get((), (0,))[0]
-            self.wrap = lambda cfg, x: cfg._wrap({(): (x,)} if x else {})
             if red.trunc:
                 mod = red._mods[0]
                 self.mul = lambda a, b: a * b % mod
                 self.pow = lambda a, e: pow(a, e, mod)
                 self.reduce = lambda a: a % mod
-                self.unwrap = lambda e: e.terms.get((), (0,))[0] % mod
         else:
             self.zero, self.one = red.czero(), red.cone()
             self.pi = red._pi_coeff()
             self.add, self.sub = red.cadd, red.csub
             self.mul, self.neg, self.pow = red.cmul, red.cneg, red.cpow
             self.phi, self.div_pi = red.cphi, cover.cdivpi
-            self.unwrap = lambda e: e.terms.get((), self.zero)
-            self.wrap = lambda cfg, x: cfg._wrap({(): x} if any(x) else {})
             if red.trunc:
                 self.reduce = red.creduce
-                self.unwrap = lambda e: red.creduce(e.terms.get((), self.zero))
             else:   # equal (value, exponent) pairs recur across solves
                 self.pow = functools.lru_cache(maxsize=32)(red.cpow)
 
@@ -311,7 +348,7 @@ def _arith(cfg, top=0):
 
 
 def _ghost_rows(ar, xs, start=0):
-    """Ghost entries start..len(xs)-1 of the unwrapped coordinates xs:
+    """Ghost entries start..len(xs)-1 of the coordinate values xs:
     w_i = sum_j pi^j x_j^(q^(i-j))."""
     pows, rows, last = ar.table(xs[:start]), [], len(xs) - 1
     for i in range(start, len(xs)):
@@ -342,7 +379,7 @@ def _solve_rows(ar, entries, comps, failure, what=None):
 
 
 def _lift_head(hl, bl, rcfg, head):
-    """Unwrapped head values of R as values of B's engine arithmetic."""
+    """Head values of R's engine arithmetic as values of B's."""
     if hl.cover is not bl.cover:
         head = [bl.unwrap(bl.cover.convert(hl.wrap(rcfg, x))) for x in head]
     return list(map(bl.reduce, head))
@@ -357,12 +394,11 @@ def _rows(bl, v):
     xs, k = _read(v), v.m + 1
     hl = _arith(v.rcfg) if k else bl
     if hl is bl:
-        rows = _ghost_rows(bl, list(map(bl.unwrap, xs)))
+        rows = _ghost_rows(bl, bl.take(xs))
     else:
-        head = [hl.unwrap(r) for r in xs[:k]]
-        tail = [bl.unwrap(b) for b in xs[k:]]
+        head = hl.take(xs[:k])
         rows = _ghost_rows(hl, head) + _ghost_rows(
-            bl, _lift_head(hl, bl, v.rcfg, head) + tail, k)
+            bl, _lift_head(hl, bl, v.rcfg, head) + bl.take(xs[k:]), k)
     if v.bcfg.torsion_free:
         rows = v._ghost = tuple(rows)
     return rows
@@ -375,7 +411,7 @@ def _solve(bl, cfg, entries, what=None, m=-1, rcfg=None):
 
     def solve():
         if not k:
-            return tuple(bl.wrap(cfg, x) for x in _solve_rows(
+            return _canonical(cfg, _solve_rows(
                 bl, entries, [],
                 "ghost entry {} is not in the image of the ghost map", what))
         hl = _arith(rcfg)
@@ -383,8 +419,7 @@ def _solve(bl, cfg, entries, what=None, m=-1, rcfg=None):
                            "head ghost entry {} does not solve", what)
         tail = _solve_rows(bl, entries[k:], _lift_head(hl, bl, rcfg, head),
                            "tail ghost entry {} does not solve", what)[k:]
-        return (tuple(hl.wrap(rcfg, x) for x in head)
-                + tuple(bl.wrap(cfg, x) for x in tail))
+        return _canonical(rcfg, head) + _canonical(cfg, tail)
 
     return _vector(rcfg or bl.cover, cfg, m, len(entries) - 1,
                    solve if what and cfg.torsion_free else solve(),
@@ -392,8 +427,7 @@ def _solve(bl, cfg, entries, what=None, m=-1, rcfg=None):
 
 
 def ghost(v):
-    ar = _arith(v.cfg)
-    return GhostVector(ar.wrap(v.cfg, w) for w in _rows(ar, v))
+    return GhostVector(_elements(v.cfg, _rows(_arith(v.cfg), v)))
 
 
 def ghost_solve(g, cfg=None):
@@ -455,7 +489,7 @@ def witt_zero(cfg, n):
 def truncate(v):
     if v.n < 1:
         raise ZeroLength("cannot truncate a length-1 Witt vector")
-    return WittVector(v.cfg, v.comps[:-1])
+    return _vector(v.rcfg, v.cfg, -1, v.n - 1, _read(v)[:-1])
 
 
 def frobenius(v):
@@ -498,7 +532,7 @@ def verschiebung(v, times=1):
         scale = ar.pow(ar.pi, times)
         rows = (ar.zero,) * times + tuple(ar.mul(scale, w) for w in v._ghost)
     return _vector(v.rcfg, cfg, -1, v.n + times,
-                   lambda: (cfg.zero(),) * times + v.comps, rows)
+                   lambda: _zeros(cfg, times) + _read(v), rows)
 
 
 def teichmuller(b, n):

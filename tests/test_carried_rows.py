@@ -5,30 +5,41 @@ instead of taking a fresh ghost of the coordinates.
 * The rows every operator output carries equal a fresh ghost of its
   coordinates, on Z at p = 2 and 3, on x^2 - 5 and on a polynomial ring.
 * No vector over a truncated config carries rows.
-* Equality and hashing ignore the rows.
+* Equality and hashing ignore the rows, and compare the canonical values
+  a vector holds: every operator's output equals the vector rebuilt from
+  its public coordinates, which are elements of the vector's own rings.
+* Witt operators build no element until their coordinates are read.
 * The gain: L9 on one shifted vector takes one ghost of it, where each of
   its four maps used to take one.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittlab import witt
 from wittlab.fgl import load_fgl
 from wittlab.kernel import (
     KernelPoint,
+    difference_character,
     kernel_add,
     kernel_embed,
     kernel_lateral_f,
     kernel_neg,
     kernel_phi,
+    kernel_project_u,
+    kernel_section_sigma,
     kernel_witt_point,
+    kernel_zero,
 )
 from wittlab.laws import _l9_check
-from wittlab.rings import make_ring_config
+from wittlab.rings import RingElement, make_ring_config
 from wittlab.shifted import (
     ShiftedWittVector,
     include_I,
     lateral_frobenius,
+    restrict_T,
     scalar_shifted,
     shift_E,
     shifted_add,
@@ -36,19 +47,25 @@ from wittlab.shifted import (
     shifted_ghost_solve,
     shifted_mul,
     shifted_neg,
+    shifted_zero,
 )
 from wittlab.witt import (
     WittVector,
     exp_delta,
+    frobenius,
     frobenius_iter,
     ghost,
     ghost_solve,
     mult_pi,
     scalar_mul,
+    teichmuller,
+    truncate,
     verschiebung,
     witt_add,
     witt_mul,
     witt_neg,
+    witt_sub,
+    witt_zero,
 )
 
 Z2 = make_ring_config({"p": 2})
@@ -184,6 +201,68 @@ def test_truncated_vectors_carry_no_rows(cfg, m, n, data):
                      kernel_neg(t), t, s)
 
 
+# Z/5^6, x^2 - 5 mod pi^8, and Z[a, b]/2^3: a vector over each holds
+# ints, coefficient tuples and polynomials
+CANONICAL = [make_ring_config({"p": 5, "trunc": 6}), RAM5.truncated(8),
+             TRUNCATED[2]]
+
+
+def _rng_elem(cfg, rng):
+    """A constant with coefficients well past pi^N, or over a ring with
+    variables a linear polynomial in a and b."""
+    if cfg.nvars:
+        c = [rng.randint(-9, 9) for _ in range(3)]
+        return (cfg.from_int(c[0]) + cfg.from_int(c[1]) * cfg.var("a")
+                + cfg.from_int(c[2]) * cfg.var("b"))
+    return cfg.from_coeff([rng.randint(-10 ** 6, 10 ** 6)
+                           for _ in range(cfg.d)])
+
+
+def _rebuilt(v):
+    """v rebuilt from its public coordinates, each checked to be an element
+    of v's own ring and taken through the exact cover and back, so an
+    output that holds a value unreduced mod pi^N differs from it."""
+    def back(elems, cfg):
+        elems = tuple(elems)
+        assert all(type(e) is RingElement and e.cfg == cfg for e in elems)
+        return [cfg.convert(cfg.exact_cover().convert(e)) for e in elems]
+
+    if isinstance(v, KernelPoint):
+        return KernelPoint(v.law, v.rcfg, v.bcfg, v.m,
+                           back(v.coords, v.bcfg))
+    if isinstance(v, WittVector):
+        return WittVector(v.cfg, back(v.comps, v.cfg))
+    return ShiftedWittVector(v.rcfg, v.bcfg, v.m, back(v.head, v.rcfg),
+                             back(v.tail, v.bcfg))
+
+
+def _canonical_outputs(B):
+    """Every Witt, shifted and kernel operator's output over B = R/pi^N."""
+    rng, R = random.Random(f"canonical:{B.key}"), B.exact_cover()
+    u, v = (WittVector(B, [_rng_elem(B, rng) for _ in range(4)])
+            for _ in range(2))
+    r = _rng_elem(R, rng)
+    outs = [witt_add(u, v), witt_mul(u, v), witt_neg(u), witt_sub(u, v),
+            frobenius(u), frobenius_iter(u, 3), verschiebung(u, 2),
+            mult_pi(u), scalar_mul(r, u), truncate(u), witt_zero(B, 2),
+            teichmuller(_rng_elem(B, rng), 2)]
+    a, b = (ShiftedWittVector(R, B, 1, [_rng_elem(R, rng) for _ in range(2)],
+                              [_rng_elem(B, rng) for _ in range(2)])
+            for _ in range(2))
+    outs += [shifted_add(a, b), shifted_mul(a, b), shifted_neg(a),
+             lateral_frobenius(a), shift_E(a), restrict_T(a), include_I(a),
+             scalar_shifted(R, B, 1, 2, r), shifted_zero(R, B, 1, 2)]
+    law = load_fgl("gm", B.base_exact())
+    t, s = (KernelPoint(law, R, B, 1, [_rng_elem(B, rng) for _ in range(3)])
+            for _ in range(2))
+    one = kernel_project_u(t, 1)
+    outs += [kernel_add(t, s), kernel_neg(t), kernel_lateral_f(t),
+             kernel_phi(t), one, kernel_section_sigma(one, 3),
+             kernel_zero(law, R, B, 1, 2), difference_character(t),
+             kernel_witt_point(t)]
+    return outs
+
+
 def test_equality_and_hashing_ignore_the_rows():
     u = WittVector(Z3, [Z3.from_int(c) for c in (4, -7, 11)])
     out = witt_mul(u, u)
@@ -201,6 +280,34 @@ def test_equality_and_hashing_ignore_the_rows():
     phi = kernel_phi(t)
     assert phi._embed is not None
     assert phi == KernelPoint(t.law, Z3, Z3, 0, phi.coords)
+    # over each truncated ring every output holds canonical values
+    for B in CANONICAL:
+        for out in _canonical_outputs(B):
+            copy = _rebuilt(out)
+            assert out == copy, out
+            if isinstance(out, KernelPoint):
+                out, copy = kernel_embed(out), kernel_embed(copy)
+            assert hash(out) == hash(copy), out
+
+
+@pytest.mark.parametrize("cfg", CANONICAL[:2], ids=["Z/5^6", "x^2-5/pi^8"])
+def test_witt_ops_build_elements_only_when_read(monkeypatch, cfg):
+    """witt_add, witt_mul and F over a truncated ring build no RingElement;
+    reading the coordinates of their outputs builds one a coordinate."""
+    rng = random.Random(f"elements:{cfg.key}")
+    u, v = (WittVector(cfg, [_rng_elem(cfg, rng) for _ in range(4)])
+            for _ in range(2))
+    built, init = [], RingElement.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RingElement, "__init__", counted)
+    outs = [witt_add(u, v), witt_mul(u, v), frobenius(u)]
+    assert built == []
+    comps = [out.comps for out in outs]
+    assert len(built) == 11 == sum(map(len, comps))
 
 
 def test_l9_takes_one_ghost_of_its_vector(monkeypatch):
