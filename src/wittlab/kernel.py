@@ -25,8 +25,8 @@ from .errors import (
 from .fgl import formal_inverse, formal_log
 from .rings import Frac
 from .shifted import include_I, lateral_frobenius, shift_E
-from .witt import (_arith, _check_fixed, _check_shape, _read, _rows, _solve,
-                   _structure_chain, _values, _vector, _zeros)
+from .witt import (ShiftedWittVector, _arith, _check_fixed, _codec, _read,
+                   _rows, _solve, _structure_chain, _vector)
 
 
 class KernelPoint:
@@ -40,10 +40,9 @@ class KernelPoint:
         coords = tuple(coords)
         if m < 0 or not coords:
             raise LengthMismatch("kernel point needs m >= 0 and n >= 1")
-        _check_shape(rcfg, bcfg, m, m + 1)
         self.law = law
-        self._embed = _vector(rcfg, bcfg, m, m + len(coords), _zeros(
-            rcfg, m + 1) + _values(bcfg, coords, "tail entry outside B"))
+        self._embed = ShiftedWittVector(rcfg, bcfg, m, (rcfg.zero(),) * (m + 1),
+                                        coords)
 
     rcfg = property(lambda self: self._embed.rcfg)
     bcfg = property(lambda self: self._embed.bcfg)
@@ -55,6 +54,9 @@ class KernelPoint:
         if not isinstance(other, KernelPoint):
             return NotImplemented
         return self.law is other.law and self._embed == other._embed
+
+    def __hash__(self):
+        return hash(self._embed)
 
     def __repr__(self):
         cs = ", ".join(repr(c) for c in self.coords)
@@ -224,9 +226,9 @@ def kernel_section_sigma(t, n):
         raise BadLength("the section starts from a length-1 point")
     if n < 1:
         raise BadLength("target length must be >= 1")
-    u = t._embed
+    u, zero = t._embed, _codec(t.bcfg).zero
     return _tail_point(t, _vector(u.rcfg, u.bcfg, u.m, u.m + n, _read(u)
-                                  + _zeros(u.bcfg, n - 1)), "section")
+                                  + (zero,) * (n - 1)), "section")
 
 
 # ----------------------------------------------------------------------
@@ -261,12 +263,12 @@ def psi_map(law, m, t0, precision=None):
         precision = bcfg.trunc
     ar, key = _arith(bcfg), (m, bcfg, precision)
     if key not in law._psi:
-        law._psi[key] = [ar.unwrap(c)
+        law._psi[key] = [ar.value(c)
                          for c in _psi_coeffs(law, m, bcfg, precision)]
-    x, acc = ar.unwrap(t0), ar.zero
+    x, acc = ar.value(t0), ar.zero
     for c in reversed(law._psi[key]):   # t_0 (c_1 + t_0 (c_2 + ...))
         acc = ar.mul(ar.add(acc, c), x)
-    return ar.wrap(bcfg, acc)
+    return _codec(bcfg).elements((acc,))[0]
 
 
 def _psi_coeffs(law, m, bcfg, precision):

@@ -17,8 +17,9 @@ from .errors import (
     ZeroTail,
 )
 from .witt import (GhostVector, ShiftedWittVector, _arith, _check_fixed,
-                   _check_shape, _elements, _entrywise, _ghost_shift, _read,
-                   _rows, _solve, _structure_chain, _values, _vector)
+                   _check_shape, _codec, _entrywise, _ghost_shift,
+                   _lift_head, _read, _rows, _solve, _structure_chain,
+                   _vector)
 
 
 def shifted_zero(rcfg, bcfg, m, n):
@@ -32,8 +33,8 @@ def shifted_zero(rcfg, bcfg, m, n):
 def shifted_ghost(v):
     """Entries 0..m are computed in R, entries m+1..m+n in B."""
     rows, k = _rows(_arith(v.bcfg, v.last), v), v.m + 1
-    return GhostVector(_elements(v.rcfg, rows[:k])
-                       + _elements(v.bcfg, rows[k:]), head_count=k)
+    return GhostVector(_codec(v.rcfg).elements(rows[:k])
+                       + _codec(v.bcfg).elements(rows[k:]), head_count=k)
 
 
 def shifted_ghost_solve(g, rcfg, bcfg):
@@ -46,8 +47,8 @@ def shifted_ghost_solve(g, rcfg, bcfg):
         raise LengthMismatch(f"head_count {k} not in 1..{len(g.entries)}")
     _check_shape(rcfg, bcfg, k - 1, k)
     hl, bl = _arith(rcfg), _arith(bcfg)
-    entries = ([hl.unwrap(rcfg.convert(e)) for e in g.entries[:k]]
-               + [bl.unwrap(bcfg.convert(e)) for e in g.entries[k:]])
+    entries = ([hl.value(rcfg.convert(e)) for e in g.entries[:k]]
+               + [bl.value(bcfg.convert(e)) for e in g.entries[k:]])
     return _solve(bl, bcfg, entries, None, k - 1, rcfg)
 
 
@@ -64,16 +65,17 @@ def shifted_neg(u):
 
 
 def include_I(v):
-    """The natural ring map into W_{m+n}(B): push the head through f.  It
-    reads its values off v's; its ghost is v's shifted ghost, read in B, so
-    when R and B share one arithmetic (R = B, one set of values) it keeps
-    v's values and rows."""
-    bl, cfg = _arith(v.bcfg), v.bcfg
-    if _arith(v.rcfg) is bl:
-        return _vector(bl.cover, cfg, -1, v.last, lambda: _read(v),
-                       _rows(bl, v))
-    return _vector(bl.cover, cfg, -1, v.last, lambda: _values(
-        cfg, map(v.f, v.head)) + _read(v)[v.m + 1:])
+    """The natural ring map into W_{m+n}(B): push the head through f.  Its
+    values are v's with the head's lifted into B's; its ghost is v's
+    shifted ghost, the head rows lifted the same way, kept when B is
+    exact."""
+    hl, bl, k = _codec(v.rcfg), _codec(v.bcfg), v.m + 1
+
+    def lift(xs):
+        return (*_lift_head(hl, bl, xs[:k]), *xs[k:])
+
+    rows = lift(_rows(bl, v)) if v.bcfg.torsion_free else None
+    return _vector(bl.cover, v.bcfg, -1, v.last, lambda: lift(_read(v)), rows)
 
 
 def restrict_T(v):

@@ -41,52 +41,10 @@ def _read(v):
     return v._coords
 
 
-def _values(cfg, elems, what="element outside its ring"):
-    """Elements of cfg as the values a vector over cfg holds: ints for
-    d = 1, coefficient tuples for d > 1, the elements themselves when cfg
-    has variables.  BaseMismatch (what) for an element of another ring."""
-    elems = tuple(elems)
-    if any(e.cfg != cfg for e in elems):
-        raise BaseMismatch(what)
-    if cfg.nvars:
-        return elems
-    if cfg.d == 1:
-        return tuple(e.terms.get((), (0,))[0] for e in elems)
-    zero = cfg.czero()
-    return tuple(e.terms.get((), zero) for e in elems)
-
-
-def _elements(cfg, xs):
-    """The elements of cfg whose values are the residues of xs."""
-    xs = _canonical(cfg, xs)
-    if cfg.nvars:
-        return xs
-    if cfg.d == 1:
-        return tuple(RingElement(cfg, {(): (x,)} if x else {}) for x in xs)
-    return tuple(RingElement(cfg, {(): x} if any(x) else {}) for x in xs)
-
-
-def _canonical(cfg, xs):
-    """Values of an engine arithmetic over cfg, or over a finer truncation
-    of it, as cfg's own by its residue rule: residues mod pi^N on R/pi^N."""
-    if cfg.nvars:
-        return tuple(map(cfg.convert, xs))
-    if not cfg.trunc:
-        return tuple(xs)
-    if cfg.d > 1:
-        return tuple(map(cfg.creduce, xs))
-    mod = cfg._mods[0]
-    return tuple(x % mod for x in xs)
-
-
-def _zeros(cfg, k):
-    return (cfg.zero() if cfg.nvars else cfg.czero() if cfg.d > 1 else 0,) * k
-
-
 class _Vector:
     """Coordinates 0..last of a shifted Witt vector: a head 0..m over R,
     empty when m = -1, and a tail m+1..last over B.  ``_coords`` holds
-    their values (see ``_values``), canonical under each ring's residue
+    their values (see ``_Arith``), canonical under each ring's residue
     rule, or a callable that solves them on first read; the public reads
     build elements.  When B is exact, ``_ghost`` keeps the ghost rows once
     they are known (see the ghost engine); equality and hashing compare
@@ -120,10 +78,11 @@ class WittVector(_Vector):
 
     __slots__ = ()
     cfg, n = _Vector.bcfg, _Vector.last     # the core's slots, renamed
-    comps = property(lambda v: _elements(v.cfg, _read(v)))
+    comps = property(lambda v: _codec(v.cfg).elements(_read(v)))
 
     def __init__(self, cfg, comps):
-        comps = _values(cfg, comps, "component ring differs from vector ring")
+        comps = _codec(cfg).values(
+            comps, "component ring differs from vector ring")
         if not comps:
             raise ZeroLength("a Witt vector needs at least one component")
         self._set(cfg.exact_cover(), cfg, -1, len(comps) - 1, comps)
@@ -153,13 +112,13 @@ class ShiftedWittVector(_Vector):
     def __init__(self, rcfg, bcfg, m, head, tail):
         head = tuple(head)
         _check_shape(rcfg, bcfg, m, len(head))
-        xs = (_values(rcfg, head, "head entry outside R")
-              + _values(bcfg, tail, "tail entry outside B"))
+        xs = (_codec(rcfg).values(head, "head entry outside R")
+              + _codec(bcfg).values(tail, "tail entry outside B"))
         self._set(rcfg, bcfg, m, len(xs) - 1, xs)
 
     n = property(lambda self: self.last - self.m)
-    head = property(lambda v: _elements(v.rcfg, _read(v)[:v.m + 1]))
-    tail = property(lambda v: _elements(v.bcfg, _read(v)[v.m + 1:]))
+    head = property(lambda v: _codec(v.rcfg).elements(_read(v)[:v.m + 1]))
+    tail = property(lambda v: _codec(v.bcfg).elements(_read(v)[v.m + 1:]))
 
     def f(self, r):
         """Structure map R -> B."""
@@ -195,6 +154,9 @@ class GhostVector:
         return (self.entries == other.entries
                 and self.head_count == other.head_count)
 
+    def __hash__(self):
+        return hash((self.entries, self.head_count))
+
     def __repr__(self):
         return "<" + ", ".join(repr(c) for c in self.entries) + ">"
 
@@ -204,7 +166,7 @@ class GhostVector:
 #
 # Every operator is one ghost map, an entrywise rule on ghost coordinates
 # and one triangular solve.  The engine works on the values a vector holds
-# (see ``_values``) of an exact config or, over B/pi^N, of B/pi^(N+L) for
+# (see ``_Arith``) of an exact config or, over B/pi^N, of B/pi^(N+L) for
 # a solve that divides by up to pi^L: by RingConfig's residue rule
 # coordinate i is then right mod pi^(N+L-i), and the output keeps its
 # residue mod pi^N, that of the exact result.  A residue mod pi^N is one
@@ -223,42 +185,62 @@ class GhostVector:
 class _Arith:
     """Ring operations and row kernels on the values of ``red``, an exact
     config or a truncation R/pi^prec whose products reduce by its pi^prec
-    lattice; division by pi runs on ``cover``, red's exact cover.  ``take``
-    reads a vector's values into them, ``unwrap`` an element's."""
+    lattice; division by pi runs on ``cover``, red's exact cover.  The one
+    place that decides a value's form (an int for d = 1, a coefficient
+    tuple for d > 1, the element when red has variables) and its residue
+    rule (``residues``); ``take`` reads a vector's values into it."""
 
     def __init__(self, red):
-        self.cover = cover = red.exact_cover()
-        self.q = cover.q
+        self.red, self.cover = red, red.exact_cover()
+        self.q = self.cover.q
         self.add, self.sub = operator.add, operator.sub
         self.mul, self.neg, self.pow = operator.mul, operator.neg, pow
-        self.reduce, self.take = (lambda a: a), list
-        self.wrap = lambda cfg, x: _elements(cfg, (x,))[0]
-        self.unwrap = lambda e: self.reduce(_values(e.cfg, (e,))[0])
+        self.reduce, self.take, self.residues = (lambda a: a), list, tuple
         if red.nvars:
             self.zero, self.one, self.pi = red.zero(), red.one(), red.pi_elem()
             self.phi, self.reduce = RingElement.phi, red.convert
+            self.value, self.element = red.convert, lambda x: x
             self.take = lambda xs: [*map(red.convert, xs)]
             self.coeff = _Arith(red.base_exact().truncated(red.trunc))
             self.row = self.term_row    # chosen once: polynomial rows
             self.solve_row = lambda *a: self.term_row(*a, div=True)
-        elif cover.d == 1:
-            self.zero, self.one, self.pi = 0, 1, cover.p
+        elif red.d == 1:
+            self.zero, self.one, self.pi = 0, 1, red.p
             self.phi = lambda a: a
+            self.value = lambda e: e.terms.get((), (0,))[0]
+            self.element = lambda x: RingElement(red, {(): (x,)} if x else {})
             if red.trunc:
                 mod = red._mods[0]
                 self.mul = lambda a, b: a * b % mod
                 self.pow = lambda a, e: pow(a, e, mod)
                 self.reduce = lambda a: a % mod
         else:
-            self.zero, self.one = red.czero(), red.cone()
-            self.pi = red._pi_coeff()
+            zero = self.zero = red.czero()
+            self.one, self.pi = red.cone(), red._pi_coeff()
             self.add, self.sub = red.cadd, red.csub
             self.mul, self.neg, self.pow = red.cmul, red.cneg, red.cpow
-            self.phi, self.div_pi = red.cphi, cover.cdivpi
+            self.phi, self.div_pi = red.cphi, self.cover.cdivpi
+            self.value = lambda e: e.terms.get((), zero)
+            self.element = lambda x: RingElement(
+                red, {(): x} if any(x) else {})
             if red.trunc:
                 self.reduce = red.creduce
             else:   # equal (value, exponent) pairs recur across solves
                 self.pow = functools.lru_cache(maxsize=32)(red.cpow)
+        if red.trunc or red.nvars:
+            reduce = self.reduce
+            self.residues = lambda xs: tuple(map(reduce, xs))
+
+    def values(self, elems, what):
+        """Elements of red as values; BaseMismatch (what) for another's."""
+        elems = tuple(elems)
+        if any(e.cfg != self.red for e in elems):
+            raise BaseMismatch(what)
+        return tuple(map(self.value, elems))
+
+    def elements(self, xs):
+        """Elements of red from values of red or of a finer truncation."""
+        return tuple(map(self.element, self.residues(xs)))
 
     def div_pi_power(self, a, k):
         """a / pi^k; NonDivisible when it is not exact.  For d = 1, pi = p
@@ -337,14 +319,16 @@ class _Arith:
 _ARITH = {}
 
 
-def _arith(cfg, top=0):
+def _codec(cfg, top=0):
     """The arithmetic of red for a solve over cfg dividing by up to pi^top,
     kept per red: cfg when it is exact, R/pi^(N+top) when cfg is R/pi^N."""
     prec = cfg.trunc + top if cfg.trunc else 0
     key = (cfg.base_key, cfg.vars, prec)
-    if key not in _ARITH:
-        _ARITH[key] = _Arith(cfg.truncated(prec))
-    return _ARITH[key]
+    return _ARITH.get(key) or _ARITH.setdefault(
+        key, _Arith(cfg.truncated(prec)))
+
+
+_arith = _codec     # the precision choice; _codec(cfg) reads cfg's values
 
 
 def _ghost_rows(ar, xs, start=0):
@@ -378,11 +362,11 @@ def _solve_rows(ar, entries, comps, failure, what=None):
     return comps
 
 
-def _lift_head(hl, bl, rcfg, head):
-    """Head values of R's engine arithmetic as values of B's."""
-    if hl.cover is not bl.cover:
-        head = [bl.unwrap(bl.cover.convert(hl.wrap(rcfg, x))) for x in head]
-    return list(map(bl.reduce, head))
+def _lift_head(hl, bl, head):
+    """Head values of R's exact engine arithmetic as values of B's."""
+    if hl.cover is bl.cover:
+        return list(map(bl.reduce, head))
+    return [bl.value(bl.red.convert(hl.element(x))) for x in head]
 
 
 def _rows(bl, v):
@@ -398,7 +382,7 @@ def _rows(bl, v):
     else:
         head = hl.take(xs[:k])
         rows = _ghost_rows(hl, head) + _ghost_rows(
-            bl, _lift_head(hl, bl, v.rcfg, head) + bl.take(xs[k:]), k)
+            bl, _lift_head(hl, bl, head) + bl.take(xs[k:]), k)
     if v.bcfg.torsion_free:
         rows = v._ghost = tuple(rows)
     return rows
@@ -411,15 +395,15 @@ def _solve(bl, cfg, entries, what=None, m=-1, rcfg=None):
 
     def solve():
         if not k:
-            return _canonical(cfg, _solve_rows(
+            return _codec(cfg).residues(_solve_rows(
                 bl, entries, [],
                 "ghost entry {} is not in the image of the ghost map", what))
         hl = _arith(rcfg)
         head = _solve_rows(hl, entries[:k], [],
                            "head ghost entry {} does not solve", what)
-        tail = _solve_rows(bl, entries[k:], _lift_head(hl, bl, rcfg, head),
+        tail = _solve_rows(bl, entries[k:], _lift_head(hl, bl, head),
                            "tail ghost entry {} does not solve", what)[k:]
-        return _canonical(rcfg, head) + _canonical(cfg, tail)
+        return hl.residues(head) + _codec(cfg).residues(tail)
 
     return _vector(rcfg or bl.cover, cfg, m, len(entries) - 1,
                    solve if what and cfg.torsion_free else solve(),
@@ -427,7 +411,7 @@ def _solve(bl, cfg, entries, what=None, m=-1, rcfg=None):
 
 
 def ghost(v):
-    return GhostVector(_elements(v.cfg, _rows(_arith(v.cfg), v)))
+    return GhostVector(_codec(v.cfg).elements(_rows(_arith(v.cfg), v)))
 
 
 def ghost_solve(g, cfg=None):
@@ -439,7 +423,7 @@ def ghost_solve(g, cfg=None):
     if not cfg.torsion_free:
         raise TorsionBase("ghost_solve needs a pi-torsion-free exact base")
     ar = _arith(cfg)
-    return _solve(ar, cfg, [ar.unwrap(cfg.convert(e)) for e in g.entries])
+    return _solve(ar, cfg, [ar.value(cfg.convert(e)) for e in g.entries])
 
 
 def _check_pair(u, v):
@@ -526,13 +510,12 @@ def verschiebung(v, times=1):
     """V^times; its ghost is <0, .., 0, pi^times w_0, pi^times w_1, ..>."""
     if times < 0:
         raise BadLength(f"Verschiebung needs times >= 0, got {times}")
-    cfg, rows = v.cfg, None     # its components are read off v's
-    if v._ghost is not None:
-        ar = _arith(cfg)
+    ar, rows = _codec(v.cfg), None  # its components are read off v's
+    if v._ghost is not None:    # then v.cfg is exact: ar is its arithmetic
         scale = ar.pow(ar.pi, times)
         rows = (ar.zero,) * times + tuple(ar.mul(scale, w) for w in v._ghost)
-    return _vector(v.rcfg, cfg, -1, v.n + times,
-                   lambda: _zeros(cfg, times) + _read(v), rows)
+    return _vector(v.rcfg, v.cfg, -1, v.n + times,
+                   lambda: (ar.zero,) * times + _read(v), rows)
 
 
 def teichmuller(b, n):
@@ -553,10 +536,10 @@ def _structure_chain(hl, bl, r, k, count):
     """r, phi(r), ..., phi^(count-1)(r), the ghost rows of r's image under
     the structure map: rows below k in hl, R's arithmetic (r's exact cover
     is hl's), the rest lifted into bl, B's."""
-    chain = [hl.unwrap(hl.cover.convert(r))]
+    chain = [hl.value(hl.red.convert(r))]
     while len(chain) < count:
         chain.append(hl.phi(chain[-1]))
-    return chain[:k] + _lift_head(hl, bl, hl.cover, chain[k:])
+    return chain[:k] + _lift_head(hl, bl, chain[k:])
 
 
 def _check_fixed(r, what):

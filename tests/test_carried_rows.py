@@ -8,11 +8,13 @@ instead of taking a fresh ghost of the coordinates.
 * Equality and hashing ignore the rows, and compare the canonical values
   a vector holds: every operator's output equals the vector rebuilt from
   its public coordinates, which are elements of the vector's own rings.
+  Kernel points and ghosts hash by value too.
 * Witt operators build no element until their coordinates are read.
 * The gain: L9 on one shifted vector takes one ghost of it, where each of
   its four maps used to take one.
 """
 
+import pickle
 import random
 
 import pytest
@@ -50,6 +52,7 @@ from wittlab.shifted import (
     shifted_zero,
 )
 from wittlab.witt import (
+    GhostVector,
     WittVector,
     exp_delta,
     frobenius,
@@ -279,15 +282,38 @@ def test_equality_and_hashing_ignore_the_rows():
                     [Z3.from_int(3), Z3.from_int(8)])
     phi = kernel_phi(t)
     assert phi._embed is not None
-    assert phi == KernelPoint(t.law, Z3, Z3, 0, phi.coords)
+    copy = KernelPoint(t.law, Z3, Z3, 0, phi.coords)
+    assert phi == copy and hash(phi) == hash(copy)
     # over each truncated ring every output holds canonical values
     for B in CANONICAL:
         for out in _canonical_outputs(B):
             copy = _rebuilt(out)
             assert out == copy, out
-            if isinstance(out, KernelPoint):
-                out, copy = kernel_embed(out), kernel_embed(copy)
             assert hash(out) == hash(copy), out
+
+
+@pytest.mark.parametrize("B", [Z3, Z3.truncated(6)], ids=["Z3", "Z/3^6"])
+def test_kernel_points_and_ghosts_hash_by_value(B):
+    """A kernel point a map gives (pending on Z3), the same point built by
+    the constructor and a pickle round trip of it are equal and hash
+    equal, as are a ghost, its copy and its pickle round trip."""
+    law = load_fgl("gm", Z3)
+    t = KernelPoint(law, Z3, B, 1, [B.from_int(c) for c in (3, 8, -4)])
+    phi = kernel_phi(t)
+    assert callable(kernel_embed(phi)._coords) == B.torsion_free
+    built = KernelPoint(law, Z3, B, 0, phi.coords)
+    back = pickle.loads(pickle.dumps(phi))
+    assert phi == built == back
+    assert hash(phi) == hash(built) == hash(back)
+    assert len({t, phi, built, back}) == 2
+    v = ShiftedWittVector(Z3, B, 1, [Z3.from_int(2), Z3.from_int(-7)],
+                          [B.from_int(5), B.from_int(1)])
+    for g in (ghost(WittVector(B, t.coords)), shifted_ghost(v)):
+        copy = GhostVector(g.entries, g.head_count)
+        back = pickle.loads(pickle.dumps(g))
+        assert g == copy == back
+        assert hash(g) == hash(copy) == hash(back)
+    assert len({g, GhostVector(g.entries)}) == 2    # head counts differ
 
 
 @pytest.mark.parametrize("cfg", CANONICAL[:2], ids=["Z/5^6", "x^2-5/pi^8"])

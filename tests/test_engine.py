@@ -86,6 +86,7 @@ from wittlab.witt import (
     _Arith,
     _arith,
     _check_fixed,
+    _codec,
     _ghost_rows,
     _solve_rows,
     exp_delta,
@@ -553,10 +554,10 @@ def _per_call_series_rows(hl, bl, rcfg, k, coeffs, a, b):
         _check_fixed(c, "the kernel group law")
     chains = []
     for _, c in coeffs:
-        chain = [hl.unwrap(rcfg.convert(c))]
+        chain = [hl.value(rcfg.convert(c))]
         while len(chain) < len(a):
             chain.append(hl.phi(chain[-1]))
-        chains.append(chain[:k] + witt._lift_head(hl, bl, rcfg, chain[k:]))
+        chains.append(chain[:k] + witt._lift_head(hl, bl, chain[k:]))
     rows = []
     for r in range(len(a)):
         ar = hl if r < k else bl
@@ -573,15 +574,15 @@ def _composed_group_difference(law, x, y, m):
     top = kernel._series_degree(law, cfg, m, x.n + 1, "the group difference")
     inv = formal_inverse(law, top)
     ar = _arith(cfg, x.n)
-    xs, ys = (_ghost_rows(ar, [ar.unwrap(c) for c in w.comps])
+    xs, ys = (_ghost_rows(ar, [ar.value(c) for c in w.comps])
               for w in (x, y))
     neg_y = _per_call_series_rows(
         ar, ar, ar.cover, 0, [((k, 0), b) for k, b in enumerate(inv, 1)],
         ys, ys)
     rows = _per_call_series_rows(
         ar, ar, ar.cover, 0, kernel._law_terms(law, top), xs, neg_y)
-    return WittVector(cfg, [ar.wrap(cfg, c)
-                            for c in _solve_rows(ar, rows, [], FAILURE)])
+    return WittVector(cfg, _codec(cfg).elements(
+        _solve_rows(ar, rows, [], FAILURE)))
 
 
 def _composed_difference_character(t):
@@ -860,10 +861,10 @@ def _coords(cfg, ar, n, rng):
     """n + 1 unwrapped coordinates: random constants, or on the symbolic
     base the variables x_0..x_n plus a constant."""
     if cfg.nvars:
-        return [ar.unwrap(cfg.var(f"x{i}") + rng.randint(-3, 3))
+        return [ar.value(cfg.var(f"x{i}") + rng.randint(-3, 3))
                 for i in range(n + 1)]
     exact = cfg.exact_cover()
-    return [ar.unwrap(cfg.convert(_elem(exact, rng))) for _ in range(n + 1)]
+    return [ar.value(cfg.convert(_elem(exact, rng))) for _ in range(n + 1)]
 
 
 @pytest.mark.parametrize("cfg", ROW_BASES, ids=ROW_IDS)
@@ -872,7 +873,7 @@ def test_row_kernel_matches_per_term_sum(cfg):
     top = 3 if cfg.nvars else 5
     for n in range(top + 1):
         ar = _arith(cfg, n)
-        canon = ((lambda x: ar.wrap(cfg, x)) if cfg.trunc
+        canon = ((lambda x: _codec(cfg).elements((x,))[0]) if cfg.trunc
                  else (lambda x: x))
         xs, ys = _coords(cfg, ar, n, rng), _coords(cfg, ar, n, rng)
         for start in range(n + 1):
@@ -975,13 +976,11 @@ def _eager(v):
     rows = list(v._ghost)
     if isinstance(v, WittVector):
         ar = _arith(v.cfg)
-        return tuple(ar.wrap(v.cfg, x)
-                     for x in _solve_rows(ar, rows, [], FAILURE))
+        return _codec(v.cfg).elements(_solve_rows(ar, rows, [], FAILURE))
     hl, bl, k = _arith(v.rcfg), _arith(v.bcfg), v.m + 1
     head = _solve_rows(hl, rows[:k], [], FAILURE)
     tail = _solve_rows(bl, rows[k:], list(head), FAILURE)[k:]
-    return (tuple(hl.wrap(v.rcfg, x) for x in head),
-            tuple(bl.wrap(v.bcfg, x) for x in tail))
+    return hl.elements(head), bl.elements(tail)
 
 
 @settings(max_examples=40, deadline=None)

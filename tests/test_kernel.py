@@ -45,6 +45,7 @@ from oracles import to_int
 Z2 = make_ring_config({"p": 2})
 Z3 = make_ring_config({"p": 3})
 Z5 = make_ring_config({"p": 5})
+RAM5 = make_ring_config({"p": 5, "modulus": [-5, 0, 1]})
 
 GA2 = load_fgl("ga", Z2)
 GM2 = load_fgl("gm", Z2)
@@ -76,10 +77,42 @@ def test_constructor_rejects_malformed_points():
         kp(GA2, Z2, -1, [5])
     with pytest.raises(LengthMismatch, match="m >= 0 and n >= 1"):
         kp(GA2, Z2, 1, [])
-    with pytest.raises(BaseMismatch):
+    with pytest.raises(BaseMismatch, match="tail entry outside B"):
         KernelPoint(GA2, Z2, Z2, 1, [Z2.from_int(5), Z3.from_int(5)])
     with pytest.raises(WittlabError, match="must be exact"):
         kp(GA2, Z2.truncated(4), 1, [5])
+
+
+# (R, B, an element of neither): each stray has the value form of B's
+# elements, so only the constructors' ring checks refuse it
+RING_CHECKS = [
+    (Z5, Z5, Z5.truncated(6).from_int(7)),
+    (RAM5, RAM5, RAM5.truncated(4).from_coeff([7, 1])),
+    (Z5, Z5.truncated(6), Z5.truncated(5).from_int(7)),
+    (Z5, Z5.adjoin(["a"]), Z5.adjoin(["a"]).truncated(3).var("a")),
+]
+
+
+@pytest.mark.parametrize("R,B,stray", RING_CHECKS,
+                         ids=["Z", "x^2-5", "Z/5^6", "Z[a]"])
+def test_constructors_refuse_entries_of_another_ring(R, B, stray):
+    r, b = R.from_int(3), B.from_int(2)
+    with pytest.raises(BaseMismatch,
+                       match="component ring differs from vector ring"):
+        WittVector(B, [b, stray])
+    for head, tail, what in (([r, stray], [b], "head entry outside R"),
+                             ([r, r], [b, stray], "tail entry outside B")):
+        with pytest.raises(BaseMismatch, match=what):
+            ShiftedWittVector(R, B, 1, head, tail)
+    with pytest.raises(BaseMismatch, match="tail entry outside B"):
+        KernelPoint(load_fgl("ga", R), R, B, 1, [b, stray])
+    if R != B:      # an entry of the other ring of the pair
+        for head, tail, what in (([r, b], [b], "head entry outside R"),
+                                 ([r, r], [r], "tail entry outside B")):
+            with pytest.raises(BaseMismatch, match=what):
+                ShiftedWittVector(R, B, 1, head, tail)
+        with pytest.raises(BaseMismatch, match="tail entry outside B"):
+            KernelPoint(load_fgl("ga", R), R, B, 1, [r])
 
 
 @pytest.mark.parametrize("trunc", [0, 6])
@@ -292,9 +325,6 @@ def _psi_uncached(law, m, t0, precision=None):
                 "pi-power truncated base")
         acc = acc + celem * tpow
     return acc
-
-
-RAM5 = make_ring_config({"p": 5, "modulus": [-5, 0, 1]})
 
 
 def _jet(base, degree, c):

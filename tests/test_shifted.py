@@ -39,6 +39,7 @@ from oracles import shift_E_coords, to_int
 
 Z2 = make_ring_config({"p": 2})
 Z3 = make_ring_config({"p": 3})
+Z5 = make_ring_config({"p": 5})
 RAM5 = make_ring_config({"p": 5, "modulus": [-5, 0, 1]})
 
 
@@ -272,6 +273,42 @@ def test_shift_zero_head_symbolic():
     out = shift_E(v)
     assert out.head == (Z2.zero(),)
     assert out.tail == (2 * t0, 2 * t1 - t0 ** 2)
+
+
+# R without B's variable a, B = R[a] or R[a]/pi^3: the head is lifted into
+# B's values across two covers
+CROSS_COVER = [(R, B) for R in (Z5, RAM5)
+               for B in (R.adjoin(["a"]), R.adjoin(["a"]).truncated(3))]
+
+
+def _public(v, cover):
+    """v's coordinates as elements, a shifted vector's head in cover."""
+    if isinstance(v, WittVector):
+        return v.comps
+    return tuple(map(cover.convert, v.head)) + v.tail
+
+
+@pytest.mark.parametrize("R,B", CROSS_COVER,
+                         ids=["Z-Z[a]", "Z-Z[a]/5^3", "x^2-5-R[a]",
+                              "x^2-5-R[a]/pi^3"])
+def test_nonzero_head_across_covers_matches_the_cover_head(R, B):
+    """Shifted maps with the nonzero head (2, -7) over R, which lacks B's
+    variable, equal the same maps with R = B's exact cover."""
+    C, a = B.exact_cover(), B.var("a")
+    tails = ([a + 3, 2 * a - 1], [a * a, B.from_int(4) - a])
+    by_ring = []
+    for head_ring in (R, C):
+        u, v = (ShiftedWittVector(head_ring, B, 1, [head_ring.from_int(h)
+                                                    for h in head], tail)
+                for head, tail in zip(((2, -7), (5, 1)), tails))
+        outs = [shifted_add(u, v), shifted_mul(u, v), shifted_neg(u),
+                lateral_frobenius(u), shift_E(u), include_I(u)]
+        by_ring.append([_public(out, C) for out in outs])
+        if B.torsion_free:
+            g = shifted_ghost(u).entries
+            by_ring[-1].append(tuple(map(C.convert, g[:2])) + g[2:])
+    assert len(by_ring[0]) == 6 + B.torsion_free
+    assert by_ring[0] == by_ring[1]
 
 
 def test_shift_ghost_rule():
